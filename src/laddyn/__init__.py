@@ -18,7 +18,6 @@ from .analytic import (
 )
 from .detect import (
     EventRecord,
-    SweepRow,
     find_transfer_events,
     find_w_events,
     sweep,
@@ -28,7 +27,6 @@ from .detect import (
 from .dynamics import (
     Propagator,
     evolve,
-    evolve_series,
     evolve_states,
     make_propagator,
     one_particle_amplitudes,

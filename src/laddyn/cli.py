@@ -75,8 +75,7 @@ def _parse_d_grid(spec: str) -> list[float]:
         raise ValidationError(f"bad d-grid spec {spec!r}, expected start:stop:step") from exc
     if not step > 0.0 or stop < start:
         raise ValidationError(f"bad d-grid spec {spec!r}: need step > 0 and stop >= start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(n)]
+    return [start + k * step for k in range(dynamics.grid_points(start, stop, step))]
 
 
 def _parse_pairs(spec: str) -> list[tuple[int, int]]:
@@ -181,21 +180,31 @@ def _json_value(v):
     return float(v)
 
 
-def _write_table(path: str, columns: list[str], rows: list[list], fmt: str) -> None:
-    if fmt == "csv":
-        lines = [SCHEMA_COMMENT, ",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        doc = {
-            "schema": "laddyn schema v1",
-            "columns": columns,
-            "rows": [[_json_value(v) for v in row] for row in rows],
-        }
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+#: rows formatted per write, so the CSV text in memory stays bounded
+_BLOCK_ROWS = 4096
+
+
+def _write_table(path: str, columns, rows, fmt: str) -> None:
+    """Write a table as CSV or JSON.
+
+    rows is a structured array of float64 fields, or for events a short
+    list of mixed str/int/float/None rows.
+    """
+    floats = isinstance(rows, np.ndarray)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt == "csv":
+            fh.write(f"{SCHEMA_COMMENT}\n{','.join(columns)}\n")
+            if floats:
+                # '%.17g' % x is the same text as format(x, '.17g'), -0, inf and nan included
+                line = ",".join(["%.17g"] * len(columns)) + "\n"
+                for k in range(0, len(rows), _BLOCK_ROWS):
+                    fh.write("".join([line % row for row in rows[k:k + _BLOCK_ROWS].tolist()]))
+            else:
+                fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        else:
+            data = rows.tolist() if floats else [[_json_value(v) for v in row] for row in rows]
+            doc = {"schema": "laddyn schema v1", "columns": list(columns), "rows": data}
+            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _curves_path(output: str) -> str:
@@ -210,7 +219,7 @@ def _curves_path(output: str) -> str:
 _CLASS_OF = {pair: analytic.classify_pair(*pair) for pair in detect.ALL_PAIRS}
 
 
-def _evolve_table(cfg: RunConfig, graph: model.CouplingGraph):
+def _evolve_table(cfg: RunConfig, graph: model.CouplingGraph) -> np.recarray:
     if cfg.d is None:
         raise ValidationError("evolve requires --d (0 is allowed, numeric-only)")
     d = cfg.d
@@ -222,25 +231,23 @@ def _evolve_table(cfg: RunConfig, graph: model.CouplingGraph):
     # the closed forms are derived in the j = 1 normalization
     with_analytic = d > 0.0 and cfg.j == 1.0
     pairs = [tuple(p) for p in cfg.pairs]
-    columns = ["t"]
-    columns += [f"c_{p}{q}" for (p, q) in pairs]
-    if with_analytic:
-        columns += [f"c_an_{p}{q}" for (p, q) in pairs]
-    for cls in ("first", "leg", "last"):
-        columns += [f"chi_xx_{cls}", f"chi_yy_{cls}", f"chi_zz_{cls}"]
-    columns += ["s_tot_x", "s_tot_y", "s_tot_z"]
-    if with_analytic:
-        columns += ["max_dev", "leg_xx_table_dev"]
-
     conc = {pair: measures.concurrence_series(states, *pair) for pair in pairs}
     chi = {}
     for cls, rep in detect.CLASS_REPRESENTATIVE.items():
         for axes in ("xx", "yy", "zz"):
             chi[(cls, axes)] = measures.correlation_series(states, *rep, axes[0], axes[1])
-    s_tot = {a: measures.total_spin_series(states, a) for a in ("x", "y", "z")}
 
+    cols = {"t": ts}
+    cols.update((f"c_{p}{q}", conc[(p, q)]) for (p, q) in pairs)
     if with_analytic:
         conc_an = {pair: analytic.concurrence_formula(_CLASS_OF[pair], ts, d) for pair in pairs}
+        cols.update((f"c_an_{p}{q}", conc_an[(p, q)]) for (p, q) in pairs)
+    for (cls, axes), values in chi.items():
+        cols[f"chi_{axes}_{detect.CLASS_COLUMN[cls]}"] = values
+    for a in model.AXES:
+        cols[f"s_tot_{a}"] = measures.total_spin_series(states, a)
+
+    if with_analytic:
         # oracle set: concurrences, rung correlations, leg zz (leg xx/yy vs the
         # tabulated form is a reported adjudication, kept out of max_dev)
         devs = [np.abs(conc[p] - conc_an[p]) for p in pairs]
@@ -248,36 +255,22 @@ def _evolve_table(cfg: RunConfig, graph: model.CouplingGraph):
             for axes in ("xx", "yy", "zz"):
                 devs.append(np.abs(chi[(cls, axes)] - analytic.correlation_formula(cls, axes, ts, d)))
         devs.append(np.abs(chi[(analytic.PairClass.LEG, "zz")]))
-        max_dev = np.max(devs, axis=0)
+        cols["max_dev"] = np.max(devs, axis=0)
         leg_table = analytic.correlation_formula(analytic.PairClass.LEG, "xx", ts, d)
-        leg_dev = np.maximum(
+        cols["leg_xx_table_dev"] = np.maximum(
             np.abs(chi[(analytic.PairClass.LEG, "xx")] - leg_table),
             np.abs(chi[(analytic.PairClass.LEG, "yy")] - leg_table),
         )
-
-    rows = []
-    for i, t in enumerate(ts):
-        row = [t]
-        row += [conc[p][i] for p in pairs]
-        if with_analytic:
-            row += [conc_an[p][i] for p in pairs]
-        for cls in (analytic.PairClass.FIRST_RUNG, analytic.PairClass.LEG,
-                    analytic.PairClass.LAST_RUNG):
-            row += [chi[(cls, "xx")][i], chi[(cls, "yy")][i], chi[(cls, "zz")][i]]
-        row += [s_tot["x"][i], s_tot["y"][i], s_tot["z"][i]]
-        if with_analytic:
-            row += [max_dev[i], leg_dev[i]]
-        rows.append(row)
-    return columns, rows
+    return np.rec.fromarrays(list(cols.values()), names=list(cols))
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
     graph = _load_topology(cfg.topology)
-    columns, rows = _evolve_table(cfg, graph)
+    table = _evolve_table(cfg, graph)
     if cfg.output is None:
         raise ValidationError("evolve requires --output")
-    _write_table(cfg.output, columns, rows, cfg.format)
-    print(f"wrote {len(rows)} rows to {cfg.output}")
+    _write_table(cfg.output, table.dtype.names, table, cfg.format)
+    print(f"wrote {len(table)} rows to {cfg.output}")
     return EXIT_OK
 
 
@@ -319,15 +312,6 @@ def cmd_events(cfg: RunConfig) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-_SWEEP_COLUMNS = [
-    "d", "t", "c_first", "c_last", "c_leg",
-    "chi_xx_first", "chi_yy_first", "chi_zz_first",
-    "chi_xx_leg", "chi_yy_leg", "chi_zz_leg",
-    "chi_xx_last", "chi_yy_last", "chi_zz_last",
-    "s_tot_z",
-]
-
-
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.d_grid is None:
         if cfg.d is None:
@@ -340,18 +324,21 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ValidationError("sweep requires --output")
     graph = _load_topology(cfg.topology)
     ts = dynamics.time_grid(0.0, cfg.t_max, cfg.dt)
-    rows = detect.sweep(d_grid, ts, graph, workers=_worker_count())
-    table = [[getattr(r, c) for c in _SWEEP_COLUMNS] for r in rows]
-    _write_table(cfg.output, _SWEEP_COLUMNS, table, cfg.format)
+    if len(d_grid) * len(ts) > dynamics.MAX_GRID_POINTS:
+        raise ValidationError(
+            f"sweep grid of {len(d_grid)} d values x {len(ts)} times has more than "
+            f"{dynamics.MAX_GRID_POINTS} points"
+        )
+    table = detect.sweep(d_grid, ts, graph, workers=_worker_count())
+    _write_table(cfg.output, table.dtype.names, table, cfg.format)
 
     curves = detect.w_time_curves(d_grid, cfg.n_max)
-    curve_cols = ["d"] + [f"t_w_n{n}" for n in range(cfg.n_max + 1)]
-    curve_rows = [[d_grid[i]] + [curves[n, i] for n in range(cfg.n_max + 1)]
-                  for i in range(len(d_grid))]
+    curve_table = np.rec.fromarrays(
+        [d_grid, *curves], names=["d"] + [f"t_w_n{n}" for n in range(cfg.n_max + 1)])
     cpath = _curves_path(cfg.output)
-    _write_table(cpath, curve_cols, curve_rows, cfg.format)
+    _write_table(cpath, curve_table.dtype.names, curve_table, cfg.format)
     print(f"wrote {len(table)} sweep rows to {cfg.output} and "
-          f"{len(curve_rows)} t_w curve rows to {cpath}")
+          f"{len(curve_table)} t_w curve rows to {cpath}")
     return EXIT_OK
 
 

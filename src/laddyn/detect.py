@@ -28,6 +28,22 @@ CLASS_REPRESENTATIVE = {
     analytic.PairClass.LAST_RUNG: (3, 4),
 }
 
+#: column-name suffix per observable class
+CLASS_COLUMN = {
+    analytic.PairClass.FIRST_RUNG: "first",
+    analytic.PairClass.LEG: "leg",
+    analytic.PairClass.LAST_RUNG: "last",
+}
+
+#: fields of the sweep table, in output order
+_SWEEP_COLUMNS = (
+    "d", "t", "c_first", "c_last", "c_leg",
+    "chi_xx_first", "chi_yy_first", "chi_zz_first",
+    "chi_xx_leg", "chi_yy_leg", "chi_zz_leg",
+    "chi_xx_last", "chi_yy_last", "chi_zz_last",
+    "s_tot_z",
+)
+
 TRANSFER = "transfer"
 W_STATE = "w_state"
 
@@ -45,27 +61,6 @@ class EventRecord:
     t_predicted: float
     residual: float
     fidelity: float | None = None
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """All class-level observables at one (d, t) grid point."""
-
-    d: float
-    t: float
-    c_first: float
-    c_last: float
-    c_leg: float
-    chi_xx_first: float
-    chi_yy_first: float
-    chi_zz_first: float
-    chi_xx_leg: float
-    chi_yy_leg: float
-    chi_zz_leg: float
-    chi_xx_last: float
-    chi_yy_last: float
-    chi_zz_last: float
-    s_tot_z: float
 
 
 def w_fidelity(amps) -> float:
@@ -229,45 +224,28 @@ def find_w_events(d: float, t_max: float, coarse_dt: float = 0.01,
 
 
 def _sweep_one_d(d: float, t_grid: np.ndarray,
-                 graph: model.CouplingGraph) -> list[SweepRow]:
-    prop = _default_propagator(d, graph)
-    states = dynamics.evolve_states(prop, t_grid)
-    cols = {}
+                 graph: model.CouplingGraph) -> np.recarray:
+    """The sweep table rows of one d value."""
+    states = dynamics.evolve_states(_default_propagator(d, graph), t_grid)
+    cols = {"d": np.full(t_grid.size, d), "t": t_grid}
     for cls, (p, q) in CLASS_REPRESENTATIVE.items():
-        cols[cls] = {
-            "c": measures.concurrence_series(states, p, q),
-            "xx": measures.correlation_series(states, p, q, "x", "x"),
-            "yy": measures.correlation_series(states, p, q, "y", "y"),
-            "zz": measures.correlation_series(states, p, q, "z", "z"),
-        }
-    sz = measures.total_spin_series(states, "z")
-    first = cols[analytic.PairClass.FIRST_RUNG]
-    leg = cols[analytic.PairClass.LEG]
-    last = cols[analytic.PairClass.LAST_RUNG]
-    return [
-        SweepRow(
-            d=float(d), t=float(t),
-            c_first=float(first["c"][i]), c_last=float(last["c"][i]),
-            c_leg=float(leg["c"][i]),
-            chi_xx_first=float(first["xx"][i]), chi_yy_first=float(first["yy"][i]),
-            chi_zz_first=float(first["zz"][i]),
-            chi_xx_leg=float(leg["xx"][i]), chi_yy_leg=float(leg["yy"][i]),
-            chi_zz_leg=float(leg["zz"][i]),
-            chi_xx_last=float(last["xx"][i]), chi_yy_last=float(last["yy"][i]),
-            chi_zz_last=float(last["zz"][i]),
-            s_tot_z=float(sz[i]),
-        )
-        for i, t in enumerate(t_grid)
-    ]
+        name = CLASS_COLUMN[cls]
+        cols[f"c_{name}"] = measures.concurrence_series(states, p, q)
+        for a in model.AXES:
+            cols[f"chi_{a}{a}_{name}"] = measures.correlation_series(states, p, q, a, a)
+    cols["s_tot_z"] = measures.total_spin_series(states, "z")
+    return np.rec.fromarrays([cols[name] for name in _SWEEP_COLUMNS], names=_SWEEP_COLUMNS)
 
 
 def sweep(d_grid, t_grid, graph: model.CouplingGraph = model.DEFAULT_GRAPH,
-          workers: int = 1) -> list[SweepRow]:
+          workers: int = 1) -> np.recarray:
     """Observables over the Cartesian product of grids, ordered d-major then t.
 
-    Duplicate d values are dropped with a warning.  Per-d work units are
-    independent; workers > 1 evaluates them in a thread pool with the output
-    order unchanged.
+    Returns a structured array with one row per (d, t) point and the
+    float64 fields d, t, c_first, c_last, c_leg, chi_{xx,yy,zz}_{first,leg,last}
+    and s_tot_z.  Duplicate d values are dropped with a warning.  Per-d work
+    units are independent; workers > 1 evaluates them in a thread pool with
+    the output order unchanged.
     """
     ds = [float(x) for x in np.atleast_1d(np.asarray(d_grid, dtype=float))]
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
@@ -283,7 +261,7 @@ def sweep(d_grid, t_grid, graph: model.CouplingGraph = model.DEFAULT_GRAPH,
             chunks = list(pool.map(lambda dv: _sweep_one_d(dv, ts, graph), unique))
     else:
         chunks = [_sweep_one_d(dv, ts, graph) for dv in unique]
-    return [row for chunk in chunks for row in chunk]
+    return np.concatenate(chunks).view(np.recarray)
 
 
 def w_time_curves(d_grid, n_max: int = 9) -> np.ndarray:

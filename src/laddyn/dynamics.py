@@ -7,6 +7,7 @@ is no integrator and no step-to-step error accumulation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,12 @@ from .linalg import (
 )
 
 DEFAULT_LEAKAGE_TOL = 1e-10
+
+#: Most (d, t) points one command may evaluate.  `evolve` holds up to about
+#: 2.5 kB per time point at once (the 16 amplitudes, pair marginals, Wootters
+#: work arrays and, for JSON, the row objects), so 10^6 points peak near
+#: 2.5 GB.  The count is checked before any array is allocated.
+MAX_GRID_POINTS = 1_000_000
 
 _SECTOR_MASK = np.ones(DIM, dtype=bool)
 _SECTOR_MASK[list(ONE_PARTICLE_INDICES)] = False
@@ -64,21 +71,27 @@ def evolve_states(prop: Propagator, times) -> np.ndarray:
     return (phases * prop.coefficients) @ prop.eig.eigenvectors.T
 
 
+def grid_points(start: float, stop: float, step: float) -> int:
+    """Point count of the inclusive grid start, start+step, ... up to stop (within roundoff).
+
+    Raises ValidationError when the count exceeds MAX_GRID_POINTS.
+    """
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:
+        raise ValidationError(
+            f"grid from {start:g} to {stop:g} in steps of {step:g} has more than "
+            f"{MAX_GRID_POINTS} points"
+        )
+    return math.floor(span) + 1
+
+
 def time_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
     """Inclusive grid t_start, t_start+dt, ... up to t_end (within roundoff)."""
     if not dt > 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
     if not t_end > t_start:
         raise ValidationError(f"need t_end > t_start, got [{t_start}, {t_end}]")
-    n = int(np.floor((t_end - t_start) / dt + 1e-9)) + 1
-    return t_start + dt * np.arange(n)
-
-
-def evolve_series(prop: Propagator, t_start: float, t_end: float, dt: float):
-    """Ordered list of (t, state) on the inclusive grid; each point is exact."""
-    ts = time_grid(t_start, t_end, dt)
-    states = evolve_states(prop, ts)
-    return [(float(t), states[i]) for i, t in enumerate(ts)]
+    return t_start + dt * np.arange(grid_points(t_start, t_end, dt))
 
 
 def sector_leakage(psi) -> float:

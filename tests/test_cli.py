@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from laddyn import cli
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -30,6 +34,10 @@ def read_csv(path):
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:] if line]
     return header, rows, raw
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class TestEvolveCommand:
@@ -150,6 +158,96 @@ class TestSweepCommand:
                           env_extra={"LADDYN_THREADS": threads})
             assert res.returncode == 0, res.stderr
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestGridLimit:
+    @pytest.mark.parametrize("args", [
+        ("evolve", "--d", "0.6", "--t-max", "1e18", "--dt", "1"),
+        ("sweep", "--d-grid", "0.1:1e12:1", "--t-max", "1"),
+        # each grid is small enough on its own; their product is not
+        ("sweep", "--d-grid", "0.1:100:0.1", "--t-max", "30"),
+    ])
+    def test_oversized_grid_is_usage_error(self, tmp_path, args):
+        out = tmp_path / "x.csv"
+        res = run_cli(*args, "--output", str(out))
+        assert res.returncode == 2
+        assert "error:" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
+
+class TestPinnedOutputs:
+    """Output bytes of small runs, recorded with the per-value writer."""
+
+    def test_sweep_csv(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        res = run_cli("sweep", "--d-grid", "0.3:0.9:0.3", "--t-max", "1", "--dt", "0.5",
+                      "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        assert sha256(out) == "3fc2028e9ff3bb5622cffb356ddf4e3d8b7ec31dcad340d92946e988719e812f"
+        assert sha256(tmp_path / "sweep_twcurves.csv") == (
+            "412dd2597ccb9f55027326862b634f55be25db22745720e79fda1f2c0246ceca")
+
+    def test_evolve_json(self, tmp_path):
+        out = tmp_path / "evolve.json"
+        res = run_cli("evolve", "--d", "0.6", "--t-max", "1", "--format", "json",
+                      "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        assert sha256(out) == "1c5e6898644ad9e550f60b2887e2d376adb7728e60e3344d94496379d8a397fc"
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "bd946e8a07e826d5f8e0aaf008ea7260f981a1d7c26c763890bf37778fc8537f"),
+        ("json", "a00bada37856d678cb9a11758e8bdcfce63c747bde5e2e822a1aab0b23b8ecd0"),
+    ])
+    def test_events(self, tmp_path, fmt, digest):
+        out = tmp_path / f"events.{fmt}"
+        res = run_cli("events", "--d", "1", "--t-max", "10", "--format", fmt,
+                      "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        assert sha256(out) == digest
+
+
+def _reference_csv(columns, rows):
+    # the per-value writer that the block writer replaced
+    lines = ["# laddyn schema v1", ",".join(columns)]
+    lines.extend(",".join(format(x, ".17g") for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(columns, rows):
+    buf = io.StringIO()
+    json.dump({"schema": "laddyn schema v1", "columns": columns, "rows": rows}, buf,
+              sort_keys=True, separators=(",", ":"))
+    return buf.getvalue() + "\n"
+
+
+class TestWriteTable:
+    SPECIAL = [-0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan,
+               0.0, 1.0, -3.0, 2.0 ** 53, 1e16, 1e17, 0.1, 1.0 / 3.0]
+
+    @pytest.mark.parametrize("n_rows", [0, 5, cli._BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_float_table_matches_reference(self, tmp_path, rng, n_rows, fmt):
+        columns = ["a", "b", "c", "d"]
+        values = rng.normal(size=(n_rows, 4)) * 10.0 ** rng.integers(-300, 300, size=(n_rows, 4))
+        specials = np.resize(self.SPECIAL, values.size)[:values.size].reshape(values.shape)
+        values[::2] = specials[::2]
+        table = np.rec.fromarrays(list(values.T), names=columns)
+        path = tmp_path / f"t.{fmt}"
+        cli._write_table(str(path), columns, table, fmt)
+        rows = values.tolist()
+        expected = _reference_csv(columns, rows) if fmt == "csv" else _reference_json(columns, rows)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            assert fh.read() == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_event_table_is_header_only(self, tmp_path, fmt):
+        columns = ["kind", "n", "t_predicted", "t_detected", "residual", "fidelity"]
+        path = tmp_path / f"e.{fmt}"
+        cli._write_table(str(path), columns, [], fmt)
+        expected = _reference_csv(columns, []) if fmt == "csv" else _reference_json(columns, [])
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            assert fh.read() == expected
 
 
 class TestVerifyCommand:

@@ -19,17 +19,18 @@ class TestWFidelity:
         assert abs(detect.w_fidelity(b) - 0.5) < 1e-14
 
     def test_matches_brute_force_phase_search(self, rng):
-        # oracle: explicit maximization of |<W(theta)|psi>|^2 over a phase grid
+        # oracle: explicit maximization of |<W(theta)|psi>|^2 over a phase grid,
+        # W(theta) = (1, e^{i t1}, e^{i t2}, e^{i t3}) / 2, broadcast over (t1, t2, t3)
         for _ in range(4):
             b = rng.normal(size=4) + 1j * rng.normal(size=4)
             b /= np.linalg.norm(b)
             grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-            best = 0.0
-            for t1 in grid:
-                for t2 in grid:
-                    for t3 in grid:
-                        w = 0.5 * np.exp(1j * np.array([0.0, t1, t2, t3]))
-                        best = max(best, abs(np.vdot(w, b)) ** 2)
+            phase = np.exp(-1j * grid)
+            overlap = 0.5 * (b[0]
+                             + (phase * b[1])[:, None, None]
+                             + (phase * b[2])[None, :, None]
+                             + (phase * b[3])[None, None, :])
+            best = float(np.max(np.abs(overlap) ** 2))
             formula = detect.w_fidelity(b)
             assert best <= formula + 1e-12
             assert formula - best < 5e-3
@@ -104,23 +105,22 @@ class TestWEvents:
 
 class TestSweep:
     def test_single_point_matches_measures(self):
-        rows = detect.sweep([0.5], [0.0])
-        assert len(rows) == 1
-        row = rows[0]
+        table = detect.sweep([0.5], [0.0])
+        assert len(table) == 1
         psi = dynamics.evolve(propagator(0.5), 0.0)
-        assert row.c_first == pytest.approx(
+        assert table["c_first"][0] == pytest.approx(
             measures.concurrence_series(psi[None], 1, 2)[0], abs=1e-14)
-        assert row.c_first == pytest.approx(1.0, abs=1e-12)
-        assert row.c_last == pytest.approx(0.0, abs=1e-12)
-        assert row.s_tot_z == pytest.approx(-1.0, abs=1e-12)
+        assert table["c_first"][0] == pytest.approx(1.0, abs=1e-12)
+        assert table["c_last"][0] == pytest.approx(0.0, abs=1e-12)
+        assert table["s_tot_z"][0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_cross_section_starts_correctly(self):
         ts = np.arange(0.0, 12.0, 0.05)
-        rows = detect.sweep([0.6], ts)
-        assert rows[0].c_first == pytest.approx(1.0, abs=1e-12)
-        assert rows[0].c_last == pytest.approx(0.0, abs=1e-12)
-        assert rows[0].c_leg == pytest.approx(0.0, abs=1e-12)
-        assert rows[0].chi_zz_first == pytest.approx(-0.25, abs=1e-12)
+        table = detect.sweep([0.6], ts)
+        assert table["c_first"][0] == pytest.approx(1.0, abs=1e-12)
+        assert table["c_last"][0] == pytest.approx(0.0, abs=1e-12)
+        assert table["c_leg"][0] == pytest.approx(0.0, abs=1e-12)
+        assert table["chi_zz_first"][0] == pytest.approx(-0.25, abs=1e-12)
 
     def test_first_w_time_monotone_in_d(self):
         # first event is below pi/2 for every d here, so a short window suffices
@@ -129,22 +129,22 @@ class TestSweep:
         assert all(a > b for a, b in zip(firsts, firsts[1:]))
 
     def test_row_ordering_d_major(self):
-        rows = detect.sweep([0.5, 1.0], [0.0, 1.0, 2.0])
-        assert [(r.d, r.t) for r in rows] == [
+        table = detect.sweep([0.5, 1.0], [0.0, 1.0, 2.0])
+        assert list(zip(table["d"].tolist(), table["t"].tolist())) == [
             (0.5, 0.0), (0.5, 1.0), (0.5, 2.0),
             (1.0, 0.0), (1.0, 1.0), (1.0, 2.0),
         ]
 
     def test_duplicate_d_warns_and_dedupes(self):
         with pytest.warns(UserWarning, match="duplicate"):
-            rows = detect.sweep([0.5, 0.5], [0.0])
-        assert len(rows) == 1
+            table = detect.sweep([0.5, 0.5], [0.0])
+        assert len(table) == 1
 
     def test_workers_do_not_change_output(self):
         ts = np.arange(0.0, 2.0, 0.5)
         serial = detect.sweep([0.4, 0.9], ts, workers=1)
         threaded = detect.sweep([0.4, 0.9], ts, workers=4)
-        assert serial == threaded
+        assert np.array_equal(serial, threaded)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

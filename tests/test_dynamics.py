@@ -69,22 +69,32 @@ class TestEvolve:
 
 
 class TestEvolveSeries:
+    """States on an inclusive time grid: time_grid plus evolve_states."""
+
     def test_grid_layout(self):
-        series = dynamics.evolve_series(propagator(0.6), 0.0, 1.0, 0.5)
-        assert [t for t, _ in series] == [0.0, 0.5, 1.0]
+        assert dynamics.time_grid(0.0, 1.0, 0.5).tolist() == [0.0, 0.5, 1.0]
 
     def test_norms_and_pointwise_agreement(self):
         prop = propagator(1.5)
-        series = dynamics.evolve_series(prop, 0.0, 3.0, 0.25)
-        for t, psi in series:
+        ts = dynamics.time_grid(0.0, 3.0, 0.25)
+        for t, psi in zip(ts, dynamics.evolve_states(prop, ts)):
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
             np.testing.assert_allclose(psi, dynamics.evolve(prop, t), atol=1e-13)
 
     def test_bad_dt(self):
         with pytest.raises(ValidationError):
-            dynamics.evolve_series(propagator(0.6), 0.0, 1.0, 0.0)
+            dynamics.time_grid(0.0, 1.0, 0.0)
         with pytest.raises(ValidationError):
-            dynamics.evolve_series(propagator(0.6), 2.0, 1.0, 0.1)
+            dynamics.time_grid(2.0, 1.0, 0.1)
+
+    def test_grid_limit(self):
+        limit = dynamics.MAX_GRID_POINTS
+        assert dynamics.grid_points(0.0, limit - 1.0, 1.0) == limit
+        for stop in (float(limit), math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                dynamics.grid_points(0.0, stop, 1.0)
+        with pytest.raises(ValidationError):
+            dynamics.time_grid(0.0, 1e18, 1.0)
 
 
 class TestOneParticleAmplitudes:
