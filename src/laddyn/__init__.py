@@ -17,6 +17,8 @@ from .analytic import (
     w_times,
 )
 from .detect import (
+    ALL_PAIRS,
+    LEG_CLASS_PAIRS,
     EventRecord,
     find_transfer_events,
     find_w_events,
@@ -39,7 +41,7 @@ from .errors import (
     SectorLeakageError,
     ValidationError,
 )
-from .linalg import EigenSystem, hermitian_eig, kron, partial_trace_to_pair
+from .linalg import EigenSystem, check_sites, hermitian_eig, partial_trace_to_pair
 from .measures import (
     PairObservables,
     concurrence_one_particle,
@@ -56,6 +58,7 @@ from .model import (
     calibrate_leg_orientation,
     initial_state,
     one_particle_hamiltonian,
+    propagator,
     spin_operator,
 )
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .linalg import N_SITES
+from .linalg import check_sites
 
 
 class SpectralParams(NamedTuple):
@@ -48,12 +48,7 @@ class PairClass(enum.Enum):
 
 def classify_pair(p: int, q: int) -> PairClass:
     """Total map from unordered site pairs to their observable class."""
-    for s in (p, q):
-        if not isinstance(s, (int, np.integer)) or not 1 <= s <= N_SITES:
-            raise ValidationError(f"site index must be in 1..{N_SITES}, got {s!r}")
-    if p == q:
-        raise ValidationError(f"pair sites must differ, got ({p},{q})")
-    pair = frozenset((int(p), int(q)))
+    pair = frozenset(check_sites(p, q))
     if pair == frozenset((1, 2)):
         return PairClass.FIRST_RUNG
     if pair == frozenset((3, 4)):
@@ -149,19 +144,6 @@ def correlation_formula(pair_class: PairClass, axes: str, t, d: float):
         out = np.zeros_like(t) if axes == "zz" else 0.125 * np.sin(s * t / 2.0)
     else:
         raise ValidationError(f"unknown pair class {pair_class!r}")
-    return float(out) if out.ndim == 0 else out
-
-
-def cross_axis_correlation(pair_class: PairClass, t, d: float):
-    """Tabulated mixed-axis correlation <S^a_p S^b_q>, a != b: zero.
-
-    Kept as an explicit evaluation so numeric results have a closed-form
-    counterpart to be checked against; the check is what adjudicates the
-    tabulated claim (it fails for leg-class pairs).
-    """
-    _require_positive_d(d)
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
     return float(out) if out.ndim == 0 else out
 
 

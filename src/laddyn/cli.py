@@ -20,6 +20,7 @@ import numpy as np
 
 from . import analytic, detect, dynamics, measures, model
 from .errors import LaddynError, ValidationError
+from .linalg import check_sites
 
 SCHEMA_COMMENT = "# laddyn schema v1"
 
@@ -62,42 +63,43 @@ class RunConfig:
             raise ValidationError(f"format must be csv or json, got {self.format!r}")
         if self.n_max < 0:
             raise ValidationError(f"n_max must be >= 0, got {self.n_max}")
-        for p, q in self.pairs:
-            if not (1 <= p <= 4 and 1 <= q <= 4 and p != q):
-                raise ValidationError(f"bad pair ({p},{q}) in config")
 
 
 def _parse_d_grid(spec: str) -> list[float]:
     """Parse 'start:stop:step' into an inclusive grid."""
     try:
         start, stop, step = (float(x) for x in spec.split(":"))
-    except Exception as exc:
-        raise ValidationError(f"bad d-grid spec {spec!r}, expected start:stop:step") from exc
+    except ValueError as exc:
+        raise ValidationError("expected start:stop:step") from exc
     if not step > 0.0 or stop < start:
-        raise ValidationError(f"bad d-grid spec {spec!r}: need step > 0 and stop >= start")
+        raise ValidationError("need step > 0 and stop >= start")
     return [start + k * step for k in range(dynamics.grid_points(start, stop, step))]
 
 
 def _parse_pairs(spec: str) -> list[tuple[int, int]]:
-    """Parse pair list like '1-2,3-4'."""
+    """Parse pair list like '1-2,3-4'; a pair keeps its order, so 2-1 is allowed."""
     out = []
     for chunk in spec.split(","):
         a, _, b = chunk.strip().partition("-")
-        out.append((int(a), int(b)))
+        out.append(check_sites(int(a), int(b)))
     return out
 
 
 def _read_config_file(path: str) -> dict:
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            values[key.strip().replace("-", "_")] = val.strip()
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"config file {path} is not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -116,17 +118,25 @@ _CONFIG_PARSERS = {
 }
 
 
+def _convert(key: str, raw: str, source: str):
+    """Convert one raw config-file or flag value; every value takes this path."""
+    try:
+        return _CONFIG_PARSERS[key](raw)
+    except ValueError as exc:
+        raise ValidationError(f"{source}: bad {key} value {raw!r}: {exc}") from None
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
             if key not in _CONFIG_PARSERS:
                 raise ValidationError(f"unknown config key {key!r}")
-            setattr(cfg, key, _CONFIG_PARSERS[key](raw))
+            setattr(cfg, key, _convert(key, raw, args.config))
     for key in _CONFIG_PARSERS:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
-            setattr(cfg, key, flag_val)
+            setattr(cfg, key, _convert(key, flag_val, "command line"))
     cfg.validate()
     return cfg
 
@@ -135,7 +145,10 @@ def _load_topology(path: str | None) -> model.CouplingGraph:
     if path is None:
         return model.DEFAULT_GRAPH
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValidationError(f"topology file {path} is not valid JSON: {exc}") from None
     try:
         return model.CouplingGraph(
             rung_bonds=tuple(tuple(b) for b in data["rungs"]),
@@ -145,6 +158,8 @@ def _load_topology(path: str | None) -> model.CouplingGraph:
         raise ValidationError(
             f"topology file {path} must be JSON with 'rungs' and 'legs' bond lists"
         ) from exc
+    except ValidationError as exc:
+        raise ValidationError(f"topology file {path}: {exc}") from None
 
 
 def _worker_count() -> int:
@@ -216,17 +231,12 @@ def _curves_path(output: str) -> str:
 # evolve
 # ---------------------------------------------------------------------------
 
-_CLASS_OF = {pair: analytic.classify_pair(*pair) for pair in detect.ALL_PAIRS}
-
-
 def _evolve_table(cfg: RunConfig, graph: model.CouplingGraph) -> np.recarray:
     if cfg.d is None:
         raise ValidationError("evolve requires --d (0 is allowed, numeric-only)")
     d = cfg.d
     ts = dynamics.time_grid(0.0, cfg.t_max, cfg.dt)
-    h = model.build_hamiltonian(model.ModelParams(d=d, j=cfg.j), graph)
-    prop = dynamics.make_propagator(h, model.initial_state())
-    states = dynamics.evolve_states(prop, ts)
+    states = dynamics.evolve_states(model.propagator(d, graph, cfg.j), ts)
 
     # the closed forms are derived in the j = 1 normalization
     with_analytic = d > 0.0 and cfg.j == 1.0
@@ -240,7 +250,8 @@ def _evolve_table(cfg: RunConfig, graph: model.CouplingGraph) -> np.recarray:
     cols = {"t": ts}
     cols.update((f"c_{p}{q}", conc[(p, q)]) for (p, q) in pairs)
     if with_analytic:
-        conc_an = {pair: analytic.concurrence_formula(_CLASS_OF[pair], ts, d) for pair in pairs}
+        conc_an = {pair: analytic.concurrence_formula(analytic.classify_pair(*pair), ts, d)
+                   for pair in pairs}
         cols.update((f"c_an_{p}{q}", conc_an[(p, q)]) for (p, q) in pairs)
     for (cls, axes), values in chi.items():
         cols[f"chi_{axes}_{detect.CLASS_COLUMN[cls]}"] = values
@@ -386,7 +397,7 @@ def _verify_one_d(rep: _Report, d: float, ts: np.ndarray, tol: float,
     rep.check(f"hamiltonian_hermitian[d={d:g}]",
               float(np.max(np.abs(h - h.conj().T))), 1e-14)
 
-    prop = _default_prop(d, graph)
+    prop = model.propagator(d, graph)
     eig = prop.eig
     recon = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
     rep.check(f"eig_reconstruction[d={d:g}]", float(np.max(np.abs(recon - h))), 1e-10)
@@ -428,7 +439,7 @@ def _verify_one_d(rep: _Report, d: float, ts: np.ndarray, tol: float,
     worst_short = 0.0
     for pair in detect.ALL_PAIRS:
         cn = measures.concurrence_series(states, *pair)
-        ca = analytic.concurrence_formula(_CLASS_OF[pair], ts, d)
+        ca = analytic.concurrence_formula(analytic.classify_pair(*pair), ts, d)
         worst_conc = max(worst_conc, float(np.max(np.abs(cn - ca))))
         cs = measures.concurrence_one_particle(amps, *pair)
         worst_short = max(worst_short, float(np.max(np.abs(cn - cs))))
@@ -520,7 +531,7 @@ def _verify_events(rep: _Report, d: float, t_max: float, dt: float, tol: float,
 
     worst = 0.0
     for ev in transfers:
-        psi = dynamics.evolve(_default_prop(d, graph), ev.t_detected)
+        psi = dynamics.evolve(model.propagator(d, graph), ev.t_detected)
         worst = max(
             worst,
             abs(measures.two_point_correlation(psi, 3, 4, "z", "z") + 0.25),
@@ -533,7 +544,7 @@ def _verify_events(rep: _Report, d: float, t_max: float, dt: float, tol: float,
     worst_rung_xx = 0.0
     worst_leg_xx_dev = 0.0
     for ev in ws:
-        psi = dynamics.evolve(_default_prop(d, graph), ev.t_detected)
+        psi = dynamics.evolve(model.propagator(d, graph), ev.t_detected)
         worst_fid = max(worst_fid, 1.0 - (ev.fidelity or 0.0))
         for pair in detect.ALL_PAIRS:
             worst_zz = max(worst_zz, abs(measures.two_point_correlation(psi, *pair, "z", "z")))
@@ -551,17 +562,6 @@ def _verify_events(rep: _Report, d: float, t_max: float, dt: float, tol: float,
             f"CONTRADICTED all-pairs |xx|=1/8 at W events [d={d:g}]: leg-class "
             f"deviation up to {worst_leg_xx_dev:.3e}"
         )
-
-
-_PROP_CACHE: dict = {}
-
-
-def _default_prop(d: float, graph: model.CouplingGraph) -> dynamics.Propagator:
-    key = (d, graph.rung_bonds, graph.leg_bonds)
-    if key not in _PROP_CACHE:
-        h = model.build_hamiltonian(model.ModelParams(d=d), graph)
-        _PROP_CACHE[key] = dynamics.make_propagator(h, model.initial_state())
-    return _PROP_CACHE[key]
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -631,17 +631,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--d", type=float, default=None, help="DM coupling strength")
-        p.add_argument("--d-grid", dest="d_grid", type=_parse_d_grid, default=None,
-                       metavar="START:STOP:STEP")
-        p.add_argument("--t-max", dest="t_max", type=float, default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--tolerance", type=float, default=None)
+        # values stay strings here; _merge_config converts flags and config
+        # file values through the same _CONFIG_PARSERS table
+        p.add_argument("--d", default=None, help="DM coupling strength")
+        p.add_argument("--d-grid", dest="d_grid", default=None, metavar="START:STOP:STEP")
+        p.add_argument("--t-max", dest="t_max", default=None)
+        p.add_argument("--dt", default=None)
+        p.add_argument("--tolerance", default=None)
         p.add_argument("--output", default=None)
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--topology", default=None,
                        help="JSON file with 'rungs' and 'legs' bond lists (expert override)")
-        p.add_argument("--n-max", dest="n_max", type=int, default=None,
+        p.add_argument("--n-max", dest="n_max", default=None,
                        help="highest W-time curve index for sweep output")
     return parser
 

@@ -18,6 +18,7 @@ import numpy as np
 from . import analytic, dynamics, measures, model
 from .errors import ValidationError
 
+#: the six unordered site pairs, and the four of them in the leg class
 ALL_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 LEG_CLASS_PAIRS = ((1, 3), (1, 4), (2, 3), (2, 4))
 
@@ -72,12 +73,6 @@ def w_fidelity(amps) -> float:
     """
     b = np.abs(np.asarray(amps, dtype=complex))
     return float(b.sum() ** 2 / 4.0)
-
-
-def _default_propagator(d: float,
-                        graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> dynamics.Propagator:
-    h = model.build_hamiltonian(model.ModelParams(d=d), graph)
-    return dynamics.make_propagator(h, model.initial_state())
 
 
 def _bisect(f, lo: float, hi: float) -> float | None:
@@ -142,7 +137,7 @@ def find_transfer_events(d: float, t_max: float, coarse_dt: float = 0.01,
     the first event.
     """
     s = _scan_params(d, t_max, coarse_dt)
-    prop = _default_propagator(d, graph)
+    prop = model.propagator(d, graph)
     ts = dynamics.time_grid(0.0, t_max, coarse_dt)
     c_last = measures.concurrence_series(dynamics.evolve_states(prop, ts), 3, 4)
 
@@ -188,7 +183,7 @@ def find_w_events(d: float, t_max: float, coarse_dt: float = 0.01,
     verified numerically.  Each event reports the phase-maximized W fidelity.
     """
     s = _scan_params(d, t_max, coarse_dt)
-    prop = _default_propagator(d, graph)
+    prop = model.propagator(d, graph)
     ts = dynamics.time_grid(0.0, t_max, coarse_dt)
     states = dynamics.evolve_states(prop, ts)
     diff = (measures.concurrence_series(states, 1, 2)
@@ -226,7 +221,7 @@ def find_w_events(d: float, t_max: float, coarse_dt: float = 0.01,
 def _sweep_one_d(d: float, t_grid: np.ndarray,
                  graph: model.CouplingGraph) -> np.recarray:
     """The sweep table rows of one d value."""
-    states = dynamics.evolve_states(_default_propagator(d, graph), t_grid)
+    states = dynamics.evolve_states(model.propagator(d, graph), t_grid)
     cols = {"d": np.full(t_grid.size, d), "t": t_grid}
     for cls, (p, q) in CLASS_REPRESENTATIVE.items():
         name = CLASS_COLUMN[cls]

@@ -86,17 +86,18 @@ def hermitian_eig(m, tol: float = HERMITICITY_TOL) -> EigenSystem:
     return EigenSystem(eigenvalues=w, eigenvectors=v)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
+def check_sites(*sites) -> tuple[int, ...]:
+    """Validate site indices: integers (not bool) in 1..N_SITES, pairwise distinct.
 
-
-def _check_pair(p: int, q: int) -> None:
-    for s in (p, q):
-        if not isinstance(s, (int, np.integer)) or not 1 <= s <= N_SITES:
+    The one site and site-pair check of the package; returns the sites as
+    plain ints, so numpy integers come out as int and nothing is truncated.
+    """
+    for s in sites:
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 1 <= s <= N_SITES:
             raise ValidationError(f"site index must be an integer in 1..{N_SITES}, got {s!r}")
-    if p == q:
-        raise ValidationError(f"pair sites must differ, got ({p},{q})")
+    if len(set(sites)) != len(sites):
+        raise ValidationError(f"pair sites must differ, got {tuple(sites)}")
+    return tuple(int(s) for s in sites)
 
 
 def pair_marginal_factors(states, p: int, q: int) -> np.ndarray:
@@ -105,7 +106,7 @@ def pair_marginal_factors(states, p: int, q: int) -> np.ndarray:
     Row index of A runs over the (p,q) subsystem basis with site p as the
     more significant bit; column index runs over the traced-out sites.
     """
-    _check_pair(p, q)
+    check_sites(p, q)
     psi = np.asarray(states, dtype=complex)
     if psi.shape[-1] != DIM:
         raise ValidationError(f"state must have {DIM} amplitudes, got {psi.shape[-1]}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model
 from .errors import NumericalFailureError, ValidationError
-from .linalg import N_SITES, pair_marginal_factors, require_normalized
+from .linalg import N_SITES, check_sites, pair_marginal_factors, require_normalized
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 #: sigma_y (x) sigma_y, a real symmetric matrix
@@ -90,17 +90,9 @@ def wootters_concurrence(rho) -> float:
     return float(_concurrence_from_rhos(rho[None])[0])
 
 
-def _check_pair(p: int, q: int):
-    for s in (p, q):
-        if not isinstance(s, (int, np.integer)) or not 1 <= s <= N_SITES:
-            raise ValidationError(f"site index must be in 1..{N_SITES}, got {s!r}")
-    if p == q:
-        raise ValidationError(f"pair sites must differ, got ({p},{q})")
-
-
 def concurrence_one_particle(amps, p: int, q: int):
     """Shortcut 2|b_p b_q| valid for one-excitation states; accepts stacks."""
-    _check_pair(p, q)
+    check_sites(p, q)
     b = np.asarray(amps, dtype=complex)
     if b.shape[-1] != N_SITES:
         raise ValidationError(f"need {N_SITES} site amplitudes, got {b.shape[-1]}")
@@ -109,8 +101,12 @@ def concurrence_one_particle(amps, p: int, q: int):
 
 
 def concurrence_series(states, p: int, q: int) -> np.ndarray:
-    """Full Wootters concurrence of pair (p,q) for a stack of pure states."""
-    a = pair_marginal_factors(states, p, q)
+    """Full Wootters concurrence of pair (p,q) for a stack of pure states.
+
+    Concurrence is symmetric in the pair, so it is evaluated on the sorted
+    pair and (q,p) gives the same bits as (p,q).
+    """
+    a = pair_marginal_factors(states, *sorted(check_sites(p, q)))
     return _concurrence_from_rhos(a @ a.conj().swapaxes(-1, -2))
 
 
@@ -122,7 +118,7 @@ def _pair_product_operator(p: int, q: int, alpha: str, beta: str) -> np.ndarray:
 
 def correlation_series(states, p: int, q: int, alpha: str, beta: str) -> np.ndarray:
     """<S^alpha_p S^beta_q> for a stack of states; must be real to roundoff."""
-    _check_pair(p, q)
+    check_sites(p, q)
     op = _pair_product_operator(p, q, alpha, beta)
     psi = np.asarray(states, dtype=complex)
     vals = np.einsum("...i,ij,...j->...", psi.conj(), op, psi)

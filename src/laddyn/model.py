@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic
+from . import analytic, dynamics
 from .errors import NumericalFailureError, ValidationError
-from .linalg import DIM, N_SITES, ONE_PARTICLE_INDICES, basis_index
+from .linalg import DIM, N_SITES, ONE_PARTICLE_INDICES, basis_index, check_sites
 
 # matrices are written in the local basis order (|0> = down, |1> = up)
 # fixed by the package's bit convention, so S^z|1> = +|1>/2
@@ -58,13 +58,10 @@ class ModelParams:
 def _check_bond(bond, kind: str):
     if len(bond) != 2:
         raise ValidationError(f"{kind} bond must be a site pair, got {bond!r}")
-    i, j = (int(bond[0]), int(bond[1]))
-    for s in (i, j):
-        if not 1 <= s <= N_SITES:
-            raise ValidationError(f"{kind} bond site out of range 1..{N_SITES}: {bond!r}")
-    if i == j:
-        raise ValidationError(f"{kind} bond may not be a self-bond: {bond!r}")
-    return (i, j)
+    try:
+        return check_sites(*bond)
+    except ValidationError as exc:
+        raise ValidationError(f"{kind} bond {bond!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -106,8 +103,7 @@ def spin_operator(site: int, axis: str) -> np.ndarray:
     """16x16 embedding of the spin-1/2 operator (Pauli/2) at one site."""
     if axis not in AXES:
         raise ValidationError(f"axis must be one of {AXES}, got {axis!r}")
-    if not isinstance(site, (int, np.integer)) or not 1 <= site <= N_SITES:
-        raise ValidationError(f"site must be in 1..{N_SITES}, got {site!r}")
+    check_sites(site)
     ops = [_ID2] * N_SITES
     ops[site - 1] = _PAULI_HALF[axis]
     out = ops[0]
@@ -156,6 +152,30 @@ def initial_state() -> np.ndarray:
     return psi
 
 
+#: propagators kept by propagator(); a sweep touches each d once, verify a few d twice
+PROPAGATOR_CACHE_SIZE = 64
+
+
+def propagator(d: float, graph: CouplingGraph = DEFAULT_GRAPH,
+               j: float = 1.0) -> dynamics.Propagator:
+    """Spectral propagator of the initial state under H(d, j) on graph.
+
+    The one factory for the evolution of the Bell-seeded ladder.  Results
+    are cached by (d, graph, j), so their arrays are read-only.
+    """
+    # lru_cache keys keyword and positional calls apart; pass all three positionally
+    return _propagator(d, graph, j)
+
+
+@functools.lru_cache(maxsize=PROPAGATOR_CACHE_SIZE)
+def _propagator(d: float, graph: CouplingGraph, j: float) -> dynamics.Propagator:
+    prop = dynamics.make_propagator(build_hamiltonian(ModelParams(d=d, j=j), graph),
+                                    initial_state())
+    for a in (prop.eig.eigenvalues, prop.eig.eigenvectors, prop.coefficients):
+        a.flags.writeable = False
+    return prop
+
+
 def magnetization_commutator_norm(params: ModelParams, graph: CouplingGraph = DEFAULT_GRAPH) -> float:
     """Max-entry norm of [H, S^z_tot]; reported by verify (measures 0 here)."""
     h = build_hamiltonian(params, graph)
@@ -186,14 +206,10 @@ def calibrate_leg_orientation(
     points within tol.  Exactly one candidate must match; anything else
     means the model or the closed forms are broken.
     """
-    from . import dynamics  # deferred: dynamics never imports model
-
-    psi0 = initial_state()
     root8 = 2.0 * np.sqrt(2.0)
     matches = []
     for cand in candidate_leg_orientations(graph):
-        h = build_hamiltonian(ModelParams(d=d), cand)
-        prop = dynamics.make_propagator(h, psi0)
+        prop = propagator(d, cand)
         worst = 0.0
         for t in probe_times:
             psi = dynamics.evolve(prop, float(t))

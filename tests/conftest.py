@@ -1,22 +1,11 @@
-import functools
-
 import numpy as np
 import pytest
 
 from laddyn import dynamics, model
 
-ALL_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-LEG_CLASS_PAIRS = ((1, 3), (1, 4), (2, 3), (2, 4))
-
-
-@functools.lru_cache(maxsize=None)
-def propagator(d: float, graph=model.DEFAULT_GRAPH) -> dynamics.Propagator:
-    h = model.build_hamiltonian(model.ModelParams(d=d), graph)
-    return dynamics.make_propagator(h, model.initial_state())
-
 
 def evolved(d: float, t: float) -> np.ndarray:
-    return dynamics.evolve(propagator(d), t)
+    return dynamics.evolve(model.propagator(d), t)
 
 
 @pytest.fixture

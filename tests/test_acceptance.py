@@ -16,8 +16,8 @@ import time
 import numpy as np
 
 from laddyn import analytic, cli, detect, dynamics, measures, model
+from laddyn.detect import ALL_PAIRS, LEG_CLASS_PAIRS
 
-from conftest import ALL_PAIRS, LEG_CLASS_PAIRS, propagator
 
 D_GRID = (0.2, 0.6, 1.0, 1.5, 2.0)
 T_STEP = 0.01
@@ -36,7 +36,7 @@ def grid_data():
     ts = dynamics.time_grid(0.0, T_MAX, T_STEP)
     per_d = {}
     for d in D_GRID:
-        prop = propagator(d)
+        prop = model.propagator(d)
         states = dynamics.evolve_states(prop, ts)
         entry = {"states": states}
         entry["conc"] = {p: measures.concurrence_series(states, *p) for p in ALL_PAIRS}
@@ -105,7 +105,7 @@ def test_criterion_2_transfer_events():
     worst_others = 0.0
     worst_dt = 0.0
     for d in D_GRID:
-        prop = propagator(d)
+        prop = model.propagator(d)
         n = 0
         predicted = []
         while analytic.transfer_times(d, n) <= T_MAX:
@@ -139,7 +139,7 @@ def test_criterion_3_w_events():
     worst_rung_xxyy = 0.0
     worst_leg_xxyy = 0.0
     for d in D_GRID:
-        prop = propagator(d)
+        prop = model.propagator(d)
         n = 0
         while analytic.w_times(d, n) <= T_MAX:
             t_w = analytic.w_times(d, n)

@@ -170,9 +170,6 @@ class TestCorrelationFormula:
         t = np.linspace(0, 30, 113)
         assert np.all(analytic.correlation_formula(PairClass.LEG, "zz", t, 1.3) == 0.0)
 
-    def test_cross_axis_evaluates_to_zero(self):
-        assert analytic.cross_axis_correlation(PairClass.LEG, 1.7, 0.9) == 0.0
-
     def test_bad_axes(self):
         with pytest.raises(ValidationError):
             analytic.correlation_formula(PairClass.LEG, "xy", 1.0, 1.0)

@@ -175,6 +175,16 @@ class TestGridLimit:
         assert "Traceback" not in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, reason", [
+        ("0.1:1e12:1", "more than 1000000 points"),
+        ("1:0.5:0.1", "step > 0"),
+    ])
+    def test_bad_d_grid_flag_names_reason(self, tmp_path, spec, reason):
+        res = run_cli("sweep", "--d-grid", spec, "--t-max", "1",
+                      "--output", str(tmp_path / "x.csv"))
+        assert res.returncode == 2
+        assert reason in res.stderr
+
 
 class TestPinnedOutputs:
     """Output bytes of small runs, recorded with the per-value writer."""
@@ -310,6 +320,19 @@ class TestConfigFile:
         assert "c_12" in header and "c_34" in header
         assert "c_13" not in header
 
+    def test_reversed_pair_matches_forward(self, tmp_path):
+        columns = {}
+        for spec in ("1-2", "2-1"):
+            out = tmp_path / f"{spec}.csv"
+            cfg = tmp_path / f"{spec}.cfg"
+            cfg.write_text(f"pairs = {spec}\nd = 0.6\nt_max = 1\ndt = 0.25\noutput = {out}\n")
+            res = run_cli("evolve", "--config", str(cfg))
+            assert res.returncode == 0, res.stderr
+            header, rows, _ = read_csv(out)
+            name = "c_" + spec.replace("-", "")
+            columns[spec] = [r[header.index(name)] for r in rows]
+        assert columns["2-1"] == columns["1-2"]
+
     def test_non_unit_j_drops_analytic_columns_for_evolve(self, tmp_path):
         out = tmp_path / "j2.csv"
         cfg = tmp_path / "j.cfg"
@@ -329,6 +352,37 @@ class TestConfigFile:
         res = run_cli("evolve", "--t-max", "1", "--dt", "0.5",
                       "--output", str(tmp_path / "x.csv"))
         assert res.returncode == 2
+
+
+class TestMalformedInput:
+    """Bad config values and topology files are usage errors, never tracebacks."""
+
+    @pytest.mark.parametrize("line", [
+        "d = abc", "pairs = 1-x", "pairs = 1-5", "n_max = 1.5",
+    ])
+    def test_config_value(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{line}\nt_max = 1\ndt = 0.5\noutput = {tmp_path / 'x.csv'}\n")
+        res = run_cli("evolve", "--config", str(cfg))
+        assert res.returncode == 2
+        assert "error:" in res.stderr
+        assert line.split(" = ")[0] in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("text", [
+        '{"rungs": [[1, 2],',
+        '{"rungs": [["a", 2]], "legs": []}',
+        '{"rungs": [[1.7, 2]], "legs": []}',
+    ])
+    def test_topology_file(self, tmp_path, text):
+        topo = tmp_path / "topo.json"
+        topo.write_text(text)
+        res = run_cli("evolve", "--d", "0.6", "--t-max", "1", "--topology", str(topo),
+                      "--output", str(tmp_path / "x.csv"))
+        assert res.returncode == 2
+        assert "error:" in res.stderr
+        assert "topo.json" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 def test_console_script_entry_point():

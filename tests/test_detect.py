@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from laddyn import analytic, detect, dynamics, measures
+from laddyn import analytic, detect, dynamics, measures, model
+from laddyn.detect import ALL_PAIRS
 from laddyn.errors import ValidationError
-
-from conftest import ALL_PAIRS, propagator
 
 
 class TestWFidelity:
@@ -73,7 +72,7 @@ class TestWEvents:
 
     def test_all_concurrences_half_at_events(self):
         for ev in detect.find_w_events(0.6, 15.0):
-            psi = dynamics.evolve(propagator(0.6), ev.t_detected)
+            psi = dynamics.evolve(model.propagator(0.6), ev.t_detected)
             for pair in ALL_PAIRS:
                 c = measures.concurrence_series(psi[None], *pair)[0]
                 assert abs(c - 0.5) <= 1e-9
@@ -107,7 +106,7 @@ class TestSweep:
     def test_single_point_matches_measures(self):
         table = detect.sweep([0.5], [0.0])
         assert len(table) == 1
-        psi = dynamics.evolve(propagator(0.5), 0.0)
+        psi = dynamics.evolve(model.propagator(0.5), 0.0)
         assert table["c_first"][0] == pytest.approx(
             measures.concurrence_series(psi[None], 1, 2)[0], abs=1e-14)
         assert table["c_first"][0] == pytest.approx(1.0, abs=1e-12)

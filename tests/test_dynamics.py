@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from laddyn import analytic, dynamics, linalg, model
 from laddyn.errors import SectorLeakageError, ValidationError
 
-from conftest import propagator
 
 times = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 
@@ -20,11 +19,11 @@ class TestMakePropagator:
         np.testing.assert_allclose(dynamics.evolve(prop, 7.3), psi0, atol=1e-14)
 
     def test_coefficients_normalized(self):
-        prop = propagator(0.6)
+        prop = model.propagator(0.6)
         assert abs(np.sum(np.abs(prop.coefficients) ** 2) - 1.0) < 1e-12
 
     def test_coefficients_live_in_one_particle_sector(self):
-        prop = propagator(0.6)
+        prop = model.propagator(0.6)
         v = prop.eig.eigenvectors
         sector_weight = np.sum(np.abs(v[list(linalg.ONE_PARTICLE_INDICES), :]) ** 2, axis=0)
         # eigenvectors with no one-particle support must carry no coefficient
@@ -42,13 +41,13 @@ class TestMakePropagator:
 
 class TestEvolve:
     def test_time_zero_returns_initial(self):
-        prop = propagator(0.6)
+        prop = model.propagator(0.6)
         np.testing.assert_allclose(dynamics.evolve(prop, 0.0), model.initial_state(),
                                    atol=1e-12)
 
     def test_complete_transfer_at_d_0_6(self):
         t_tr = analytic.transfer_times(0.6, 0)
-        psi = dynamics.evolve(propagator(0.6), t_tr)
+        psi = dynamics.evolve(model.propagator(0.6), t_tr)
         p = np.abs(psi) ** 2
         assert abs(p[linalg.basis_index((0, 0, 1, 0))] - 0.5) < 1e-12
         assert abs(p[linalg.basis_index((0, 0, 0, 1))] - 0.5) < 1e-12
@@ -56,7 +55,7 @@ class TestEvolve:
         assert np.max(others) <= 1e-18
 
     def test_amplitudes_match_closed_form_d1(self):
-        psi = dynamics.evolve(propagator(1.0), 1.3)
+        psi = dynamics.evolve(model.propagator(1.0), 1.3)
         eta, xi = analytic.eta_xi(1.3, 1.0)
         expected = np.zeros(16, dtype=complex)
         expected[[8, 4]] = eta / (2 * math.sqrt(2))
@@ -65,7 +64,7 @@ class TestEvolve:
 
     def test_nonfinite_time_rejected(self):
         with pytest.raises(ValidationError):
-            dynamics.evolve(propagator(0.6), float("nan"))
+            dynamics.evolve(model.propagator(0.6), float("nan"))
 
 
 class TestEvolveSeries:
@@ -75,7 +74,7 @@ class TestEvolveSeries:
         assert dynamics.time_grid(0.0, 1.0, 0.5).tolist() == [0.0, 0.5, 1.0]
 
     def test_norms_and_pointwise_agreement(self):
-        prop = propagator(1.5)
+        prop = model.propagator(1.5)
         ts = dynamics.time_grid(0.0, 3.0, 0.25)
         for t, psi in zip(ts, dynamics.evolve_states(prop, ts)):
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
@@ -112,7 +111,7 @@ class TestOneParticleAmplitudes:
 
     @pytest.mark.parametrize("d", [0.2, 1.0, 2.0])
     def test_equal_moduli_at_w_times(self, d):
-        psi = dynamics.evolve(propagator(d), analytic.w_times(d, 0))
+        psi = dynamics.evolve(model.propagator(d), analytic.w_times(d, 0))
         b = dynamics.one_particle_amplitudes(psi)
         np.testing.assert_allclose(np.abs(b), np.full(4, 0.5), atol=1e-9)
 
@@ -120,7 +119,7 @@ class TestOneParticleAmplitudes:
 class TestInvariants:
     @pytest.mark.parametrize("d", [0.2, 0.6, 1.0, 1.5, 2.0])
     def test_unitarity_and_leakage_over_grid(self, d):
-        states = dynamics.evolve_states(propagator(d), np.arange(0.0, 30.001, 0.25))
+        states = dynamics.evolve_states(model.propagator(d), np.arange(0.0, 30.001, 0.25))
         norms = np.linalg.norm(states, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
         assert dynamics.sector_leakage(states) <= 1e-12
@@ -128,7 +127,7 @@ class TestInvariants:
     @given(t1=times, t2=times)
     @settings(max_examples=25, deadline=None)
     def test_composition(self, t1, t2):
-        prop = propagator(0.6)
+        prop = model.propagator(0.6)
         h = model.build_hamiltonian(model.ModelParams(d=0.6))
         psi_mid = dynamics.evolve(prop, t1)
         prop2 = dynamics.make_propagator(h, psi_mid)
@@ -139,13 +138,13 @@ class TestInvariants:
     @pytest.mark.parametrize("d", [0.2, 1.0, 2.0])
     def test_energy_conservation(self, d):
         h = model.build_hamiltonian(model.ModelParams(d=d))
-        states = dynamics.evolve_states(propagator(d), np.linspace(0, 30, 301))
+        states = dynamics.evolve_states(model.propagator(d), np.linspace(0, 30, 301))
         energy = np.einsum("ti,ij,tj->t", states.conj(), h, states).real
         assert np.ptp(energy) < 1e-10
 
     @given(t=times)
     @settings(max_examples=50, deadline=None)
     def test_amplitude_pair_symmetry(self, t):
-        b = dynamics.one_particle_amplitudes(dynamics.evolve(propagator(0.9), t))
+        b = dynamics.one_particle_amplitudes(dynamics.evolve(model.propagator(0.9), t))
         assert abs(b[0] - b[1]) < 1e-10
         assert abs(b[2] - b[3]) < 1e-10

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from laddyn import linalg
+from laddyn import analytic, linalg, measures, model
 from laddyn.errors import ValidationError
 
 from conftest import evolved, random_hermitian, random_state
@@ -47,28 +47,6 @@ class TestHermitianEig:
         m[0, 2] = 1e-3
         with pytest.raises(ValidationError, match=r"\(0,2\)"):
             linalg.hermitian_eig(m)
-
-
-class TestKron:
-    def test_identity_times_identity(self):
-        np.testing.assert_array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_pauli_z_times_identity(self):
-        sz = np.diag([1.0, -1.0])
-        np.testing.assert_array_equal(
-            linalg.kron(sz, np.eye(2)), np.diag([1.0, 1.0, -1.0, -1.0])
-        )
-
-    def test_against_index_formula(self, rng):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        k = linalg.kron(a, b)
-        for i in range(2):
-            for j in range(2):
-                for r in range(2):
-                    for c in range(2):
-                        # fma contraction in the vectorized product can shift an ulp
-                        assert abs(k[2 * i + r, 2 * j + c] - a[i, j] * b[r, c]) < 1e-15
 
 
 class TestPartialTrace:
@@ -150,3 +128,35 @@ def test_basis_index_convention():
     assert linalg.basis_index((0, 0, 0, 1)) == 1
     assert linalg.basis_index((1, 1, 1, 1)) == 15
     assert linalg.ONE_PARTICLE_INDICES == (8, 4, 2, 1)
+
+
+#: callers of the one site/pair check, each fed a pair (p, q)
+SITE_PAIR_ENTRY_POINTS = {
+    "pair_marginal_factors": lambda p, q: linalg.pair_marginal_factors(
+        model.initial_state(), p, q),
+    "concurrence_series": lambda p, q: measures.concurrence_series(
+        model.initial_state()[None], p, q),
+    "correlation_series": lambda p, q: measures.correlation_series(
+        model.initial_state()[None], p, q, "x", "x"),
+    "concurrence_one_particle": lambda p, q: measures.concurrence_one_particle(
+        np.full(4, 0.5), p, q),
+    "classify_pair": analytic.classify_pair,
+    "CouplingGraph": lambda p, q: model.CouplingGraph(rung_bonds=((p, q),), leg_bonds=()),
+}
+
+
+class TestCheckSites:
+    @pytest.mark.parametrize("pair", [(0, 2), (1, 1), (1, 5), (1.5, 2), ("1", 2)])
+    @pytest.mark.parametrize("entry", sorted(SITE_PAIR_ENTRY_POINTS))
+    def test_bad_pair_rejected_everywhere(self, entry, pair):
+        with pytest.raises(ValidationError):
+            SITE_PAIR_ENTRY_POINTS[entry](*pair)
+
+    def test_accepts_numpy_integers_as_int(self):
+        sites = linalg.check_sites(np.int64(2), np.int32(1))
+        assert sites == (2, 1)
+        assert all(type(s) is int for s in sites)
+
+    def test_rejects_bool(self):
+        with pytest.raises(ValidationError):
+            linalg.check_sites(True, 2)

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laddyn import analytic, dynamics, linalg, measures, model
+from laddyn.detect import ALL_PAIRS
 from laddyn.errors import ValidationError
 
-from conftest import ALL_PAIRS, evolved, propagator
+from conftest import evolved
 
 ds = st.floats(min_value=0.05, max_value=4.0, allow_nan=False)
 times = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
@@ -81,7 +82,7 @@ class TestOneParticleShortcut:
     @given(t=times, d=ds)
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_full_route(self, t, d):
-        psi = dynamics.evolve(propagator(d), t)
+        psi = dynamics.evolve(model.propagator(d), t)
         b = dynamics.one_particle_amplitudes(psi)
         for p, q in ALL_PAIRS:
             full = measures.wootters_concurrence(linalg.partial_trace_to_pair(psi, p, q))
@@ -150,7 +151,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("d", [0.2, 0.6, 1.0, 1.5, 2.0])
     def test_numeric_matches_closed_forms(self, d):
         ts = np.linspace(0.0, 30.0, 241)
-        states = dynamics.evolve_states(propagator(d), ts)
+        states = dynamics.evolve_states(model.propagator(d), ts)
         for p, q in ALL_PAIRS:
             pc = analytic.classify_pair(p, q)
             cn = measures.concurrence_series(states, p, q)
@@ -160,7 +161,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("d", [0.2, 1.0, 2.0])
     def test_rung_sum_is_one(self, d):
         ts = np.linspace(0.0, 30.0, 241)
-        states = dynamics.evolve_states(propagator(d), ts)
+        states = dynamics.evolve_states(model.propagator(d), ts)
         total = (measures.concurrence_series(states, 1, 2)
                  + measures.concurrence_series(states, 3, 4))
         assert np.max(np.abs(total - 1.0)) < 1e-9

@@ -152,9 +152,7 @@ class TestCalibration:
             rung_bonds=model.DEFAULT_GRAPH.rung_bonds,
             leg_bonds=tuple((j, i) for (i, j) in model.DEFAULT_GRAPH.leg_bonds),
         )
-        h = model.build_hamiltonian(model.ModelParams(d=0.6), flipped)
-        prop = dynamics.make_propagator(h, model.initial_state())
-        psi = dynamics.evolve(prop, 1.0)
+        psi = dynamics.evolve(model.propagator(0.6, flipped), 1.0)
         eta, xi = analytic.eta_xi(1.0, 0.6)
         expected = np.zeros(16, dtype=complex)
         expected[[8, 4]] = eta / (2 * math.sqrt(2))
@@ -166,3 +164,42 @@ class TestCalibration:
         # impossible tolerance: nothing matches and the calibration refuses
         with pytest.raises(NumericalFailureError):
             model.calibrate_leg_orientation(tol=1e-30)
+
+
+class TestPropagatorFactory:
+    def test_same_key_same_object(self):
+        prop = model.propagator(0.7)
+        assert model.propagator(0.7, model.DEFAULT_GRAPH, 1.0) is prop
+        assert model.propagator(d=0.7, j=1.0, graph=model.DEFAULT_GRAPH) is prop
+
+    def test_matches_direct_construction(self):
+        h = model.build_hamiltonian(model.ModelParams(d=0.7))
+        direct = dynamics.make_propagator(h, model.initial_state())
+        cached = model.propagator(0.7)
+        np.testing.assert_array_equal(cached.eig.eigenvalues, direct.eig.eigenvalues)
+        np.testing.assert_array_equal(cached.eig.eigenvectors, direct.eig.eigenvectors)
+        np.testing.assert_array_equal(cached.coefficients, direct.coefficients)
+
+    def test_arrays_read_only(self):
+        prop = model.propagator(0.7)
+        for a in (prop.eig.eigenvalues, prop.eig.eigenvectors, prop.coefficients):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_graph_and_j_are_part_of_the_key(self):
+        flipped = model.candidate_leg_orientations()[-1]
+        assert flipped != model.DEFAULT_GRAPH
+        base = model.propagator(0.7)
+        other_graph = model.propagator(0.7, flipped)
+        other_j = model.propagator(0.7, model.DEFAULT_GRAPH, 2.0)
+        assert other_graph is not base and other_j is not base
+        assert not np.array_equal(other_graph.eig.eigenvectors, base.eig.eigenvectors)
+        assert not np.array_equal(other_j.eig.eigenvalues, base.eig.eigenvalues)
+
+    def test_cache_is_bounded(self):
+        limit = model.PROPAGATOR_CACHE_SIZE
+        assert model._propagator.cache_info().maxsize == limit
+        for k in range(limit + 5):
+            model.propagator(1.0 + k / 1024)
+        assert model._propagator.cache_info().currsize == limit

@@ -6,9 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laddyn import analytic, dynamics, linalg, measures
+from laddyn import analytic, dynamics, linalg, measures, model
+from laddyn.detect import ALL_PAIRS, LEG_CLASS_PAIRS
 
-from conftest import ALL_PAIRS, LEG_CLASS_PAIRS, propagator
 
 ds = st.floats(min_value=0.05, max_value=4.0, allow_nan=False)
 times = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
@@ -47,7 +47,7 @@ def test_partial_trace_is_density_operator(seed):
 @given(t=times, d=ds)
 @settings(max_examples=50, deadline=None)
 def test_evolution_preserves_norm_and_sector(t, d):
-    psi = dynamics.evolve(propagator(d), t)
+    psi = dynamics.evolve(model.propagator(d), t)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
     assert dynamics.sector_leakage(psi) <= 1e-12
 
@@ -55,7 +55,7 @@ def test_evolution_preserves_norm_and_sector(t, d):
 @given(t=times, d=ds)
 @settings(max_examples=50, deadline=None)
 def test_closed_form_matches_numeric_concurrence(t, d):
-    psi = dynamics.evolve(propagator(d), t)
+    psi = dynamics.evolve(model.propagator(d), t)
     for pair in ALL_PAIRS:
         pc = analytic.classify_pair(*pair)
         numeric = measures.concurrence_series(psi[None], *pair)[0]
@@ -68,7 +68,7 @@ def test_leg_transverse_magnitude_identity(t, d):
     # the invariant that actually holds on leg-class pairs: the transverse
     # block has magnitude |sin((mu+nu)t/2)|/8 split between xx and xy
     sp = analytic.spectral_params(d)
-    psi = dynamics.evolve(propagator(d), t)
+    psi = dynamics.evolve(model.propagator(d), t)
     target = (math.sin((sp.mu + sp.nu) * t / 2.0) / 8.0) ** 2
     for pair in LEG_CLASS_PAIRS:
         xx = measures.two_point_correlation(psi, *pair, "x", "x")
@@ -81,7 +81,7 @@ def test_leg_transverse_magnitude_identity(t, d):
 @given(t=times, d=ds)
 @settings(max_examples=50, deadline=None)
 def test_rung_correlations_match_table(t, d):
-    psi = dynamics.evolve(propagator(d), t)
+    psi = dynamics.evolve(model.propagator(d), t)
     for pair, pc in (((1, 2), analytic.PairClass.FIRST_RUNG),
                      ((3, 4), analytic.PairClass.LAST_RUNG)):
         for axes in ("xx", "yy", "zz"):
@@ -92,7 +92,7 @@ def test_rung_correlations_match_table(t, d):
 @given(t=times, d=ds)
 @settings(max_examples=50, deadline=None)
 def test_total_spin_conserved(t, d):
-    psi = dynamics.evolve(propagator(d), t)
+    psi = dynamics.evolve(model.propagator(d), t)
     assert abs(measures.total_spin_expectation(psi, "z") + 1.0) < 1e-10
     assert abs(measures.total_spin_expectation(psi, "x")) < 1e-10
     assert abs(measures.total_spin_expectation(psi, "y")) < 1e-10
