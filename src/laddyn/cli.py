@@ -71,17 +71,25 @@ def _parse_d_grid(spec: str) -> list[float]:
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise ValidationError("expected start:stop:step") from exc
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValidationError("start, stop and step must be finite")
     if not step > 0.0 or stop < start:
         raise ValidationError("need step > 0 and stop >= start")
     return [start + k * step for k in range(dynamics.grid_points(start, stop, step))]
 
 
 def _parse_pairs(spec: str) -> list[tuple[int, int]]:
-    """Parse pair list like '1-2,3-4'; a pair keeps its order, so 2-1 is allowed."""
+    """Parse pair list like '1-2,3-4'; a pair keeps its order, so 2-1 is allowed.
+
+    Each ordered pair names one output column, so a repeated one is rejected.
+    """
     out = []
     for chunk in spec.split(","):
         a, _, b = chunk.strip().partition("-")
-        out.append(check_sites(int(a), int(b)))
+        pair = check_sites(int(a), int(b))
+        if pair in out:
+            raise ValidationError(f"pair {pair[0]}-{pair[1]} is given more than once")
+        out.append(pair)
     return out
 
 

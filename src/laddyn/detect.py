@@ -96,6 +96,23 @@ def _bisect(f, lo: float, hi: float) -> float | None:
     return 0.5 * (lo + hi)
 
 
+def _local_maxima(c: np.ndarray) -> np.ndarray:
+    """Indices of interior points not below either neighbour (transfer candidates)."""
+    return np.flatnonzero((c[1:-1] >= c[:-2]) & (c[1:-1] >= c[2:])) + 1
+
+
+def _sign_changes(diff: np.ndarray) -> np.ndarray:
+    """Indices i where diff changes sign or touches zero on [i, i+1] (W candidates)."""
+    # <= 0 keeps a root that lands exactly on a grid point; duplicates merge
+    return np.flatnonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) <= 0)
+
+
+def _refined_times(f, brackets, t_max: float) -> list:
+    """Bisected roots of f, one per bracket that has a sign change, up to t_max."""
+    roots = (_bisect(f, lo, hi) for lo, hi in brackets)
+    return [t for t in roots if t is not None and t <= t_max]
+
+
 def _merge_events(events: list[EventRecord]) -> list[EventRecord]:
     """Collapse detections closer than the merge window, keeping the smaller residual."""
     events = sorted(events, key=lambda e: e.t_detected)
@@ -109,10 +126,13 @@ def _merge_events(events: list[EventRecord]) -> list[EventRecord]:
     return merged
 
 
-def _six_concurrences(psi) -> dict:
-    return {
-        pair: float(measures.concurrence_series(psi[None], *pair)[0])
-        for pair in ALL_PAIRS
+def _candidate_concurrences(prop: dynamics.Propagator, t_stars: list) -> tuple:
+    """Candidate states and their full-Wootters concurrences, one array per pair."""
+    # evolve per candidate, not evolve_states: that multiplies in another
+    # order, and the written residuals and fidelities are pinned to these bits
+    states = np.array([dynamics.evolve(prop, t) for t in t_stars])
+    return states, {
+        pair: measures.concurrence_series(states, *pair) for pair in ALL_PAIRS
     }
 
 
@@ -130,35 +150,33 @@ def find_transfer_events(d: float, t_max: float, coarse_dt: float = 0.01,
                          graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> list[EventRecord]:
     """Transfer events: local maxima of C_{3,4} reaching 1 while all others vanish.
 
-    Candidates come from a coarse numeric scan; each is refined by bisecting
-    the closed-form derivative of C_{3,4} (proportional to sin((mu+nu)t/2))
-    to 1e-10 in t and then checked numerically: C_{3,4} >= 1-tol, C_{1,2} <= tol
-    and every leg-class concurrence <= tol.  Empty result if t_max is below
-    the first event.
+    Candidates are local maxima of C_{3,4} = 2|b_3 b_4| on a coarse scan of
+    the one-excitation amplitudes; each is refined by bisecting the
+    closed-form derivative of C_{3,4} (proportional to sin((mu+nu)t/2)) to
+    1e-10 in t and then checked with full Wootters concurrences:
+    C_{3,4} >= 1-tol, C_{1,2} <= tol and every leg-class concurrence <= tol.
+    Empty result if t_max is below the first event.
     """
     s = _scan_params(d, t_max, coarse_dt)
     prop = model.propagator(d, graph)
     ts = dynamics.time_grid(0.0, t_max, coarse_dt)
-    c_last = measures.concurrence_series(dynamics.evolve_states(prop, ts), 3, 4)
+    # the sector check raises SectorLeakageError where 2|b_p b_q| would not hold
+    amps = dynamics.one_particle_amplitudes(dynamics.evolve_states(prop, ts))
+    c_last = measures.concurrence_one_particle(amps, 3, 4)
+
+    interior = _local_maxima(c_last)
+    t_stars = _refined_times(lambda t: math.sin(s * t / 2.0),
+                             zip(ts[interior - 1], ts[interior + 1]), t_max)
+    if not t_stars:
+        return []
+    _, conc = _candidate_concurrences(prop, t_stars)
 
     events = []
-    interior = np.flatnonzero(
-        (c_last[1:-1] >= c_last[:-2]) & (c_last[1:-1] >= c_last[2:])
-    ) + 1
-    for i in interior:
-        t_star = _bisect(lambda t: math.sin(s * t / 2.0), ts[i - 1], ts[i + 1])
-        if t_star is None or t_star > t_max:
-            continue
-        psi = dynamics.evolve(prop, t_star)
-        conc = _six_concurrences(psi)
-        residual = max(
-            1.0 - conc[(3, 4)],
-            conc[(1, 2)],
-            *(conc[p] for p in LEG_CLASS_PAIRS),
-        )
-        if conc[(3, 4)] < 1.0 - tol or conc[(1, 2)] > tol or any(
-            conc[p] > tol for p in LEG_CLASS_PAIRS
-        ):
+    for k, t_star in enumerate(t_stars):
+        c_last_k, c_first_k = conc[(3, 4)][k], conc[(1, 2)][k]
+        c_leg = [conc[p][k] for p in LEG_CLASS_PAIRS]
+        residual = max(1.0 - c_last_k, c_first_k, *c_leg)
+        if c_last_k < 1.0 - tol or c_first_k > tol or any(c > tol for c in c_leg):
             continue
         n = int(round((t_star * s / (2.0 * math.pi) - 1.0) / 2.0))
         if n < 0:
@@ -178,30 +196,32 @@ def find_w_events(d: float, t_max: float, coarse_dt: float = 0.01,
                   graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> list[EventRecord]:
     """W-state events: all six pairwise concurrences within tol of 1/2.
 
-    Candidates are sign changes of the numeric C_{1,2} - C_{3,4}; each is
-    refined by bisecting the closed-form difference cos((mu+nu)t/2) and then
-    verified numerically.  Each event reports the phase-maximized W fidelity.
+    Candidates are sign changes of C_{1,2} - C_{3,4} = 2|b_1 b_2| - 2|b_3 b_4|
+    on a coarse scan of the one-excitation amplitudes; each is refined by
+    bisecting the closed-form difference cos((mu+nu)t/2) and then verified
+    with full Wootters concurrences.  Each event reports the
+    phase-maximized W fidelity.
     """
     s = _scan_params(d, t_max, coarse_dt)
     prop = model.propagator(d, graph)
     ts = dynamics.time_grid(0.0, t_max, coarse_dt)
-    states = dynamics.evolve_states(prop, ts)
-    diff = (measures.concurrence_series(states, 1, 2)
-            - measures.concurrence_series(states, 3, 4))
+    amps = dynamics.one_particle_amplitudes(dynamics.evolve_states(prop, ts))
+    diff = (measures.concurrence_one_particle(amps, 1, 2)
+            - measures.concurrence_one_particle(amps, 3, 4))
+
+    crossings = _sign_changes(diff)
+    t_stars = _refined_times(lambda t: math.cos(s * t / 2.0),
+                             zip(ts[crossings], ts[crossings + 1]), t_max)
+    if not t_stars:
+        return []
+    states, conc = _candidate_concurrences(prop, t_stars)
 
     events = []
-    # <= 0 keeps a root that lands exactly on a grid point; duplicates merge
-    crossings = np.flatnonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) <= 0)
-    for i in crossings:
-        t_star = _bisect(lambda t: math.cos(s * t / 2.0), ts[i], ts[i + 1])
-        if t_star is None or t_star > t_max:
-            continue
-        psi = dynamics.evolve(prop, t_star)
-        conc = _six_concurrences(psi)
-        residual = max(abs(c - 0.5) for c in conc.values())
+    for k, t_star in enumerate(t_stars):
+        residual = max(abs(c[k] - 0.5) for c in conc.values())
         if residual > tol:
             continue
-        fid = w_fidelity(dynamics.one_particle_amplitudes(psi))
+        fid = w_fidelity(dynamics.one_particle_amplitudes(states[k]))
         if fid < 1.0 - tol:
             continue
         n = int(round((t_star * s / math.pi - 1.0) / 2.0))

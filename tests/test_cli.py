@@ -178,6 +178,9 @@ class TestGridLimit:
     @pytest.mark.parametrize("spec, reason", [
         ("0.1:1e12:1", "more than 1000000 points"),
         ("1:0.5:0.1", "step > 0"),
+        ("nan:1:0.1", "must be finite"),
+        ("0.1:inf:0.1", "must be finite"),
+        ("0.1:1:nan", "must be finite"),
     ])
     def test_bad_d_grid_flag_names_reason(self, tmp_path, spec, reason):
         res = run_cli("sweep", "--d-grid", spec, "--t-max", "1",
@@ -215,6 +218,13 @@ class TestPinnedOutputs:
                       "--output", str(out))
         assert res.returncode == 0, res.stderr
         assert sha256(out) == digest
+
+    def test_events_long_scan(self, tmp_path):
+        # 150 events over 30,001 scan points; 24 W rows print a fidelity above 1
+        out = tmp_path / "events.csv"
+        res = run_cli("events", "--d", "0.3", "--t-max", "300", "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        assert sha256(out) == "d043f204341ac0317e5d3556864a2850670bd24c8915839f9b46bb548353d672"
 
 
 def _reference_csv(columns, rows):
@@ -359,6 +369,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("line", [
         "d = abc", "pairs = 1-x", "pairs = 1-5", "n_max = 1.5",
+        "pairs = 1-2,1-2", "pairs = 3-4, 1-2,3-4",
     ])
     def test_config_value(self, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
@@ -368,6 +379,21 @@ class TestMalformedInput:
         assert "error:" in res.stderr
         assert line.split(" = ")[0] in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_repeated_pair_is_named_and_reversed_pair_kept(self, tmp_path):
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "pairs.cfg"
+        cfg.write_text(f"pairs = 3-4,1-2,3-4\nt_max = 1\ndt = 0.5\noutput = {out}\n")
+        res = run_cli("evolve", "--d", "0.6", "--config", str(cfg))
+        assert res.returncode == 2
+        assert "pair 3-4 is given more than once" in res.stderr
+        assert not out.exists()
+        # 1-2 and 2-1 are distinct ordered pairs with distinct columns
+        cfg.write_text(f"pairs = 1-2,2-1\nt_max = 1\ndt = 0.5\noutput = {out}\n")
+        res = run_cli("evolve", "--d", "0.6", "--config", str(cfg))
+        assert res.returncode == 0, res.stderr
+        header, _, _ = read_csv(out)
+        assert [c for c in header if c.startswith("c_") and "an" not in c] == ["c_12", "c_21"]
 
     @pytest.mark.parametrize("text", [
         '{"rungs": [[1, 2],',

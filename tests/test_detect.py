@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from laddyn import analytic, detect, dynamics, measures, model
+from laddyn import analytic, cli, detect, dynamics, measures, model
 from laddyn.detect import ALL_PAIRS
-from laddyn.errors import ValidationError
+from laddyn.errors import SectorLeakageError, ValidationError
 
 
 class TestWFidelity:
@@ -100,6 +100,44 @@ class TestWEvents:
         for a, b in zip(transfers, transfers[1:]):
             between = [w for w in ws if a.t_detected < w.t_detected < b.t_detected]
             assert len(between) == 2
+
+
+class TestCandidateScan:
+    @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
+    def test_shortcut_candidates_match_full_wootters(self, d):
+        states = dynamics.evolve_states(model.propagator(d), dynamics.time_grid(0.0, 60.0, 0.01))
+        amps = dynamics.one_particle_amplitudes(states)
+        fast = {pair: measures.concurrence_one_particle(amps, *pair) for pair in ((1, 2), (3, 4))}
+        full = {pair: measures.concurrence_series(states, *pair) for pair in ((1, 2), (3, 4))}
+        maxima = detect._local_maxima(fast[(3, 4)])
+        changes = detect._sign_changes(fast[(1, 2)] - fast[(3, 4)])
+        assert maxima.size and changes.size
+        np.testing.assert_array_equal(maxima, detect._local_maxima(full[(3, 4)]))
+        np.testing.assert_array_equal(changes, detect._sign_changes(full[(1, 2)] - full[(3, 4)]))
+
+
+def _leaky_propagator(d, graph=model.DEFAULT_GRAPH, j=1.0):
+    # the Bell seed plus weight on |0000>, which no Hamiltonian of the model moves
+    psi0 = model.initial_state().astype(complex)
+    psi0[0] = 0.05
+    psi0 /= np.linalg.norm(psi0)
+    return dynamics.make_propagator(model.build_hamiltonian(model.ModelParams(d=d, j=j), graph),
+                                    psi0)
+
+
+class TestSectorLeakage:
+    @pytest.mark.parametrize("find", [detect.find_transfer_events, detect.find_w_events])
+    def test_event_scan_fails_loudly(self, monkeypatch, find):
+        monkeypatch.setattr(detect.model, "propagator", _leaky_propagator)
+        with pytest.raises(SectorLeakageError):
+            find(1.0, 10.0)
+
+    def test_events_command_reports_check_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(detect.model, "propagator", _leaky_propagator)
+        assert cli.main(["events", "--d", "1", "--t-max", "10"]) == cli.EXIT_CHECK_FAILURE
+        err = capsys.readouterr().err
+        assert "check failure:" in err and "one-excitation sector" in err
+        assert "Traceback" not in err
 
 
 class TestSweep:

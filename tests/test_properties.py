@@ -64,6 +64,17 @@ def test_closed_form_matches_numeric_concurrence(t, d):
 
 @given(t=times, d=ds)
 @settings(max_examples=50, deadline=None)
+def test_one_particle_shortcut_matches_full_wootters(t, d):
+    psi = dynamics.evolve(model.propagator(d), t)
+    amps = dynamics.one_particle_amplitudes(psi)
+    for pair in ALL_PAIRS:
+        fast = measures.concurrence_one_particle(amps, *pair)
+        full = measures.concurrence_series(psi[None], *pair)[0]
+        assert abs(fast - full) < 1e-12
+
+
+@given(t=times, d=ds)
+@settings(max_examples=50, deadline=None)
 def test_leg_transverse_magnitude_identity(t, d):
     # the invariant that actually holds on leg-class pairs: the transverse
     # block has magnitude |sin((mu+nu)t/2)|/8 split between xx and xy
