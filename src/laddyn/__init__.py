@@ -43,10 +43,7 @@ from .errors import (
 )
 from .linalg import EigenSystem, check_sites, hermitian_eig, partial_trace_to_pair
 from .measures import (
-    PairObservables,
     concurrence_one_particle,
-    pair_observables,
-    total_spin_expectation,
     two_point_correlation,
     wootters_concurrence,
 )

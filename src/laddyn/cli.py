@@ -53,6 +53,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.d is not None and not self.d >= 0.0:
             raise ValidationError(f"d must be >= 0, got {self.d}")
+        for key in ("dt", "t_max", "tolerance"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValidationError(f"{key} must be finite, got {value}")
         if not self.dt > 0.0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if not self.t_max > 0.0:
@@ -284,10 +288,10 @@ def _evolve_table(cfg: RunConfig, graph: model.CouplingGraph) -> np.recarray:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    graph = _load_topology(cfg.topology)
-    table = _evolve_table(cfg, graph)
     if cfg.output is None:
         raise ValidationError("evolve requires --output")
+    graph = _load_topology(cfg.topology)
+    table = _evolve_table(cfg, graph)
     _write_table(cfg.output, table.dtype.names, table, cfg.format)
     print(f"wrote {len(table)} rows to {cfg.output}")
     return EXIT_OK

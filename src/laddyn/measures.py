@@ -9,7 +9,6 @@ evaluate a whole stack of states at once and share the scalar code path.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,15 +25,6 @@ _RANK_TOL = 64.0 * np.finfo(float).eps
 
 DENSITY_TOL = 1e-10
 CLAMP_LIMIT = 1e-9
-
-
-@dataclass(frozen=True)
-class PairObservables:
-    """Concurrence and the 3x3 correlation matrix of one site pair."""
-
-    pair: tuple
-    concurrence: float
-    chi: np.ndarray
 
 
 def _wootters_from_factors(z) -> np.ndarray:
@@ -111,17 +101,28 @@ def concurrence_series(states, p: int, q: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_product_operator(p: int, q: int, alpha: str, beta: str) -> np.ndarray:
+def _pair_product_operator(p: int, q: int, alpha: str, beta: str):
+    """S^alpha_p S^beta_q as a phased permutation: op[i, perm[i]] == w[i].
+
+    A product of Pauli/2 operators on distinct sites has exactly one nonzero
+    per row, +-1/4 or +-i/4, so op @ psi == w * psi[perm] exactly.
+    """
     # different sites commute, so the symmetrized product equals the plain one
-    return model.spin_operator(p, alpha) @ model.spin_operator(q, beta)
+    op = model.spin_operator(p, alpha) @ model.spin_operator(q, beta)
+    assert np.all(np.count_nonzero(op, axis=1) == 1)
+    perm = np.argmax(op != 0, axis=1)
+    w = op[np.arange(op.shape[0]), perm]
+    perm.flags.writeable = False
+    w.flags.writeable = False
+    return perm, w
 
 
 def correlation_series(states, p: int, q: int, alpha: str, beta: str) -> np.ndarray:
     """<S^alpha_p S^beta_q> for a stack of states; must be real to roundoff."""
     check_sites(p, q)
-    op = _pair_product_operator(p, q, alpha, beta)
+    perm, w = _pair_product_operator(p, q, alpha, beta)
     psi = np.asarray(states, dtype=complex)
-    vals = np.einsum("...i,ij,...j->...", psi.conj(), op, psi)
+    vals = np.einsum("...i,...i->...", psi.conj(), psi[..., perm] * w)
     worst_imag = float(np.max(np.abs(vals.imag)))
     if worst_imag > 1e-10:
         raise NumericalFailureError(
@@ -141,20 +142,3 @@ def total_spin_series(states, alpha: str) -> np.ndarray:
     op = model.total_spin_operator(alpha)
     psi = np.asarray(states, dtype=complex)
     return np.einsum("...i,ij,...j->...", psi.conj(), op, psi).real
-
-
-def total_spin_expectation(psi, alpha: str) -> float:
-    """Expectation of the total spin component along one axis."""
-    psi = require_normalized(psi)
-    return float(total_spin_series(psi[None], alpha)[0])
-
-
-def pair_observables(psi, p: int, q: int) -> PairObservables:
-    """Concurrence plus the full 3x3 correlation matrix of one pair."""
-    psi = require_normalized(psi)
-    conc = float(concurrence_series(psi[None], p, q)[0])
-    chi = np.empty((3, 3))
-    for i, a in enumerate(model.AXES):
-        for j, b in enumerate(model.AXES):
-            chi[i, j] = correlation_series(psi[None], p, q, a, b)[0]
-    return PairObservables(pair=(int(p), int(q)), concurrence=conc, chi=chi)

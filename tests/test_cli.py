@@ -91,6 +91,14 @@ class TestEvolveCommand:
         assert res.returncode == 3
         assert "x.csv" in res.stderr
 
+    def test_missing_output_is_checked_before_work(self, monkeypatch, capsys):
+        def no_work(*args):
+            raise AssertionError("evolve computed before checking --output")
+
+        monkeypatch.setattr(cli, "_evolve_table", no_work)
+        assert cli.main(["evolve", "--d", "0.5", "--t-max", "3000"]) == 2
+        assert "evolve requires --output" in capsys.readouterr().err
+
     def test_usage_error_on_bad_flag(self):
         res = run_cli("evolve", "--d", "not_a_number", "--output", "/tmp/x.csv")
         assert res.returncode == 2
@@ -218,6 +226,13 @@ class TestPinnedOutputs:
                       "--output", str(out))
         assert res.returncode == 0, res.stderr
         assert sha256(out) == digest
+
+    def test_verify_stdout(self):
+        # the printed worst values come from the correlation and concurrence layers
+        res = run_cli("verify")
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+            "55168a2909d60e2a00416cde61ad69d63457ed108675575dcff89fb6d8734f5a")
 
     def test_events_long_scan(self, tmp_path):
         # 150 events over 30,001 scan points; 24 W rows print a fidelity above 1
@@ -394,6 +409,27 @@ class TestMalformedInput:
         assert res.returncode == 0, res.stderr
         header, _, _ = read_csv(out)
         assert [c for c in header if c.startswith("c_") and "an" not in c] == ["c_12", "c_21"]
+
+    @pytest.mark.parametrize("command", [
+        ("evolve", "--d", "0.6", "--output"),
+        ("events", "--d", "1", "--output"),
+        ("verify",),
+    ])
+    @pytest.mark.parametrize("flag, key", [
+        ("--dt", "dt"), ("--t-max", "t_max"), ("--tolerance", "tolerance"),
+    ])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_value(self, tmp_path, command, flag, key, value):
+        out = tmp_path / "x.csv"
+        if command[-1] == "--output":
+            command += (str(out),)
+        res = run_cli(*command, f"{flag}={value}")
+        assert res.returncode == 2
+        assert f"error: {key} must be finite" in res.stderr
+        assert res.stdout == ""
+        assert "Warning" not in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [
         '{"rungs": [[1, 2],',

@@ -137,14 +137,14 @@ class TestTotalSpin:
     @pytest.mark.parametrize("t", [0.0, 0.9, 7.7])
     def test_evolved_state_totals(self, t):
         psi = evolved(0.6, t)
-        assert abs(measures.total_spin_expectation(psi, "z") + 1.0) < 1e-12
-        assert abs(measures.total_spin_expectation(psi, "x")) < 1e-12
-        assert abs(measures.total_spin_expectation(psi, "y")) < 1e-12
+        assert abs(measures.total_spin_series(psi[None], "z")[0] + 1.0) < 1e-12
+        assert abs(measures.total_spin_series(psi[None], "x")[0]) < 1e-12
+        assert abs(measures.total_spin_series(psi[None], "y")[0]) < 1e-12
 
     def test_all_up_state(self):
         psi = np.zeros(16, dtype=complex)
         psi[15] = 1.0
-        assert abs(measures.total_spin_expectation(psi, "z") - 2.0) < 1e-14
+        assert abs(measures.total_spin_series(psi[None], "z")[0] - 2.0) < 1e-14
 
 
 class TestOracleEquivalence:
@@ -173,15 +173,3 @@ class TestOracleEquivalence:
             scalar_val = measures.wootters_concurrence(
                 linalg.partial_trace_to_pair(psi, p, q))
             assert abs(series_val - scalar_val) < 1e-14
-
-
-def test_pair_observables_bundle():
-    psi = evolved(0.6, 1.0)
-    obs = measures.pair_observables(psi, 1, 2)
-    assert obs.pair == (1, 2)
-    assert abs(obs.concurrence
-               - analytic.concurrence_formula(analytic.PairClass.FIRST_RUNG, 1.0, 0.6)) < 1e-9
-    assert obs.chi.shape == (3, 3)
-    assert abs(obs.chi[2, 2]
-               - analytic.correlation_formula(analytic.PairClass.FIRST_RUNG, "zz", 1.0, 0.6)) < 1e-9
-    assert all(abs(obs.chi[i, j]) <= 0.25 + 1e-12 for i in range(3) for j in range(3))

@@ -100,13 +100,39 @@ def test_rung_correlations_match_table(t, d):
             assert abs(numeric - analytic.correlation_formula(pc, axes, t, d)) < 1e-9
 
 
+@given(seed=seeds, one_excitation=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_correlations_match_dense_oracle_bit_for_bit(seed, one_excitation):
+    # the dense 16x16 contraction is the oracle; the sign of a zero counts too
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=(64, 16)) + 1j * rng.normal(size=(64, 16))
+    if one_excitation:
+        outside = np.ones(16, dtype=bool)
+        outside[list(linalg.ONE_PARTICLE_INDICES)] = False
+        psi[:, outside] = 0.0
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    for pair in ALL_PAIRS:
+        for a in model.AXES:
+            for b in model.AXES:
+                op = model.spin_operator(pair[0], a) @ model.spin_operator(pair[1], b)
+                perm, w = measures._pair_product_operator(*pair, a, b)
+                rebuilt = np.zeros_like(op)
+                rebuilt[np.arange(16), perm] = w
+                assert np.array_equal(rebuilt, op)
+                assert not perm.flags.writeable and not w.flags.writeable
+                for states in (psi, np.asfortranarray(psi)):
+                    dense = np.einsum("...i,ij,...j->...", states.conj(), op, states).real
+                    fast = measures.correlation_series(states, *pair, a, b)
+                    assert np.array_equal(fast.view(np.uint64), dense.view(np.uint64))
+
+
 @given(t=times, d=ds)
 @settings(max_examples=50, deadline=None)
 def test_total_spin_conserved(t, d):
     psi = dynamics.evolve(model.propagator(d), t)
-    assert abs(measures.total_spin_expectation(psi, "z") + 1.0) < 1e-10
-    assert abs(measures.total_spin_expectation(psi, "x")) < 1e-10
-    assert abs(measures.total_spin_expectation(psi, "y")) < 1e-10
+    assert abs(measures.total_spin_series(psi[None], "z")[0] + 1.0) < 1e-10
+    assert abs(measures.total_spin_series(psi[None], "x")[0]) < 1e-10
+    assert abs(measures.total_spin_series(psi[None], "y")[0]) < 1e-10
 
 
 @given(d=ds)
