@@ -19,6 +19,7 @@ from .analytic import (
 from .detect import (
     ALL_PAIRS,
     LEG_CLASS_PAIRS,
+    BlockTable,
     EventRecord,
     find_transfer_events,
     find_w_events,

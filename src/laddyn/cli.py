@@ -10,10 +10,12 @@ line endings.  Exit codes: 0 success, 1 check failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +53,8 @@ class RunConfig:
     n_max: int = 9
 
     def validate(self) -> None:
-        if self.d is not None and not self.d >= 0.0:
-            raise ValidationError(f"d must be >= 0, got {self.d}")
+        if self.d is not None and not (math.isfinite(self.d) and self.d >= 0.0):
+            raise ValidationError(f"d must be finite and >= 0, got {self.d}")
         for key in ("dt", "t_max", "tolerance"):
             value = getattr(self, key)
             if not math.isfinite(value):
@@ -207,31 +209,94 @@ def _json_value(v):
     return float(v)
 
 
-#: rows formatted per write, so the CSV text in memory stays bounded
+#: rows computed and formatted per block, so the memory they take stays bounded
 _BLOCK_ROWS = 4096
 
 
-def _write_table(path: str, columns, rows, fmt: str) -> None:
-    """Write a table as CSV or JSON.
+def _compact_json(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
 
-    rows is a structured array of float64 fields, or for events a short
-    list of mixed str/int/float/None rows.
+
+def _encoded_blocks(rows, encode):
+    """encode(rows as a list of tuples) for at most _BLOCK_ROWS rows at a time.
+
+    rows is a structured array or an iterable of them (a detect.BlockTable).
     """
-    floats = isinstance(rows, np.ndarray)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    for block in [rows] if isinstance(rows, np.ndarray) else rows:
+        for k in range(0, len(block), _BLOCK_ROWS):
+            yield encode(block[k:k + _BLOCK_ROWS].tolist())
+        del block  # hold no block while the next one is computed
+
+
+def _umask() -> int:
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
+@contextlib.contextmanager
+def _replace_on_success(path: str):
+    """A text file that takes path's place only when the with-block succeeds.
+
+    The text goes to a temporary file beside the target, which os.replace
+    moves into place; on any exception it is removed, so no partial output
+    is left and a file already at path is untouched.  An existing special
+    file (a device or a pipe) is written in place.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".laddyn-", suffix=".tmp",
+                                   dir=os.path.dirname(target))
+    except OSError as exc:
+        # name the requested file, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.chmod(tmp, 0o666 & ~_umask())  # the mode open() would have given
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_table(path: str, columns, rows, fmt: str) -> None:
+    """Write a table as CSV or JSON, a block of rows at a time.
+
+    rows is a structured array of float64 fields, a detect.BlockTable of
+    such arrays, or for events a short list of mixed str/int/float/None
+    rows.  path is replaced only once the whole table is written.
+    """
+    floats = not isinstance(rows, list)
+    with _replace_on_success(path) as fh:
         if fmt == "csv":
             fh.write(f"{SCHEMA_COMMENT}\n{','.join(columns)}\n")
             if floats:
                 # '%.17g' % x is the same text as format(x, '.17g'), -0, inf and nan included
                 line = ",".join(["%.17g"] * len(columns)) + "\n"
-                for k in range(0, len(rows), _BLOCK_ROWS):
-                    fh.write("".join([line % row for row in rows[k:k + _BLOCK_ROWS].tolist()]))
+                fh.writelines(_encoded_blocks(rows, lambda block: "".join([line % r for r in block])))
             else:
                 fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
         else:
-            data = rows.tolist() if floats else [[_json_value(v) for v in row] for row in rows]
-            doc = {"schema": "laddyn schema v1", "columns": list(columns), "rows": data}
-            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+            # the bytes of one json.dumps of {"schema", "columns", "rows"} with
+            # sort_keys=True and separators=(",", ":"), NaN and Infinity included,
+            # with the rows encoded a block at a time
+            fh.write(f'{{"columns":{_compact_json(list(columns))},"rows":[')
+            if floats:
+                texts = _encoded_blocks(rows, lambda block: _compact_json(block)[1:-1])
+            else:
+                texts = [_compact_json([[_json_value(v) for v in row] for row in rows])[1:-1]]
+            sep = ""
+            for text in texts:
+                fh.write(sep)
+                fh.write(text)
+                sep = ","
+                del text  # hold no text while the next block is computed
+            fh.write('],"schema":"laddyn schema v1"}\n')
 
 
 def _curves_path(output: str) -> str:
@@ -243,16 +308,9 @@ def _curves_path(output: str) -> str:
 # evolve
 # ---------------------------------------------------------------------------
 
-def _evolve_table(cfg: RunConfig, graph: model.CouplingGraph) -> np.recarray:
-    if cfg.d is None:
-        raise ValidationError("evolve requires --d (0 is allowed, numeric-only)")
-    d = cfg.d
-    ts = dynamics.time_grid(0.0, cfg.t_max, cfg.dt)
-    states = dynamics.evolve_states(model.propagator(d, graph, cfg.j), ts)
-
-    # the closed forms are derived in the j = 1 normalization
-    with_analytic = d > 0.0 and cfg.j == 1.0
-    pairs = [tuple(p) for p in cfg.pairs]
+def _evolve_block(states: np.ndarray, ts: np.ndarray, d: float, pairs: list,
+                  with_analytic: bool, names: list) -> np.recarray:
+    """The evolve table rows of one block of time points."""
     conc = {pair: measures.concurrence_series(states, *pair) for pair in pairs}
     chi = {}
     for cls, rep in detect.CLASS_REPRESENTATIVE.items():
@@ -284,7 +342,36 @@ def _evolve_table(cfg: RunConfig, graph: model.CouplingGraph) -> np.recarray:
             np.abs(chi[(analytic.PairClass.LEG, "xx")] - leg_table),
             np.abs(chi[(analytic.PairClass.LEG, "yy")] - leg_table),
         )
-    return np.rec.fromarrays(list(cols.values()), names=list(cols))
+    return np.rec.fromarrays([cols[name] for name in names], names=names)
+
+
+def _evolve_table(cfg: RunConfig, graph: model.CouplingGraph) -> detect.BlockTable:
+    """The evolve table, computed _BLOCK_ROWS time points at a time as it is read."""
+    if cfg.d is None:
+        raise ValidationError("evolve requires --d (0 is allowed, numeric-only)")
+    d = cfg.d
+    ts = dynamics.time_grid(0.0, cfg.t_max, cfg.dt)
+    # one product for the whole grid: its bits depend on the row count
+    states = dynamics.evolve_states(model.propagator(d, graph, cfg.j), ts)
+
+    # the closed forms are derived in the j = 1 normalization
+    with_analytic = d > 0.0 and cfg.j == 1.0
+    pairs = [tuple(p) for p in cfg.pairs]
+    names = ["t", *(f"c_{p}{q}" for p, q in pairs)]
+    if with_analytic:
+        names += [f"c_an_{p}{q}" for p, q in pairs]
+    names += [f"chi_{axes}_{detect.CLASS_COLUMN[cls]}" for cls in detect.CLASS_REPRESENTATIVE
+              for axes in ("xx", "yy", "zz")]
+    names += [f"s_tot_{a}" for a in model.AXES]
+    if with_analytic:
+        names += ["max_dev", "leg_xx_table_dev"]
+
+    def blocks():
+        for k in range(0, ts.size, _BLOCK_ROWS):
+            rows = slice(k, k + _BLOCK_ROWS)
+            yield _evolve_block(states[rows], ts[rows], d, pairs, with_analytic, names)
+
+    return detect.BlockTable(tuple(names), ts.size, blocks)
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
@@ -292,7 +379,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
         raise ValidationError("evolve requires --output")
     graph = _load_topology(cfg.topology)
     table = _evolve_table(cfg, graph)
-    _write_table(cfg.output, table.dtype.names, table, cfg.format)
+    _write_table(cfg.output, table.names, table, cfg.format)
     print(f"wrote {len(table)} rows to {cfg.output}")
     return EXIT_OK
 
@@ -353,7 +440,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             f"{dynamics.MAX_GRID_POINTS} points"
         )
     table = detect.sweep(d_grid, ts, graph, workers=_worker_count())
-    _write_table(cfg.output, table.dtype.names, table, cfg.format)
+    _write_table(cfg.output, table.names, table, cfg.format)
 
     curves = detect.w_time_curves(d_grid, cfg.n_max)
     curve_table = np.rec.fromarrays(

@@ -8,8 +8,11 @@ and generates the sweep data behind the time/coupling surface plots.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from collections import deque
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -62,6 +65,27 @@ class EventRecord:
     t_predicted: float
     residual: float
     fidelity: float | None = None
+
+
+@dataclass(frozen=True)
+class BlockTable:
+    """A float table as a stream of structured-array blocks, in row order.
+
+    len() is the total row count, known before any block is computed.
+    Each iteration calls ``blocks`` and so computes the blocks afresh; a
+    consumer that drops each block before asking for the next holds one
+    block at a time.
+    """
+
+    names: tuple
+    n_rows: int
+    blocks: Callable[[], Iterator[np.ndarray]]
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return self.blocks()
 
 
 def w_fidelity(amps) -> float:
@@ -136,6 +160,31 @@ def _candidate_concurrences(prop: dynamics.Propagator, t_stars: list) -> tuple:
     }
 
 
+#: the last coarse scan, (prop, t_max, coarse_dt, ts, amps): both finders
+#: scan the same grid
+_last_scan = None
+
+
+def _coarse_amplitudes(prop: dynamics.Propagator, t_max: float, coarse_dt: float) -> tuple:
+    """The coarse time grid and the one-excitation amplitudes on it, read-only.
+
+    The last scan is kept for the next call with the same arguments.  It
+    is keyed on the propagator object itself (model.propagator caches one
+    per (d, graph)), so it is never served for another propagator.
+    """
+    global _last_scan
+    scan = _last_scan
+    if scan is None or scan[0] is not prop or scan[1:3] != (t_max, coarse_dt):
+        # drop the old scan first, so it does not sit under the new one's transient
+        _last_scan = scan = None
+        ts = dynamics.time_grid(0.0, t_max, coarse_dt)
+        # the sector check raises SectorLeakageError where 2|b_p b_q| would not hold
+        amps = dynamics.one_particle_amplitudes(dynamics.evolve_states(prop, ts))
+        ts.flags.writeable = amps.flags.writeable = False
+        _last_scan = scan = (prop, t_max, coarse_dt, ts, amps)
+    return scan[3], scan[4]
+
+
 def _scan_params(d: float, t_max: float, coarse_dt: float):
     if not t_max > 0.0:
         raise ValidationError(f"t_max must be positive, got {t_max}")
@@ -159,9 +208,7 @@ def find_transfer_events(d: float, t_max: float, coarse_dt: float = 0.01,
     """
     s = _scan_params(d, t_max, coarse_dt)
     prop = model.propagator(d, graph)
-    ts = dynamics.time_grid(0.0, t_max, coarse_dt)
-    # the sector check raises SectorLeakageError where 2|b_p b_q| would not hold
-    amps = dynamics.one_particle_amplitudes(dynamics.evolve_states(prop, ts))
+    ts, amps = _coarse_amplitudes(prop, t_max, coarse_dt)
     c_last = measures.concurrence_one_particle(amps, 3, 4)
 
     interior = _local_maxima(c_last)
@@ -204,8 +251,7 @@ def find_w_events(d: float, t_max: float, coarse_dt: float = 0.01,
     """
     s = _scan_params(d, t_max, coarse_dt)
     prop = model.propagator(d, graph)
-    ts = dynamics.time_grid(0.0, t_max, coarse_dt)
-    amps = dynamics.one_particle_amplitudes(dynamics.evolve_states(prop, ts))
+    ts, amps = _coarse_amplitudes(prop, t_max, coarse_dt)
     diff = (measures.concurrence_one_particle(amps, 1, 2)
             - measures.concurrence_one_particle(amps, 3, 4))
 
@@ -252,18 +298,38 @@ def _sweep_one_d(d: float, t_grid: np.ndarray,
     return np.rec.fromarrays([cols[name] for name in _SWEEP_COLUMNS], names=_SWEEP_COLUMNS)
 
 
+def _sweep_chunks(ds: list, ts: np.ndarray, graph: model.CouplingGraph,
+                  workers: int) -> Iterator[np.recarray]:
+    """The per-d sweep tables in d order; with workers > 1, at most that many in flight."""
+    if workers <= 1:
+        for dv in ds:
+            yield _sweep_one_d(dv, ts, graph)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for dv in ds:
+            pending.append(pool.submit(_sweep_one_d, dv, ts, graph))
+            if len(pending) == workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def sweep(d_grid, t_grid, graph: model.CouplingGraph = model.DEFAULT_GRAPH,
-          workers: int = 1) -> np.recarray:
+          workers: int = 1) -> BlockTable:
     """Observables over the Cartesian product of grids, ordered d-major then t.
 
-    Returns a structured array with one row per (d, t) point and the
-    float64 fields d, t, c_first, c_last, c_leg, chi_{xx,yy,zz}_{first,leg,last}
-    and s_tot_z.  Duplicate d values are dropped with a warning.  Per-d work
-    units are independent; workers > 1 evaluates them in a thread pool with
-    the output order unchanged.
+    Returns a BlockTable whose blocks are the per-d structured arrays, in
+    d order, with the float64 fields d, t, c_first, c_last, c_leg,
+    chi_{xx,yy,zz}_{first,leg,last} and s_tot_z; each block is computed
+    when the table is iterated.  The grids are checked, and duplicate d
+    values are dropped with a warning, at the call.  Per-d work units are
+    independent; workers > 1 evaluates them in a thread pool with the
+    output order unchanged.
     """
     ds = [float(x) for x in np.atleast_1d(np.asarray(d_grid, dtype=float))]
-    ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    # a copy: the blocks are computed later, from the grid as it is now
+    ts = np.array(t_grid, dtype=float, ndmin=1)
     if len(ds) == 0 or ts.size == 0:
         raise ValidationError("sweep grids must be non-empty")
     if any(not dv > 0.0 for dv in ds):
@@ -271,12 +337,8 @@ def sweep(d_grid, t_grid, graph: model.CouplingGraph = model.DEFAULT_GRAPH,
     unique = list(dict.fromkeys(ds))
     if len(unique) != len(ds):
         warnings.warn("duplicate d values in sweep grid were dropped", stacklevel=2)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda dv: _sweep_one_d(dv, ts, graph), unique))
-    else:
-        chunks = [_sweep_one_d(dv, ts, graph) for dv in unique]
-    return np.concatenate(chunks).view(np.recarray)
+    return BlockTable(_SWEEP_COLUMNS, len(unique) * ts.size,
+                      functools.partial(_sweep_chunks, unique, ts, graph, workers))
 
 
 def w_time_curves(d_grid, n_max: int = 9) -> np.ndarray:

@@ -23,10 +23,12 @@ from .linalg import (
 
 DEFAULT_LEAKAGE_TOL = 1e-10
 
-#: Most (d, t) points one command may evaluate.  `evolve` holds up to about
-#: 2.5 kB per time point at once (the 16 amplitudes, pair marginals, Wootters
-#: work arrays and, for JSON, the row objects), so 10^6 points peak near
-#: 2.5 GB.  The count is checked before any array is allocated.
+#: Most (d, t) points one command may evaluate.  `evolve` holds the state
+#: stack of its whole grid, 16 complex amplitudes or 256 B per time point;
+#: `evolve_states` needs two more arrays of that size while it runs, 768 B
+#: per point at its peak (measured), so 10^6 points peak near 0.8 GB.  The
+#: observables are computed and written in blocks of bounded size after it.
+#: The count is checked before any array is allocated.
 MAX_GRID_POINTS = 1_000_000
 
 _SECTOR_MASK = np.ones(DIM, dtype=bool)

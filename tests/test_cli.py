@@ -6,12 +6,15 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from laddyn import cli
+from laddyn import cli, detect, measures
+from laddyn.errors import NumericalFailureError
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -234,6 +237,27 @@ class TestPinnedOutputs:
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
             "55168a2909d60e2a00416cde61ad69d63457ed108675575dcff89fb6d8734f5a")
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "237825d183977405c2da662f1523e3889d17e2fd553c5e0d4b8ddd1a2c8abeb9"),
+        ("json", "2df9fd85919c19a01566fcefe75729b4557288ea8ced9b8fa2356b560835ad8d"),
+    ])
+    def test_evolve_across_blocks(self, tmp_path, fmt, digest):
+        # 4101 rows, more than one block of cli._BLOCK_ROWS
+        out = tmp_path / f"evolve.{fmt}"
+        res = run_cli("evolve", "--d", "0.6", "--t-max", "41", "--format", fmt,
+                      "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        assert sha256(out) == digest
+
+    def test_sweep_json(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        res = run_cli("sweep", "--d-grid", "0.3:0.9:0.3", "--t-max", "1", "--format", "json",
+                      "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        assert sha256(out) == "3fcdf5c09da41a3e2ceb01e2cc9f232cdc1b07bd5d2e76346de176a77f2d7b22"
+        assert sha256(tmp_path / "sweep_twcurves.json") == (
+            "4b3efb1921deeef0df703879fc3dc56dec4891f733aee35af66ca986be7cb085")
+
     def test_events_long_scan(self, tmp_path):
         # 150 events over 30,001 scan points; 24 W rows print a fidelity above 1
         out = tmp_path / "events.csv"
@@ -283,6 +307,75 @@ class TestWriteTable:
         expected = _reference_csv(columns, []) if fmt == "csv" else _reference_json(columns, [])
         with open(path, "r", encoding="utf-8", newline="") as fh:
             assert fh.read() == expected
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writer_holds_one_block_at_a_time(self, tmp_path, fmt):
+        columns = ("a", "b")
+        refs, alive = [], []
+
+        def blocks():
+            for k in range(4):
+                # earlier blocks still referenced when the writer asks for this one
+                alive.append(sum(ref() is not None for ref in refs))
+                block = np.rec.fromarrays([np.full(3, float(k)), np.arange(3.0)], names=columns)
+                refs.append(weakref.ref(block))
+                yield block
+                del block
+
+        path = tmp_path / f"s.{fmt}"
+        cli._write_table(str(path), columns, detect.BlockTable(columns, 12, blocks), fmt)
+        assert alive == [0, 0, 0, 0]
+        rows = [[float(k), float(i)] for k in range(4) for i in range(3)]
+        ref = _reference_csv if fmt == "csv" else _reference_json
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            assert fh.read() == ref(list(columns), rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failure_mid_stream_keeps_old_file(self, tmp_path, monkeypatch, capsys, fmt):
+        out = tmp_path / f"evolve.{fmt}"
+        out.write_bytes(b"earlier output\n")
+        cfg = tmp_path / "one_pair.cfg"
+        cfg.write_text("pairs = 1-2\n")
+        real = measures.concurrence_series
+        calls = []
+
+        def fail_on_second_call(states, p, q):
+            calls.append(len(states))
+            if len(calls) == 2:
+                raise NumericalFailureError("injected failure")
+            return real(states, p, q)
+
+        monkeypatch.setattr(measures, "concurrence_series", fail_on_second_call)
+        code = cli.main(["evolve", "--config", str(cfg), "--d", "0.6", "--t-max", "41",
+                         "--format", fmt, "--output", str(out)])
+        assert code == cli.EXIT_CHECK_FAILURE
+        assert "injected failure" in capsys.readouterr().err
+        # one pair, so the second call is the second block: the first one was written
+        assert calls == [cli._BLOCK_ROWS, 4101 - cli._BLOCK_ROWS]
+        assert out.read_bytes() == b"earlier output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["evolve." + fmt, "one_pair.cfg"]
+
+    def test_output_through_symlink_writes_its_target(self, tmp_path):
+        target = tmp_path / "real.csv"
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        cli._write_table(str(link), ["a"], np.rec.fromarrays([[1.0]], names=["a"]), "csv")
+        assert link.is_symlink()
+        assert target.read_text() == "# laddyn schema v1\na\n1\n"
+
+    def test_special_file_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        cli._write_table(str(fifo), ["a"], np.rec.fromarrays([[1.0]], names=["a"]), "csv")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [b"# laddyn schema v1\na\n1\n"]
+        assert fifo.is_fifo()
 
 
 class TestVerifyCommand:
@@ -414,9 +507,10 @@ class TestMalformedInput:
         ("evolve", "--d", "0.6", "--output"),
         ("events", "--d", "1", "--output"),
         ("verify",),
+        ("sweep", "--d", "0.5", "--output"),
     ])
     @pytest.mark.parametrize("flag, key", [
-        ("--dt", "dt"), ("--t-max", "t_max"), ("--tolerance", "tolerance"),
+        ("--dt", "dt"), ("--t-max", "t_max"), ("--tolerance", "tolerance"), ("--d", "d"),
     ])
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_value(self, tmp_path, command, flag, key, value):

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -125,6 +126,32 @@ def _leaky_propagator(d, graph=model.DEFAULT_GRAPH, j=1.0):
                                     psi0)
 
 
+class TestCoarseScan:
+    def test_one_scan_serves_both_finders(self, monkeypatch):
+        real = dynamics.evolve_states
+        calls = []
+
+        def counting(prop, times):
+            calls.append(len(times))
+            return real(prop, times)
+
+        monkeypatch.setattr(dynamics, "evolve_states", counting)
+        monkeypatch.setattr(detect, "_last_scan", None)
+        transfers = detect.find_transfer_events(1.0, 10.0)
+        ws = detect.find_w_events(1.0, 10.0)
+        assert calls == [1001]
+        assert len(transfers) == 2 and len(ws) == 5
+        ts, amps = detect._coarse_amplitudes(model.propagator(1.0), 10.0, 0.01)
+        assert not ts.flags.writeable and not amps.flags.writeable
+        assert calls == [1001]
+
+    def test_scan_is_not_served_for_another_propagator(self, monkeypatch):
+        detect.find_transfer_events(1.0, 10.0)
+        monkeypatch.setattr(detect.model, "propagator", _leaky_propagator)
+        with pytest.raises(SectorLeakageError):
+            detect.find_w_events(1.0, 10.0)
+
+
 class TestSectorLeakage:
     @pytest.mark.parametrize("find", [detect.find_transfer_events, detect.find_w_events])
     def test_event_scan_fails_loudly(self, monkeypatch, find):
@@ -142,7 +169,7 @@ class TestSectorLeakage:
 
 class TestSweep:
     def test_single_point_matches_measures(self):
-        table = detect.sweep([0.5], [0.0])
+        table = np.concatenate(list(detect.sweep([0.5], [0.0])))
         assert len(table) == 1
         psi = dynamics.evolve(model.propagator(0.5), 0.0)
         assert table["c_first"][0] == pytest.approx(
@@ -153,7 +180,7 @@ class TestSweep:
 
     def test_cross_section_starts_correctly(self):
         ts = np.arange(0.0, 12.0, 0.05)
-        table = detect.sweep([0.6], ts)
+        table = np.concatenate(list(detect.sweep([0.6], ts)))
         assert table["c_first"][0] == pytest.approx(1.0, abs=1e-12)
         assert table["c_last"][0] == pytest.approx(0.0, abs=1e-12)
         assert table["c_leg"][0] == pytest.approx(0.0, abs=1e-12)
@@ -166,7 +193,7 @@ class TestSweep:
         assert all(a > b for a, b in zip(firsts, firsts[1:]))
 
     def test_row_ordering_d_major(self):
-        table = detect.sweep([0.5, 1.0], [0.0, 1.0, 2.0])
+        table = np.concatenate(list(detect.sweep([0.5, 1.0], [0.0, 1.0, 2.0])))
         assert list(zip(table["d"].tolist(), table["t"].tolist())) == [
             (0.5, 0.0), (0.5, 1.0), (0.5, 2.0),
             (1.0, 0.0), (1.0, 1.0), (1.0, 2.0),
@@ -179,9 +206,45 @@ class TestSweep:
 
     def test_workers_do_not_change_output(self):
         ts = np.arange(0.0, 2.0, 0.5)
-        serial = detect.sweep([0.4, 0.9], ts, workers=1)
-        threaded = detect.sweep([0.4, 0.9], ts, workers=4)
+        serial = np.concatenate(list(detect.sweep([0.4, 0.9], ts, workers=1)))
+        threaded = np.concatenate(list(detect.sweep([0.4, 0.9], ts, workers=4)))
         assert np.array_equal(serial, threaded)
+
+    def test_chunks_are_computed_per_d_as_read(self, monkeypatch):
+        real = detect._sweep_one_d
+        computed = []
+
+        def recording(d, t_grid, graph):
+            computed.append(d)
+            return real(d, t_grid, graph)
+
+        monkeypatch.setattr(detect, "_sweep_one_d", recording)
+        table = detect.sweep([0.5, 1.0, 1.5], [0.0, 1.0])
+        assert len(table) == 6 and table.names == detect._SWEEP_COLUMNS
+        assert computed == []
+        for k, chunk in enumerate(table, 1):
+            assert computed == [0.5, 1.0, 1.5][:k]
+            assert chunk["d"].tolist() == [computed[-1]] * 2
+        # a second pass computes the chunks again
+        assert np.array_equal(np.concatenate(list(table)), np.concatenate(list(table)))
+
+    def test_workers_bound_chunks_in_flight(self, monkeypatch):
+        real = detect._sweep_one_d
+        lock = threading.Lock()
+        started = [0]
+
+        def counting(d, t_grid, graph):
+            with lock:
+                started[0] += 1
+            return real(d, t_grid, graph)
+
+        monkeypatch.setattr(detect, "_sweep_one_d", counting)
+        d_grid = [0.2 * (k + 1) for k in range(8)]
+        for k, chunk in enumerate(detect.sweep(d_grid, [0.0, 0.5], workers=3), 1):
+            # the chunk handed out plus those submitted behind it
+            assert started[0] - k + 1 <= 3
+            assert chunk["d"][0] == d_grid[k - 1]
+        assert started[0] == 8
 
     def test_validation(self):
         with pytest.raises(ValidationError):
