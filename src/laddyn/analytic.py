@@ -153,13 +153,18 @@ def _check_event_index(n: int) -> int:
     return int(n)
 
 
+#: largest n for which (2n+1)*_event_time_base(d) is exact: 2n+1 <= 31
+#: fits in the five mantissa bits the base leaves clear
+EXACT_N_MAX = 15
+
+
 def _event_time_base(d: float) -> float:
     """pi/(mu+nu) rounded to 48 mantissa bits.
 
     Clearing the last five bits makes every odd multiple (2n+1)*base exact
-    in double precision for n <= 15, so the ratio t(n)/t(0) is exactly the
-    odd integer.  The perturbation is below 4e-15 relative, orders of
-    magnitude under every comparison tolerance in the suite.
+    in double precision for n <= EXACT_N_MAX, so the ratio t(n)/t(0) is
+    exactly the odd integer.  The perturbation is below 4e-15 relative,
+    orders of magnitude under every comparison tolerance in the suite.
     """
     sp = spectral_params(d)
     frac, exp = math.frexp(math.pi / (sp.mu + sp.nu))

@@ -67,8 +67,9 @@ class RunConfig:
             raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
         if self.format not in ("csv", "json"):
             raise ValidationError(f"format must be csv or json, got {self.format!r}")
-        if self.n_max < 0:
-            raise ValidationError(f"n_max must be >= 0, got {self.n_max}")
+        if not 0 <= self.n_max <= analytic.EXACT_N_MAX:
+            raise ValidationError(
+                f"n_max must be in 0..{analytic.EXACT_N_MAX}, got {self.n_max}")
 
 
 def _parse_d_grid(spec: str) -> list[float]:
@@ -176,15 +177,15 @@ def _load_topology(path: str | None) -> model.CouplingGraph:
         raise ValidationError(f"topology file {path}: {exc}") from None
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("LADDYN_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"LADDYN_THREADS must be an integer, got {raw!r}")
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
+def _budgeted_time_grid(cfg: RunConfig, n_d: int, command: str) -> np.ndarray:
+    """cfg's time grid, once n_d of them stay within dynamics.MAX_GRID_POINTS."""
+    ts = dynamics.time_grid(0.0, cfg.t_max, cfg.dt)
+    if n_d * len(ts) > dynamics.MAX_GRID_POINTS:
+        raise ValidationError(
+            f"{command} grid of {n_d} d values x {len(ts)} times has more than "
+            f"{dynamics.MAX_GRID_POINTS} points"
+        )
+    return ts
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +434,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.output is None:
         raise ValidationError("sweep requires --output")
     graph = _load_topology(cfg.topology)
-    ts = dynamics.time_grid(0.0, cfg.t_max, cfg.dt)
-    if len(d_grid) * len(ts) > dynamics.MAX_GRID_POINTS:
-        raise ValidationError(
-            f"sweep grid of {len(d_grid)} d values x {len(ts)} times has more than "
-            f"{dynamics.MAX_GRID_POINTS} points"
-        )
-    table = detect.sweep(d_grid, ts, graph, workers=_worker_count())
+    ts = _budgeted_time_grid(cfg, len(d_grid), "sweep")
+    table = detect.sweep(d_grid, ts, graph)
     _write_table(cfg.output, table.names, table, cfg.format)
 
     curves = detect.w_time_curves(d_grid, cfg.n_max)
@@ -670,7 +666,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         [cfg.d] if cfg.d is not None else list(_DEFAULT_VERIFY_D))
     if any(not dv > 0 for dv in d_values):
         raise ValidationError("verify requires all d > 0")
-    ts = dynamics.time_grid(0.0, cfg.t_max, cfg.dt)
+    ts = _budgeted_time_grid(cfg, len(d_values), "verify")
     rep = _Report()
     print("laddyn verify")
     print(f"topology: rungs={graph.rung_bonds} legs={graph.leg_bonds}")
@@ -742,7 +738,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--topology", default=None,
                        help="JSON file with 'rungs' and 'legs' bond lists (expert override)")
         p.add_argument("--n-max", dest="n_max", default=None,
-                       help="highest W-time curve index for sweep output")
+                       help=f"highest W-time curve index, 0..{analytic.EXACT_N_MAX}")
     return parser
 
 

@@ -8,12 +8,9 @@ and generates the sweep data behind the time/coupling surface plots.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
-from collections import deque
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,6 +165,8 @@ _last_scan = None
 def _coarse_amplitudes(prop: dynamics.Propagator, t_max: float, coarse_dt: float) -> tuple:
     """The coarse time grid and the one-excitation amplitudes on it, read-only.
 
+    The grid comes from dynamics.time_grid, which checks t_max and coarse_dt.
+
     The last scan is kept for the next call with the same arguments.  It
     is keyed on the propagator object itself (model.propagator caches one
     per (d, graph)), so it is never served for another propagator.
@@ -185,15 +184,6 @@ def _coarse_amplitudes(prop: dynamics.Propagator, t_max: float, coarse_dt: float
     return scan[3], scan[4]
 
 
-def _scan_params(d: float, t_max: float, coarse_dt: float):
-    if not t_max > 0.0:
-        raise ValidationError(f"t_max must be positive, got {t_max}")
-    if not coarse_dt > 0.0:
-        raise ValidationError(f"coarse_dt must be positive, got {coarse_dt}")
-    sp = analytic.spectral_params(d)  # validates d > 0
-    return sp.mu + sp.nu
-
-
 def find_transfer_events(d: float, t_max: float, coarse_dt: float = 0.01,
                          tol: float = 1e-9,
                          graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> list[EventRecord]:
@@ -206,7 +196,8 @@ def find_transfer_events(d: float, t_max: float, coarse_dt: float = 0.01,
     C_{3,4} >= 1-tol, C_{1,2} <= tol and every leg-class concurrence <= tol.
     Empty result if t_max is below the first event.
     """
-    s = _scan_params(d, t_max, coarse_dt)
+    sp = analytic.spectral_params(d)  # validates d > 0
+    s = sp.mu + sp.nu
     prop = model.propagator(d, graph)
     ts, amps = _coarse_amplitudes(prop, t_max, coarse_dt)
     c_last = measures.concurrence_one_particle(amps, 3, 4)
@@ -249,7 +240,8 @@ def find_w_events(d: float, t_max: float, coarse_dt: float = 0.01,
     with full Wootters concurrences.  Each event reports the
     phase-maximized W fidelity.
     """
-    s = _scan_params(d, t_max, coarse_dt)
+    sp = analytic.spectral_params(d)  # validates d > 0
+    s = sp.mu + sp.nu
     prop = model.propagator(d, graph)
     ts, amps = _coarse_amplitudes(prop, t_max, coarse_dt)
     diff = (measures.concurrence_one_particle(amps, 1, 2)
@@ -298,34 +290,14 @@ def _sweep_one_d(d: float, t_grid: np.ndarray,
     return np.rec.fromarrays([cols[name] for name in _SWEEP_COLUMNS], names=_SWEEP_COLUMNS)
 
 
-def _sweep_chunks(ds: list, ts: np.ndarray, graph: model.CouplingGraph,
-                  workers: int) -> Iterator[np.recarray]:
-    """The per-d sweep tables in d order; with workers > 1, at most that many in flight."""
-    if workers <= 1:
-        for dv in ds:
-            yield _sweep_one_d(dv, ts, graph)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for dv in ds:
-            pending.append(pool.submit(_sweep_one_d, dv, ts, graph))
-            if len(pending) == workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
-def sweep(d_grid, t_grid, graph: model.CouplingGraph = model.DEFAULT_GRAPH,
-          workers: int = 1) -> BlockTable:
+def sweep(d_grid, t_grid, graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> BlockTable:
     """Observables over the Cartesian product of grids, ordered d-major then t.
 
     Returns a BlockTable whose blocks are the per-d structured arrays, in
     d order, with the float64 fields d, t, c_first, c_last, c_leg,
     chi_{xx,yy,zz}_{first,leg,last} and s_tot_z; each block is computed
     when the table is iterated.  The grids are checked, and duplicate d
-    values are dropped with a warning, at the call.  Per-d work units are
-    independent; workers > 1 evaluates them in a thread pool with the
-    output order unchanged.
+    values are dropped with a warning, at the call.
     """
     ds = [float(x) for x in np.atleast_1d(np.asarray(d_grid, dtype=float))]
     # a copy: the blocks are computed later, from the grid as it is now
@@ -338,17 +310,19 @@ def sweep(d_grid, t_grid, graph: model.CouplingGraph = model.DEFAULT_GRAPH,
     if len(unique) != len(ds):
         warnings.warn("duplicate d values in sweep grid were dropped", stacklevel=2)
     return BlockTable(_SWEEP_COLUMNS, len(unique) * ts.size,
-                      functools.partial(_sweep_chunks, unique, ts, graph, workers))
+                      lambda: (_sweep_one_d(dv, ts, graph) for dv in unique))
 
 
 def w_time_curves(d_grid, n_max: int = 9) -> np.ndarray:
     """W times t_w(d, n) for n = 0..n_max, shape (n_max+1, len(d_grid)).
 
     Row n equals (2n+1) times row 0 exactly, and every row is strictly
-    decreasing in d.
+    decreasing in d.  n_max is at most analytic.EXACT_N_MAX, the range
+    where that ratio is exact.
     """
-    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
-        raise ValidationError(f"n_max must be a non-negative integer, got {n_max!r}")
+    if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max <= analytic.EXACT_N_MAX:
+        raise ValidationError(
+            f"n_max must be an integer in 0..{analytic.EXACT_N_MAX}, got {n_max!r}")
     ds = np.atleast_1d(np.asarray(d_grid, dtype=float))
     if ds.size == 0:
         raise ValidationError("d grid must be non-empty")

@@ -102,16 +102,16 @@ def sector_leakage(psi) -> float:
     return float(np.sum(np.abs(psi[..., _SECTOR_MASK]) ** 2, axis=-1).max())
 
 
-def one_particle_amplitudes(psi, leakage_tol: float = DEFAULT_LEAKAGE_TOL) -> np.ndarray:
+def one_particle_amplitudes(psi) -> np.ndarray:
     """The four site amplitudes b_1..b_4 of a sector-confined state.
 
     Raises SectorLeakageError if the weight outside the sector exceeds
-    leakage_tol, which signals a wrong Hamiltonian or a corrupted state.
+    DEFAULT_LEAKAGE_TOL, which signals a wrong Hamiltonian or a corrupted state.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1] != DIM:
         raise ValidationError(f"state must have {DIM} amplitudes, got {psi.shape[-1]}")
     leaked = sector_leakage(psi)
-    if leaked > leakage_tol:
-        raise SectorLeakageError(leaked, leakage_tol)
+    if leaked > DEFAULT_LEAKAGE_TOL:
+        raise SectorLeakageError(leaked, DEFAULT_LEAKAGE_TOL)
     return psi[..., list(ONE_PARTICLE_INDICES)]

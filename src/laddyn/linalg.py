@@ -22,6 +22,7 @@ DIM = 2 ** N_SITES
 ONE_PARTICLE_INDICES = (8, 4, 2, 1)
 
 HERMITICITY_TOL = 1e-12
+NORMALIZATION_TOL = 1e-12
 
 
 class EigenSystem(NamedTuple):
@@ -48,40 +49,41 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-def check_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate that m is square Hermitian within tol, naming the worst entry."""
+def check_hermitian(m) -> np.ndarray:
+    """Validate that m is square Hermitian within HERMITICITY_TOL, naming the worst entry."""
     a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrix is not square: shape {a.shape}")
     dev = np.abs(a - a.conj().T)
     worst = np.unravel_index(np.argmax(dev), dev.shape)
-    if dev[worst] > tol:
+    if dev[worst] > HERMITICITY_TOL:
         i, j = worst
         raise ValidationError(
             f"matrix is not Hermitian: entry ({i},{j})={a[i, j]} vs "
-            f"conj(({j},{i}))={np.conj(a[j, i])}, deviation {dev[worst]:.3e} > {tol:.0e}"
+            f"conj(({j},{i}))={np.conj(a[j, i])}, "
+            f"deviation {dev[worst]:.3e} > {HERMITICITY_TOL:.0e}"
         )
     return a
 
 
-def require_normalized(state, tol: float = 1e-12) -> np.ndarray:
-    """Validate that a state vector has unit norm within tol."""
+def require_normalized(state) -> np.ndarray:
+    """Validate that a state vector has unit norm within NORMALIZATION_TOL."""
     psi = np.asarray(state, dtype=complex)
     if psi.ndim != 1:
         raise ValidationError(f"expected a state vector, got shape {psi.shape}")
     dev = abs(np.vdot(psi, psi).real - 1.0)
-    if dev > tol:
+    if dev > NORMALIZATION_TOL:
         raise ValidationError(f"state is not normalized: |norm^2 - 1| = {dev:.3e}")
     return psi
 
 
-def hermitian_eig(m, tol: float = HERMITICITY_TOL) -> EigenSystem:
+def hermitian_eig(m) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     Reconstruction V diag(w) V^dagger reproduces the input to ~1e-10 at the
     matrix sizes used here (up to 16x16).
     """
-    a = check_hermitian(m, tol=tol)
+    a = check_hermitian(m)
     w, v = np.linalg.eigh(a)
     return EigenSystem(eigenvalues=w, eigenvectors=v)
 

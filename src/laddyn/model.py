@@ -44,15 +44,12 @@ class ModelParams:
 
     d: float
     j: float = 1.0
-    dm_axis: str = "z"
 
     def __post_init__(self):
         if not np.isfinite(self.d) or self.d < 0.0:
             raise ValidationError(f"d must be finite and >= 0, got {self.d}")
         if not np.isfinite(self.j):
             raise ValidationError(f"j must be finite, got {self.j}")
-        if self.dm_axis != "z":
-            raise ValidationError("only a z-axis DM coupling is supported")
 
 
 def _check_bond(bond, kind: str):

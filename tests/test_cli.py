@@ -19,13 +19,10 @@ from laddyn.errors import NumericalFailureError
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-def run_cli(*args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "laddyn", *args],
-        capture_output=True, text=True, env=env, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd,
     )
 
 
@@ -161,15 +158,6 @@ class TestSweepCommand:
             vals = [float(r[col]) for r in rows]
             assert all(a > b for a, b in zip(vals, vals[1:]))  # decreasing in d
 
-    def test_thread_env_keeps_output_identical(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out, threads in ((a, "1"), (b, "4")):
-            res = run_cli("sweep", "--d-grid", "0.3:0.9:0.3", "--t-max", "1",
-                          "--dt", "0.5", "--output", str(out),
-                          env_extra={"LADDYN_THREADS": threads})
-            assert res.returncode == 0, res.stderr
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestGridLimit:
     @pytest.mark.parametrize("args", [
@@ -177,6 +165,8 @@ class TestGridLimit:
         ("sweep", "--d-grid", "0.1:1e12:1", "--t-max", "1"),
         # each grid is small enough on its own; their product is not
         ("sweep", "--d-grid", "0.1:100:0.1", "--t-max", "30"),
+        # verify keeps the same budget: 400 d values x 3001 times
+        ("verify", "--d-grid", "0.1:40:0.1"),
     ])
     def test_oversized_grid_is_usage_error(self, tmp_path, args):
         out = tmp_path / "x.csv"
@@ -524,6 +514,27 @@ class TestMalformedInput:
         assert "Warning" not in res.stderr
         assert "Traceback" not in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ("sweep", "--d-grid", "0.3:0.9:0.3", "--t-max", "1"),
+        ("verify",),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_n_max_beyond_exact_range(self, tmp_path, command, source):
+        out = tmp_path / "x.csv"
+        if source == "flag":
+            extra = ("--n-max", "16")
+        else:
+            cfg = tmp_path / "n.cfg"
+            cfg.write_text("n_max = 16\n")
+            extra = ("--config", str(cfg))
+        res = run_cli(*command, *extra, "--output", str(out))
+        assert res.returncode == 2
+        assert "error: n_max must be in 0..15" in res.stderr
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["n.cfg"] if source == "config" else [])
 
     @pytest.mark.parametrize("text", [
         '{"rungs": [[1, 2],',

@@ -1,12 +1,11 @@
 import math
-import threading
 
 import numpy as np
 import pytest
 
 from laddyn import analytic, cli, detect, dynamics, measures, model
 from laddyn.detect import ALL_PAIRS
-from laddyn.errors import SectorLeakageError, ValidationError
+from laddyn.errors import DomainError, SectorLeakageError, ValidationError
 
 
 class TestWFidelity:
@@ -56,12 +55,6 @@ class TestTransferEvents:
 
     def test_short_window_is_empty_not_error(self):
         assert detect.find_transfer_events(0.6, 1.0) == []
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            detect.find_transfer_events(1.0, -1.0)
-        with pytest.raises(Exception):
-            detect.find_transfer_events(0.0, 10.0)
 
 
 class TestWEvents:
@@ -151,6 +144,15 @@ class TestCoarseScan:
         with pytest.raises(SectorLeakageError):
             detect.find_w_events(1.0, 10.0)
 
+    @pytest.mark.parametrize("find", [detect.find_transfer_events, detect.find_w_events])
+    def test_validation(self, find):
+        # d is checked by spectral_params, t_max and coarse_dt by the scan's time grid
+        for args, error in (((1.0, -1.0), ValidationError), ((0.0, 10.0), DomainError),
+                            ((1.0, 10.0, 0.0), ValidationError),
+                            ((1.0, 10.0, -1.0), ValidationError)):
+            with pytest.raises(error):
+                find(*args)
+
 
 class TestSectorLeakage:
     @pytest.mark.parametrize("find", [detect.find_transfer_events, detect.find_w_events])
@@ -204,12 +206,6 @@ class TestSweep:
             table = detect.sweep([0.5, 0.5], [0.0])
         assert len(table) == 1
 
-    def test_workers_do_not_change_output(self):
-        ts = np.arange(0.0, 2.0, 0.5)
-        serial = np.concatenate(list(detect.sweep([0.4, 0.9], ts, workers=1)))
-        threaded = np.concatenate(list(detect.sweep([0.4, 0.9], ts, workers=4)))
-        assert np.array_equal(serial, threaded)
-
     def test_chunks_are_computed_per_d_as_read(self, monkeypatch):
         real = detect._sweep_one_d
         computed = []
@@ -227,24 +223,6 @@ class TestSweep:
             assert chunk["d"].tolist() == [computed[-1]] * 2
         # a second pass computes the chunks again
         assert np.array_equal(np.concatenate(list(table)), np.concatenate(list(table)))
-
-    def test_workers_bound_chunks_in_flight(self, monkeypatch):
-        real = detect._sweep_one_d
-        lock = threading.Lock()
-        started = [0]
-
-        def counting(d, t_grid, graph):
-            with lock:
-                started[0] += 1
-            return real(d, t_grid, graph)
-
-        monkeypatch.setattr(detect, "_sweep_one_d", counting)
-        d_grid = [0.2 * (k + 1) for k in range(8)]
-        for k, chunk in enumerate(detect.sweep(d_grid, [0.0, 0.5], workers=3), 1):
-            # the chunk handed out plus those submitted behind it
-            assert started[0] - k + 1 <= 3
-            assert chunk["d"][0] == d_grid[k - 1]
-        assert started[0] == 8
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -281,3 +259,6 @@ class TestWTimeCurves:
             detect.w_time_curves([], 9)
         with pytest.raises(ValidationError):
             detect.w_time_curves([1.0], -1)
+        # beyond analytic.EXACT_N_MAX the odd ratios are no longer exact
+        with pytest.raises(ValidationError, match="n_max"):
+            detect.w_time_curves([1.0], 16)

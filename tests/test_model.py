@@ -11,8 +11,6 @@ class TestParamsAndGraph:
     def test_params_validation(self):
         with pytest.raises(ValidationError):
             model.ModelParams(d=-0.1)
-        with pytest.raises(ValidationError):
-            model.ModelParams(d=0.5, dm_axis="x")
         assert model.ModelParams(d=0.0).j == 1.0
 
     def test_graph_validation(self):
