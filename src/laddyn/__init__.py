@@ -21,8 +21,7 @@ from .detect import (
     LEG_CLASS_PAIRS,
     BlockTable,
     EventRecord,
-    find_transfer_events,
-    find_w_events,
+    find_events,
     sweep,
     w_fidelity,
     w_time_curves,

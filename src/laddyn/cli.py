@@ -265,44 +265,48 @@ def _replace_on_success(path: str):
         raise
 
 
-def _write_table(path: str, columns, rows, fmt: str) -> None:
-    """Write a table as CSV or JSON, a block of rows at a time.
+def _encode_table(fh, columns, rows, fmt: str) -> None:
+    """Write a table as CSV or JSON to the open text file fh, a block of rows at a time.
 
     rows is a structured array of float64 fields, a detect.BlockTable of
-    such arrays, or for events a short list of mixed str/int/float/None
-    rows.  path is replaced only once the whole table is written.
+    such arrays, or for events a short list of mixed str/int/float/None rows.
     """
     floats = not isinstance(rows, list)
-    with _replace_on_success(path) as fh:
-        if fmt == "csv":
-            fh.write(f"{SCHEMA_COMMENT}\n{','.join(columns)}\n")
-            if floats:
-                # '%.17g' % x is the same text as format(x, '.17g'), -0, inf and nan included
-                line = ",".join(["%.17g"] * len(columns)) + "\n"
-                fh.writelines(_encoded_blocks(rows, lambda block: "".join([line % r for r in block])))
-            else:
-                fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    if fmt == "csv":
+        fh.write(f"{SCHEMA_COMMENT}\n{','.join(columns)}\n")
+        if floats:
+            # '%.17g' % x is the same text as format(x, '.17g'), -0, inf and nan included
+            line = ",".join(["%.17g"] * len(columns)) + "\n"
+            fh.writelines(_encoded_blocks(rows, lambda block: "".join([line % r for r in block])))
         else:
-            # the bytes of one json.dumps of {"schema", "columns", "rows"} with
-            # sort_keys=True and separators=(",", ":"), NaN and Infinity included,
-            # with the rows encoded a block at a time
-            fh.write(f'{{"columns":{_compact_json(list(columns))},"rows":[')
-            if floats:
-                texts = _encoded_blocks(rows, lambda block: _compact_json(block)[1:-1])
-            else:
-                texts = [_compact_json([[_json_value(v) for v in row] for row in rows])[1:-1]]
-            sep = ""
-            for text in texts:
-                fh.write(sep)
-                fh.write(text)
-                sep = ","
-                del text  # hold no text while the next block is computed
-            fh.write('],"schema":"laddyn schema v1"}\n')
+            fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    else:
+        # the bytes of one json.dumps of {"schema", "columns", "rows"} with
+        # sort_keys=True and separators=(",", ":"), NaN and Infinity included,
+        # with the rows encoded a block at a time
+        fh.write(f'{{"columns":{_compact_json(list(columns))},"rows":[')
+        if floats:
+            texts = _encoded_blocks(rows, lambda block: _compact_json(block)[1:-1])
+        else:
+            texts = [_compact_json([[_json_value(v) for v in row] for row in rows])[1:-1]]
+        sep = ""
+        for text in texts:
+            fh.write(sep)
+            fh.write(text)
+            sep = ","
+            del text  # hold no text while the next block is computed
+        fh.write('],"schema":"laddyn schema v1"}\n')
 
 
-def _curves_path(output: str) -> str:
+def _write_table(path: str, columns, rows, fmt: str) -> None:
+    """_encode_table into path, which is replaced only once the whole table is written."""
+    with _replace_on_success(path) as fh:
+        _encode_table(fh, columns, rows, fmt)
+
+
+def _curves_path(output: str, fmt: str) -> str:
     root, ext = os.path.splitext(output)
-    return f"{root}_twcurves{ext or '.csv'}"
+    return f"{root}_twcurves{ext or '.' + fmt}"
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +405,7 @@ def cmd_events(cfg: RunConfig) -> int:
         raise ValidationError("events requires --d > 0")
     _require_unit_j(cfg, "events")
     graph = _load_topology(cfg.topology)
-    records = detect.find_transfer_events(cfg.d, cfg.t_max, cfg.dt, cfg.tolerance, graph)
-    records += detect.find_w_events(cfg.d, cfg.t_max, cfg.dt, cfg.tolerance, graph)
-    records.sort(key=lambda e: e.t_detected)
+    records = detect.find_events(cfg.d, cfg.t_max, cfg.dt, cfg.tolerance, graph)
     columns = ["kind", "n", "t_predicted", "t_detected", "residual", "fidelity"]
     rows = [
         [e.kind, e.n, e.t_predicted, e.t_detected, e.residual, e.fidelity]
@@ -413,9 +415,7 @@ def cmd_events(cfg: RunConfig) -> int:
         _write_table(cfg.output, columns, rows, cfg.format)
         print(f"wrote {len(rows)} events to {cfg.output}")
     else:
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+        _encode_table(sys.stdout, columns, rows, cfg.format)
     return EXIT_OK
 
 
@@ -441,7 +441,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     curves = detect.w_time_curves(d_grid, cfg.n_max)
     curve_table = np.rec.fromarrays(
         [d_grid, *curves], names=["d"] + [f"t_w_n{n}" for n in range(cfg.n_max + 1)])
-    cpath = _curves_path(cfg.output)
+    cpath = _curves_path(cfg.output, cfg.format)
     _write_table(cpath, curve_table.dtype.names, curve_table, cfg.format)
     print(f"wrote {len(table)} sweep rows to {cfg.output} and "
           f"{len(curve_table)} t_w curve rows to {cpath}")
@@ -485,14 +485,13 @@ class _Report:
         return "\n".join(lines)
 
 
-def _verify_one_d(rep: _Report, d: float, ts: np.ndarray, tol: float,
-                  graph: model.CouplingGraph) -> None:
+def _verify_one_d(rep: _Report, d: float, prop: dynamics.Propagator, ts: np.ndarray,
+                  tol: float, graph: model.CouplingGraph) -> None:
     params = model.ModelParams(d=d)
     h = model.build_hamiltonian(params, graph)
     rep.check(f"hamiltonian_hermitian[d={d:g}]",
               float(np.max(np.abs(h - h.conj().T))), 1e-14)
 
-    prop = model.propagator(d, graph)
     eig = prop.eig
     recon = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
     rep.check(f"eig_reconstruction[d={d:g}]", float(np.max(np.abs(recon - h))), 1e-10)
@@ -600,14 +599,15 @@ def _verify_one_d(rep: _Report, d: float, ts: np.ndarray, tol: float,
                                   - dynamics.evolve(prop, t_mid)))), 1e-10)
 
 
-def _verify_events(rep: _Report, d: float, t_max: float, dt: float, tol: float,
-                   graph: model.CouplingGraph) -> None:
+def _verify_events(rep: _Report, d: float, prop: dynamics.Propagator, t_max: float,
+                   dt: float, tol: float, graph: model.CouplingGraph) -> None:
     try:
-        transfers = detect.find_transfer_events(d, t_max, dt, tol, graph)
-        ws = detect.find_w_events(d, t_max, dt, tol, graph)
+        events = detect.find_events(d, t_max, dt, tol, graph)
     except LaddynError as exc:
         rep.require(f"event_detection[d={d:g}]", False, f"raised {exc}")
         return
+    transfers = [ev for ev in events if ev.kind == detect.TRANSFER]
+    ws = [ev for ev in events if ev.kind == detect.W_STATE]
     sp = analytic.spectral_params(d)
     s = sp.mu + sp.nu
     n_tr = int((t_max * s / (2 * math.pi) - 1) // 2) + 1 if t_max * s >= 2 * math.pi else 0
@@ -626,7 +626,7 @@ def _verify_events(rep: _Report, d: float, t_max: float, dt: float, tol: float,
 
     worst = 0.0
     for ev in transfers:
-        psi = dynamics.evolve(model.propagator(d, graph), ev.t_detected)
+        psi = dynamics.evolve(prop, ev.t_detected)
         worst = max(
             worst,
             abs(measures.two_point_correlation(psi, 3, 4, "z", "z") + 0.25),
@@ -639,7 +639,7 @@ def _verify_events(rep: _Report, d: float, t_max: float, dt: float, tol: float,
     worst_rung_xx = 0.0
     worst_leg_xx_dev = 0.0
     for ev in ws:
-        psi = dynamics.evolve(model.propagator(d, graph), ev.t_detected)
+        psi = dynamics.evolve(prop, ev.t_detected)
         worst_fid = max(worst_fid, 1.0 - (ev.fidelity or 0.0))
         for pair in detect.ALL_PAIRS:
             worst_zz = max(worst_zz, abs(measures.two_point_correlation(psi, *pair, "z", "z")))
@@ -674,8 +674,9 @@ def cmd_verify(cfg: RunConfig) -> int:
           f"oracle tolerance {cfg.tolerance:g}")
 
     for dv in d_values:
-        _verify_one_d(rep, float(dv), ts, cfg.tolerance, graph)
-        _verify_events(rep, float(dv), cfg.t_max, cfg.dt, cfg.tolerance, graph)
+        prop = model.propagator(float(dv), graph)
+        _verify_one_d(rep, float(dv), prop, ts, cfg.tolerance, graph)
+        _verify_events(rep, float(dv), prop, cfg.t_max, cfg.dt, cfg.tolerance, graph)
         rep.info.append(
             "informational: commutator |[H, S^z_tot]|_max"
             f"[d={dv:g}] = {model.magnetization_commutator_norm(model.ModelParams(d=float(dv)), graph):.3e}"

@@ -130,6 +130,7 @@ def _sign_changes(diff: np.ndarray) -> np.ndarray:
 
 def _refined_times(f, brackets, t_max: float) -> list:
     """Bisected roots of f, one per bracket that has a sign change, up to t_max."""
+    # t_max as requested, not the grid's end, which can pass it by roundoff
     roots = (_bisect(f, lo, hi) for lo, hi in brackets)
     return [t for t in roots if t is not None and t <= t_max]
 
@@ -157,49 +158,39 @@ def _candidate_concurrences(prop: dynamics.Propagator, t_stars: list) -> tuple:
     }
 
 
-#: the last coarse scan, (prop, t_max, coarse_dt, ts, amps): both finders
-#: scan the same grid
-_last_scan = None
+def find_events(d: float, t_max: float, coarse_dt: float = 0.01, tol: float = 1e-9,
+                graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> list[EventRecord]:
+    """Transfer and W-state events up to t_max, in time order, from one coarse scan.
 
-
-def _coarse_amplitudes(prop: dynamics.Propagator, t_max: float, coarse_dt: float) -> tuple:
-    """The coarse time grid and the one-excitation amplitudes on it, read-only.
-
-    The grid comes from dynamics.time_grid, which checks t_max and coarse_dt.
-
-    The last scan is kept for the next call with the same arguments.  It
-    is keyed on the propagator object itself (model.propagator caches one
-    per (d, graph)), so it is never served for another propagator.
+    Builds the propagator of (d, graph), evaluates the one-excitation
+    amplitudes on the grid 0, coarse_dt, ... up to t_max, and hands both
+    to find_transfer_events and find_w_events.  Events at the same time
+    keep that order, transfers first.  Empty if t_max is below the first event.
     """
-    global _last_scan
-    scan = _last_scan
-    if scan is None or scan[0] is not prop or scan[1:3] != (t_max, coarse_dt):
-        # drop the old scan first, so it does not sit under the new one's transient
-        _last_scan = scan = None
-        ts = dynamics.time_grid(0.0, t_max, coarse_dt)
-        # the sector check raises SectorLeakageError where 2|b_p b_q| would not hold
-        amps = dynamics.one_particle_amplitudes(dynamics.evolve_states(prop, ts))
-        ts.flags.writeable = amps.flags.writeable = False
-        _last_scan = scan = (prop, t_max, coarse_dt, ts, amps)
-    return scan[3], scan[4]
+    analytic.spectral_params(d)  # validates d > 0 before the scan
+    prop = model.propagator(d, graph)
+    # the grid comes from dynamics.time_grid, which checks t_max and coarse_dt
+    ts = dynamics.time_grid(0.0, t_max, coarse_dt)
+    # the sector check raises SectorLeakageError where 2|b_p b_q| would not hold
+    amps = dynamics.one_particle_amplitudes(dynamics.evolve_states(prop, ts))
+    events = (find_transfer_events(prop, ts, amps, d, t_max, tol)
+              + find_w_events(prop, ts, amps, d, t_max, tol))
+    return sorted(events, key=lambda e: e.t_detected)
 
 
-def find_transfer_events(d: float, t_max: float, coarse_dt: float = 0.01,
-                         tol: float = 1e-9,
-                         graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> list[EventRecord]:
+# perfbench/tracing.py wraps these two by name and counts the evolve calls under them
+def find_transfer_events(prop: dynamics.Propagator, ts: np.ndarray, amps: np.ndarray,
+                         d: float, t_max: float, tol: float) -> list[EventRecord]:
     """Transfer events: local maxima of C_{3,4} reaching 1 while all others vanish.
 
-    Candidates are local maxima of C_{3,4} = 2|b_3 b_4| on a coarse scan of
-    the one-excitation amplitudes; each is refined by bisecting the
+    Candidates are local maxima of C_{3,4} = 2|b_3 b_4| on the coarse scan
+    (ts, amps) of find_events; each is refined by bisecting the
     closed-form derivative of C_{3,4} (proportional to sin((mu+nu)t/2)) to
     1e-10 in t and then checked with full Wootters concurrences:
     C_{3,4} >= 1-tol, C_{1,2} <= tol and every leg-class concurrence <= tol.
-    Empty result if t_max is below the first event.
     """
-    sp = analytic.spectral_params(d)  # validates d > 0
+    sp = analytic.spectral_params(d)
     s = sp.mu + sp.nu
-    prop = model.propagator(d, graph)
-    ts, amps = _coarse_amplitudes(prop, t_max, coarse_dt)
     c_last = measures.concurrence_one_particle(amps, 3, 4)
 
     interior = _local_maxima(c_last)
@@ -217,8 +208,6 @@ def find_transfer_events(d: float, t_max: float, coarse_dt: float = 0.01,
         if c_last_k < 1.0 - tol or c_first_k > tol or any(c > tol for c in c_leg):
             continue
         n = int(round((t_star * s / (2.0 * math.pi) - 1.0) / 2.0))
-        if n < 0:
-            continue
         events.append(EventRecord(
             kind=TRANSFER,
             n=n,
@@ -229,21 +218,18 @@ def find_transfer_events(d: float, t_max: float, coarse_dt: float = 0.01,
     return _merge_events(events)
 
 
-def find_w_events(d: float, t_max: float, coarse_dt: float = 0.01,
-                  tol: float = 1e-9,
-                  graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> list[EventRecord]:
+def find_w_events(prop: dynamics.Propagator, ts: np.ndarray, amps: np.ndarray,
+                  d: float, t_max: float, tol: float) -> list[EventRecord]:
     """W-state events: all six pairwise concurrences within tol of 1/2.
 
     Candidates are sign changes of C_{1,2} - C_{3,4} = 2|b_1 b_2| - 2|b_3 b_4|
-    on a coarse scan of the one-excitation amplitudes; each is refined by
+    on the coarse scan (ts, amps) of find_events; each is refined by
     bisecting the closed-form difference cos((mu+nu)t/2) and then verified
     with full Wootters concurrences.  Each event reports the
     phase-maximized W fidelity.
     """
-    sp = analytic.spectral_params(d)  # validates d > 0
+    sp = analytic.spectral_params(d)
     s = sp.mu + sp.nu
-    prop = model.propagator(d, graph)
-    ts, amps = _coarse_amplitudes(prop, t_max, coarse_dt)
     diff = (measures.concurrence_one_particle(amps, 1, 2)
             - measures.concurrence_one_particle(amps, 3, 4))
 
@@ -263,8 +249,6 @@ def find_w_events(d: float, t_max: float, coarse_dt: float = 0.01,
         if fid < 1.0 - tol:
             continue
         n = int(round((t_star * s / math.pi - 1.0) / 2.0))
-        if n < 0:
-            continue
         events.append(EventRecord(
             kind=W_STATE,
             n=n,

@@ -149,28 +149,14 @@ def initial_state() -> np.ndarray:
     return psi
 
 
-#: propagators kept by propagator(); a sweep touches each d once, verify a few d twice
-PROPAGATOR_CACHE_SIZE = 64
-
-
 def propagator(d: float, graph: CouplingGraph = DEFAULT_GRAPH,
                j: float = 1.0) -> dynamics.Propagator:
     """Spectral propagator of the initial state under H(d, j) on graph.
 
-    The one factory for the evolution of the Bell-seeded ladder.  Results
-    are cached by (d, graph, j), so their arrays are read-only.
+    The one factory for the evolution of the Bell-seeded ladder.
     """
-    # lru_cache keys keyword and positional calls apart; pass all three positionally
-    return _propagator(d, graph, j)
-
-
-@functools.lru_cache(maxsize=PROPAGATOR_CACHE_SIZE)
-def _propagator(d: float, graph: CouplingGraph, j: float) -> dynamics.Propagator:
-    prop = dynamics.make_propagator(build_hamiltonian(ModelParams(d=d, j=j), graph),
+    return dynamics.make_propagator(build_hamiltonian(ModelParams(d=d, j=j), graph),
                                     initial_state())
-    for a in (prop.eig.eigenvalues, prop.eig.eigenvectors, prop.coefficients):
-        a.flags.writeable = False
-    return prop
 
 
 def magnetization_commutator_norm(params: ModelParams, graph: CouplingGraph = DEFAULT_GRAPH) -> float:

@@ -119,7 +119,8 @@ def test_criterion_2_transfer_events():
             worst_c34 = max(worst_c34, 1.0 - conc[(3, 4)])
             worst_others = max(worst_others, conc[(1, 2)],
                                *(conc[p] for p in LEG_CLASS_PAIRS))
-        events = detect.find_transfer_events(d, T_MAX, 0.01, 1e-9)
+        events = [e for e in detect.find_events(d, T_MAX, 0.01, 1e-9)
+                  if e.kind == detect.TRANSFER]
         assert [e.n for e in events] == [n for n, _ in predicted]
         for ev in events:
             worst_dt = max(worst_dt, abs(ev.t_detected - ev.t_predicted))

@@ -148,15 +148,22 @@ class TestSweepCommand:
         assert abs(float(row["c_first"]) - 1.0) < 1e-12
 
     def test_curves_file(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        res = run_cli("sweep", "--d-grid", "0.2:2.0:0.2", "--t-max", "0.1",
-                      "--dt", "0.2", "--output", str(out), "--n-max", "9")
-        assert res.returncode == 0, res.stderr
-        header, rows, _ = read_csv(tmp_path / "sweep_twcurves.csv")
-        assert header == ["d"] + [f"t_w_n{n}" for n in range(10)]
-        for col in range(1, 11):
-            vals = [float(r[col]) for r in rows]
-            assert all(a > b for a, b in zip(vals, vals[1:]))  # decreasing in d
+        # an --output without an extension gives the curves file the format's one
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"sweep_{fmt}"
+            res = run_cli("sweep", "--d-grid", "0.2:2.0:0.2", "--t-max", "0.1", "--dt", "0.2",
+                          "--format", fmt, "--output", str(out), "--n-max", "9")
+            assert res.returncode == 0, res.stderr
+            path = tmp_path / f"sweep_{fmt}_twcurves.{fmt}"
+            if fmt == "csv":
+                header, rows, _ = read_csv(path)
+            else:
+                table = json.loads(path.read_text(encoding="utf-8"))
+                header, rows = table["columns"], table["rows"]
+            assert header == ["d"] + [f"t_w_n{n}" for n in range(10)]
+            for col in range(1, 11):
+                vals = [float(r[col]) for r in rows]
+                assert all(a > b for a, b in zip(vals, vals[1:]))  # decreasing in d
 
 
 class TestGridLimit:
@@ -209,16 +216,26 @@ class TestPinnedOutputs:
         assert res.returncode == 0, res.stderr
         assert sha256(out) == "1c5e6898644ad9e550f60b2887e2d376adb7728e60e3344d94496379d8a397fc"
 
-    @pytest.mark.parametrize("fmt, digest", [
+    EVENTS_DIGESTS = [
         ("csv", "bd946e8a07e826d5f8e0aaf008ea7260f981a1d7c26c763890bf37778fc8537f"),
         ("json", "a00bada37856d678cb9a11758e8bdcfce63c747bde5e2e822a1aab0b23b8ecd0"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("fmt, digest", EVENTS_DIGESTS)
     def test_events(self, tmp_path, fmt, digest):
         out = tmp_path / f"events.{fmt}"
         res = run_cli("events", "--d", "1", "--t-max", "10", "--format", fmt,
                       "--output", str(out))
         assert res.returncode == 0, res.stderr
         assert sha256(out) == digest
+
+    @pytest.mark.parametrize("fmt, digest", EVENTS_DIGESTS)
+    def test_events_stdout(self, fmt, digest):
+        # without --output the table goes to stdout, byte for byte as --output writes it
+        res = subprocess.run([sys.executable, "-m", "laddyn", "events", "--d", "1",
+                              "--t-max", "10", "--format", fmt], capture_output=True)
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(res.stdout).hexdigest() == digest
 
     def test_verify_stdout(self):
         # the printed worst values come from the correlation and concurrence layers

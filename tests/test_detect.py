@@ -35,37 +35,45 @@ class TestWFidelity:
             assert formula - best < 5e-3
 
 
+def transfers(*args, **kwargs):
+    return [e for e in detect.find_events(*args, **kwargs) if e.kind == detect.TRANSFER]
+
+
+def w_events(*args, **kwargs):
+    return [e for e in detect.find_events(*args, **kwargs) if e.kind == detect.W_STATE]
+
+
 class TestTransferEvents:
     def test_d1_event_times(self):
-        events = detect.find_transfer_events(1.0, 10.0)
+        events = transfers(1.0, 10.0)
         assert [e.n for e in events] == [0, 1]
         expected = [math.pi / math.sqrt(2.0), 3.0 * math.pi / math.sqrt(2.0)]
         for ev, t in zip(events, expected):
             assert abs(ev.t_detected - t) < 1e-6
 
     def test_detection_matches_prediction_closely(self):
-        for ev in detect.find_transfer_events(0.6, 30.0):
+        for ev in transfers(0.6, 30.0):
             assert abs(ev.t_detected - ev.t_predicted) < 1e-9
 
     def test_residuals_within_tolerance(self):
         for d in (0.4, 1.3):
-            for ev in detect.find_transfer_events(d, 20.0, tol=1e-9):
+            for ev in transfers(d, 20.0, tol=1e-9):
                 assert ev.residual <= 1e-9
                 assert ev.fidelity is None
 
     def test_short_window_is_empty_not_error(self):
-        assert detect.find_transfer_events(0.6, 1.0) == []
+        assert detect.find_events(0.6, 1.0) == []
 
 
 class TestWEvents:
     def test_d1_first_event(self):
-        events = detect.find_w_events(1.0, 2.0)
+        events = w_events(1.0, 2.0)
         assert len(events) == 1
         assert abs(events[0].t_detected - math.pi / (2.0 * math.sqrt(2.0))) < 1e-6
         assert events[0].n == 0
 
     def test_all_concurrences_half_at_events(self):
-        for ev in detect.find_w_events(0.6, 15.0):
+        for ev in w_events(0.6, 15.0):
             psi = dynamics.evolve(model.propagator(0.6), ev.t_detected)
             for pair in ALL_PAIRS:
                 c = measures.concurrence_series(psi[None], *pair)[0]
@@ -73,7 +81,7 @@ class TestWEvents:
 
     def test_fidelity_at_events(self):
         for d in (0.3, 1.0, 2.0):
-            events = detect.find_w_events(d, 12.0)
+            events = w_events(d, 12.0)
             assert events, f"no W events found at d={d}"
             for ev in events:
                 assert ev.fidelity is not None and ev.fidelity >= 1.0 - 1e-9
@@ -82,16 +90,16 @@ class TestWEvents:
         # every transfer sits exactly halfway between two W events; with
         # matching indices t_w(n) = t_tr(n)/2, and two W events fall between
         # consecutive transfers
-        transfers = detect.find_transfer_events(0.8, 30.0)
-        ws = detect.find_w_events(0.8, 30.0)
-        for ev in transfers:
+        trs = transfers(0.8, 30.0)
+        ws = w_events(0.8, 30.0)
+        for ev in trs:
             lower = [w for w in ws if w.t_detected < ev.t_detected]
             upper = [w for w in ws if w.t_detected > ev.t_detected]
-            assert lower and (upper or ev is transfers[-1])
-        for tr in transfers:
+            assert lower and (upper or ev is trs[-1])
+        for tr in trs:
             tw = analytic.w_times(0.8, tr.n)
             assert tw == pytest.approx(tr.t_predicted / 2.0, abs=0.0)
-        for a, b in zip(transfers, transfers[1:]):
+        for a, b in zip(trs, trs[1:]):
             between = [w for w in ws if a.t_detected < w.t_detected < b.t_detected]
             assert len(between) == 2
 
@@ -129,37 +137,27 @@ class TestCoarseScan:
             return real(prop, times)
 
         monkeypatch.setattr(dynamics, "evolve_states", counting)
-        monkeypatch.setattr(detect, "_last_scan", None)
-        transfers = detect.find_transfer_events(1.0, 10.0)
-        ws = detect.find_w_events(1.0, 10.0)
+        events = detect.find_events(1.0, 10.0)
         assert calls == [1001]
-        assert len(transfers) == 2 and len(ws) == 5
-        ts, amps = detect._coarse_amplitudes(model.propagator(1.0), 10.0, 0.01)
-        assert not ts.flags.writeable and not amps.flags.writeable
-        assert calls == [1001]
+        assert [e.kind for e in events].count(detect.TRANSFER) == 2
+        assert [e.kind for e in events].count(detect.W_STATE) == 5
+        times = [e.t_detected for e in events]
+        assert times == sorted(times)
 
-    def test_scan_is_not_served_for_another_propagator(self, monkeypatch):
-        detect.find_transfer_events(1.0, 10.0)
-        monkeypatch.setattr(detect.model, "propagator", _leaky_propagator)
-        with pytest.raises(SectorLeakageError):
-            detect.find_w_events(1.0, 10.0)
-
-    @pytest.mark.parametrize("find", [detect.find_transfer_events, detect.find_w_events])
-    def test_validation(self, find):
+    def test_validation(self):
         # d is checked by spectral_params, t_max and coarse_dt by the scan's time grid
         for args, error in (((1.0, -1.0), ValidationError), ((0.0, 10.0), DomainError),
                             ((1.0, 10.0, 0.0), ValidationError),
                             ((1.0, 10.0, -1.0), ValidationError)):
             with pytest.raises(error):
-                find(*args)
+                detect.find_events(*args)
 
 
 class TestSectorLeakage:
-    @pytest.mark.parametrize("find", [detect.find_transfer_events, detect.find_w_events])
-    def test_event_scan_fails_loudly(self, monkeypatch, find):
+    def test_event_scan_fails_loudly(self, monkeypatch):
         monkeypatch.setattr(detect.model, "propagator", _leaky_propagator)
         with pytest.raises(SectorLeakageError):
-            find(1.0, 10.0)
+            detect.find_events(1.0, 10.0)
 
     def test_events_command_reports_check_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(detect.model, "propagator", _leaky_propagator)
@@ -191,7 +189,7 @@ class TestSweep:
     def test_first_w_time_monotone_in_d(self):
         # first event is below pi/2 for every d here, so a short window suffices
         d_grid = np.arange(0.1, 4.01, 0.1)
-        firsts = [detect.find_w_events(float(d), 3.0)[0].t_detected for d in d_grid]
+        firsts = [w_events(float(d), 3.0)[0].t_detected for d in d_grid]
         assert all(a > b for a, b in zip(firsts, firsts[1:]))
 
     def test_row_ordering_d_major(self):
