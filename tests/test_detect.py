@@ -127,6 +127,19 @@ def _leaky_propagator(d, graph=model.DEFAULT_GRAPH, j=1.0):
                                     psi0)
 
 
+def _record_calls(monkeypatch, name):
+    """Replace detect.<name> by a wrapper that logs each call; return the log."""
+    real = getattr(detect, name)
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(detect, name, recording)
+    return calls
+
+
 class TestCoarseScan:
     def test_one_scan_serves_both_finders(self, monkeypatch):
         real = dynamics.evolve_states
@@ -144,20 +157,28 @@ class TestCoarseScan:
         times = [e.t_detected for e in events]
         assert times == sorted(times)
 
-    def test_validation(self):
-        # d is checked by spectral_params, t_max and coarse_dt by the scan's time grid
+    @pytest.mark.parametrize("search", ["find_transfer_events", "find_w_events"])
+    def test_validation(self, monkeypatch, search):
+        # d is checked by spectral_params, t_max and coarse_dt by the scan's time grid,
+        # all before either search reads the scan
+        reached = _record_calls(monkeypatch, search)
         for args, error in (((1.0, -1.0), ValidationError), ((0.0, 10.0), DomainError),
                             ((1.0, 10.0, 0.0), ValidationError),
                             ((1.0, 10.0, -1.0), ValidationError)):
             with pytest.raises(error):
                 detect.find_events(*args)
+        assert reached == []
 
 
 class TestSectorLeakage:
-    def test_event_scan_fails_loudly(self, monkeypatch):
+    @pytest.mark.parametrize("search", ["find_transfer_events", "find_w_events"])
+    def test_event_scan_fails_loudly(self, monkeypatch, search):
+        # the guard runs on the scan in find_events, so neither search sees leaked amplitudes
+        reached = _record_calls(monkeypatch, search)
         monkeypatch.setattr(detect.model, "propagator", _leaky_propagator)
         with pytest.raises(SectorLeakageError):
             detect.find_events(1.0, 10.0)
+        assert reached == []
 
     def test_events_command_reports_check_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(detect.model, "propagator", _leaky_propagator)
