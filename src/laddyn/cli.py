@@ -210,22 +210,18 @@ def _json_value(v):
     return float(v)
 
 
-#: rows computed and formatted per block, so the memory they take stays bounded
-_BLOCK_ROWS = 4096
-
-
 def _compact_json(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
 def _encoded_blocks(rows, encode):
-    """encode(rows as a list of tuples) for at most _BLOCK_ROWS rows at a time.
+    """encode(rows as a list of tuples) for at most dynamics.BLOCK_ROWS rows at a time.
 
     rows is a structured array or an iterable of them (a detect.BlockTable).
     """
     for block in [rows] if isinstance(rows, np.ndarray) else rows:
-        for k in range(0, len(block), _BLOCK_ROWS):
-            yield encode(block[k:k + _BLOCK_ROWS].tolist())
+        for k in range(0, len(block), dynamics.BLOCK_ROWS):
+            yield encode(block[k:k + dynamics.BLOCK_ROWS].tolist())
         del block  # hold no block while the next one is computed
 
 
@@ -351,7 +347,7 @@ def _evolve_block(states: np.ndarray, ts: np.ndarray, d: float, pairs: list,
 
 
 def _evolve_table(cfg: RunConfig, graph: model.CouplingGraph) -> detect.BlockTable:
-    """The evolve table, computed _BLOCK_ROWS time points at a time as it is read."""
+    """The evolve table, computed dynamics.BLOCK_ROWS time points at a time as it is read."""
     if cfg.d is None:
         raise ValidationError("evolve requires --d (0 is allowed, numeric-only)")
     d = cfg.d
@@ -372,8 +368,8 @@ def _evolve_table(cfg: RunConfig, graph: model.CouplingGraph) -> detect.BlockTab
         names += ["max_dev", "leg_xx_table_dev"]
 
     def blocks():
-        for k in range(0, ts.size, _BLOCK_ROWS):
-            rows = slice(k, k + _BLOCK_ROWS)
+        for k in range(0, ts.size, dynamics.BLOCK_ROWS):
+            rows = slice(k, k + dynamics.BLOCK_ROWS)
             yield _evolve_block(states[rows], ts[rows], d, pairs, with_analytic, names)
 
     return detect.BlockTable(tuple(names), ts.size, blocks)

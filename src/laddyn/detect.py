@@ -163,16 +163,23 @@ def find_events(d: float, t_max: float, coarse_dt: float = 0.01, tol: float = 1e
     """Transfer and W-state events up to t_max, in time order, from one coarse scan.
 
     Builds the propagator of (d, graph), evaluates the one-excitation
-    amplitudes on the grid 0, coarse_dt, ... up to t_max, and hands both
-    to find_transfer_events and find_w_events.  Events at the same time
+    amplitudes on the grid 0, coarse_dt, ... that runs two steps past t_max,
+    so an event in the last step up to t_max still has a bracket, and hands
+    both to find_transfer_events and find_w_events.  Events at the same time
     keep that order, transfers first.  Empty if t_max is below the first event.
     """
     analytic.spectral_params(d)  # validates d > 0 before the scan
     prop = model.propagator(d, graph)
-    # the grid comes from dynamics.time_grid, which checks t_max and coarse_dt
-    ts = dynamics.time_grid(0.0, t_max, coarse_dt)
-    # the sector check raises SectorLeakageError where 2|b_p b_q| would not hold
-    amps = dynamics.one_particle_amplitudes(dynamics.evolve_states(prop, ts))
+    # dynamics.time_grid checks t_max and coarse_dt; the first n times keep its bits
+    n = dynamics.time_grid(0.0, t_max, coarse_dt).size
+    ts = coarse_dt * np.arange(n + 2)
+    # evolved a block at a time, so only the amplitudes are held for the whole
+    # grid; the sector check raises SectorLeakageError in any block where
+    # 2|b_p b_q| would not hold
+    amps = np.empty((ts.size, 4), dtype=complex)
+    for k in range(0, ts.size, dynamics.BLOCK_ROWS):
+        rows = slice(k, k + dynamics.BLOCK_ROWS)
+        amps[rows] = dynamics.one_particle_amplitudes(dynamics.evolve_states(prop, ts[rows]))
     events = (find_transfer_events(prop, ts, amps, d, t_max, tol)
               + find_w_events(prop, ts, amps, d, t_max, tol))
     return sorted(events, key=lambda e: e.t_detected)

@@ -23,13 +23,19 @@ from .linalg import (
 
 DEFAULT_LEAKAGE_TOL = 1e-10
 
-#: Most (d, t) points one command may evaluate.  `evolve` holds the state
-#: stack of its whole grid, 16 complex amplitudes or 256 B per time point;
-#: `evolve_states` needs two more arrays of that size while it runs, 768 B
-#: per point at its peak (measured), so 10^6 points peak near 0.8 GB.  The
-#: observables are computed and written in blocks of bounded size after it.
+#: Most (d, t) points one command may evaluate.  `evolve`, and `sweep` for
+#: each d, hold the state stack of the whole time grid, 16 complex amplitudes
+#: or 256 B per time point; `evolve_states` needs two more arrays of that
+#: size while it runs, 768 B per point at its peak (measured), so 10^6 points
+#: peak near 0.8 GB.  The observables are computed and written BLOCK_ROWS
+#: points at a time after it.  The `events` scan evolves BLOCK_ROWS points at
+#: a time and keeps only the four one-excitation amplitudes, 64 B per point.
 #: The count is checked before any array is allocated.
 MAX_GRID_POINTS = 1_000_000
+
+#: time points evolved, computed or written per block, so the memory a block
+#: takes stays bounded
+BLOCK_ROWS = 4096
 
 _SECTOR_MASK = np.ones(DIM, dtype=bool)
 _SECTOR_MASK[list(ONE_PARTICLE_INDICES)] = False

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from laddyn import cli, detect, measures
+from laddyn import cli, detect, dynamics, measures
 from laddyn.errors import NumericalFailureError
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -135,6 +135,15 @@ class TestEventsCommand:
         res = run_cli("events", "--d", "0", "--t-max", "5")
         assert res.returncode == 2
 
+    def test_event_in_last_grid_step_is_listed(self, tmp_path):
+        # t_tr(1, 0) = 2.2214... lies between the last grid point 2.22 and t_max
+        out = tmp_path / "events.csv"
+        res = run_cli("events", "--d", "1", "--t-max", "2.225", "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        header, rows, _ = read_csv(out)
+        transfers = [dict(zip(header, r)) for r in rows if r[0] == "transfer"]
+        assert [r["t_predicted"] for r in transfers] == ["2.2214414690791813"]
+
 
 class TestSweepCommand:
     def test_degenerate_grid(self, tmp_path):
@@ -249,7 +258,7 @@ class TestPinnedOutputs:
         ("json", "2df9fd85919c19a01566fcefe75729b4557288ea8ced9b8fa2356b560835ad8d"),
     ])
     def test_evolve_across_blocks(self, tmp_path, fmt, digest):
-        # 4101 rows, more than one block of cli._BLOCK_ROWS
+        # 4101 rows, more than one block of dynamics.BLOCK_ROWS
         out = tmp_path / f"evolve.{fmt}"
         res = run_cli("evolve", "--d", "0.6", "--t-max", "41", "--format", fmt,
                       "--output", str(out))
@@ -272,6 +281,13 @@ class TestPinnedOutputs:
         assert res.returncode == 0, res.stderr
         assert sha256(out) == "d043f204341ac0317e5d3556864a2850670bd24c8915839f9b46bb548353d672"
 
+    def test_events_scan_across_blocks(self, tmp_path):
+        # 4097 grid points up to t_max, one more than a scan block of dynamics.BLOCK_ROWS
+        out = tmp_path / "events.csv"
+        res = run_cli("events", "--d", "3", "--t-max", "40.96", "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        assert sha256(out) == "94db8f1e8fdce1d785873c59690f9e6044a4a229e513a609d05ad9aaab4ec4fd"
+
 
 def _reference_csv(columns, rows):
     # the per-value writer that the block writer replaced
@@ -291,7 +307,7 @@ class TestWriteTable:
     SPECIAL = [-0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan,
                0.0, 1.0, -3.0, 2.0 ** 53, 1e16, 1e17, 0.1, 1.0 / 3.0]
 
-    @pytest.mark.parametrize("n_rows", [0, 5, cli._BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("n_rows", [0, 5, dynamics.BLOCK_ROWS + 7])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_float_table_matches_reference(self, tmp_path, rng, n_rows, fmt):
         columns = ["a", "b", "c", "d"]
@@ -360,7 +376,7 @@ class TestStreamedOutput:
         assert code == cli.EXIT_CHECK_FAILURE
         assert "injected failure" in capsys.readouterr().err
         # one pair, so the second call is the second block: the first one was written
-        assert calls == [cli._BLOCK_ROWS, 4101 - cli._BLOCK_ROWS]
+        assert calls == [dynamics.BLOCK_ROWS, 4101 - dynamics.BLOCK_ROWS]
         assert out.read_bytes() == b"earlier output\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["evolve." + fmt, "one_pair.cfg"]
 
@@ -413,6 +429,14 @@ class TestVerifyCommand:
                       "--topology", str(topo))
         assert res.returncode == 1
         assert "FAIL amplitudes_vs_closed_form" in res.stdout
+
+    @pytest.mark.parametrize("t_max", ["1.111", "2.225", "3.3325"])
+    def test_event_in_last_grid_step_is_counted(self, t_max):
+        # t_w(1, 0) = 1.1107..., t_tr(1, 0) = 2.2214... and t_w(1, 1) = 3.3321... each
+        # lie after the last grid point at or below t_max
+        res = run_cli("verify", "--d", "1", "--t-max", t_max)
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert "summary: 28/28 checks passed" in res.stdout
 
 
 class TestConfigFile:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,11 +152,43 @@ class TestCoarseScan:
 
         monkeypatch.setattr(dynamics, "evolve_states", counting)
         events = detect.find_events(1.0, 10.0)
-        assert calls == [1001]
+        # 1001 grid points up to t_max and two past it, in one block
+        assert calls == [1003]
         assert [e.kind for e in events].count(detect.TRANSFER) == 2
         assert [e.kind for e in events].count(detect.W_STATE) == 5
         times = [e.t_detected for e in events]
         assert times == sorted(times)
+
+    @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
+    def test_block_scan_candidates_match_whole_grid(self, monkeypatch, d):
+        # the scan of t_max 300 runs in 8 blocks; the block products may differ from
+        # the whole-grid product in low bits, but not in the candidates they give
+        scans = _record_calls(monkeypatch, "find_transfer_events")
+        detect.find_events(d, 300.0)
+        [(prop, ts, amps, *_)] = scans
+        assert -(-ts.size // dynamics.BLOCK_ROWS) == 8
+        whole = dynamics.one_particle_amplitudes(dynamics.evolve_states(prop, ts))
+
+        def candidates(a):
+            c_first = measures.concurrence_one_particle(a, 1, 2)
+            c_last = measures.concurrence_one_particle(a, 3, 4)
+            return detect._local_maxima(c_last), detect._sign_changes(c_first - c_last)
+
+        (maxima, changes), (whole_maxima, whole_changes) = candidates(amps), candidates(whole)
+        assert maxima.size and changes.size
+        np.testing.assert_array_equal(maxima, whole_maxima)
+        np.testing.assert_array_equal(changes, whole_changes)
+
+    def test_scan_memory_is_bounded(self):
+        # the whole-grid scan peaked at 22.5 MB here (768 B per point); the block
+        # scan holds 64 B of amplitudes per point plus one block
+        tracemalloc.start()
+        try:
+            detect.find_events(1.0, 300.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     @pytest.mark.parametrize("search", ["find_transfer_events", "find_w_events"])
     def test_validation(self, monkeypatch, search):
@@ -179,6 +212,24 @@ class TestSectorLeakage:
         with pytest.raises(SectorLeakageError):
             detect.find_events(1.0, 10.0)
         assert reached == []
+
+    def test_leakage_in_last_block_fails_loudly(self, monkeypatch):
+        # weight on |0000> only at times in the last of the 8 blocks of the 30,003
+        # scan points of t_max 300
+        transfer_reached = _record_calls(monkeypatch, "find_transfer_events")
+        w_reached = _record_calls(monkeypatch, "find_w_events")
+        real = dynamics.evolve_states
+        last_block = 0.01 * (30_002 // dynamics.BLOCK_ROWS * dynamics.BLOCK_ROWS)
+
+        def leaky(prop, times):
+            states = real(prop, times)
+            states[np.asarray(times) >= last_block, 0] += 0.05
+            return states
+
+        monkeypatch.setattr(dynamics, "evolve_states", leaky)
+        with pytest.raises(SectorLeakageError):
+            detect.find_events(1.0, 300.0)
+        assert transfer_reached == [] and w_reached == []
 
     def test_events_command_reports_check_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(detect.model, "propagator", _leaky_propagator)
