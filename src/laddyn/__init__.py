@@ -52,7 +52,6 @@ from .model import (
     CouplingGraph,
     ModelParams,
     build_hamiltonian,
-    calibrate_leg_orientation,
     initial_state,
     one_particle_hamiltonian,
     propagator,

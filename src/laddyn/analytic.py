@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -56,26 +57,29 @@ def classify_pair(p: int, q: int) -> PairClass:
     return PairClass.LEG
 
 
-def _require_positive_d(d: float) -> float:
-    d = float(d)
-    if not d > 0.0 or not math.isfinite(d):
-        raise DomainError(
-            f"closed forms need d > 0 (got {d}); use the numeric propagator "
-            "in laddyn.dynamics for d = 0"
-        )
-    return d
-
-
 def spectral_params(d: float) -> SpectralParams:
     """omega = sqrt(1+d^2), mu = sqrt(2+d^2+2*omega), nu = d^2/mu.
 
     nu is evaluated through the exact identity mu*nu = d^2 rather than the
     subtractive square root, which cancels catastrophically for small d.
+    Raises DomainError unless d > 0 and d^2 is a normal float, about
+    1.5e-154 <= d <= 1.3e154: below that nu underflows and eta_xi divides
+    by zero, above it d^2 overflows.
     """
-    d = _require_positive_d(d)
+    d = float(d)
+    if not d > 0.0:
+        raise DomainError(
+            f"closed forms need d > 0 (got {d}); use the numeric propagator "
+            "in laddyn.dynamics for d = 0"
+        )
     omega = math.sqrt(1.0 + d * d)
     mu = math.sqrt(2.0 + d * d + 2.0 * omega)
     nu = d * d / mu
+    if not (sys.float_info.min <= d * d < math.inf and math.isfinite(mu) and math.isfinite(nu)):
+        raise DomainError(
+            f"closed forms need d*d to be a normal float, about 1.5e-154 <= d <= "
+            f"1.3e154 (got {d})"
+        )
     return SpectralParams(d=d, omega=omega, mu=mu, nu=nu)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic, detect, dynamics, measures, model
-from .errors import LaddynError, ValidationError
+from .errors import DomainError, LaddynError, ValidationError
 from .linalg import check_sites
 
 SCHEMA_COMMENT = "# laddyn schema v1"
@@ -41,7 +41,6 @@ _DEFAULT_VERIFY_D = (0.2, 0.6, 1.0, 1.5, 2.0)
 @dataclass
 class RunConfig:
     d: float | None = None
-    j: float = 1.0
     d_grid: list[float] | None = None
     t_max: float = 30.0
     dt: float = 0.01
@@ -120,7 +119,6 @@ def _read_config_file(path: str) -> dict:
 
 _CONFIG_PARSERS = {
     "d": float,
-    "j": float,
     "d_grid": _parse_d_grid,
     "t_max": float,
     "dt": float,
@@ -352,11 +350,10 @@ def _evolve_table(cfg: RunConfig, graph: model.CouplingGraph) -> detect.BlockTab
         raise ValidationError("evolve requires --d (0 is allowed, numeric-only)")
     d = cfg.d
     ts = dynamics.time_grid(0.0, cfg.t_max, cfg.dt)
-    # one product for the whole grid: its bits depend on the row count
-    states = dynamics.evolve_states(model.propagator(d, graph, cfg.j), ts)
-
-    # the closed forms are derived in the j = 1 normalization
-    with_analytic = d > 0.0 and cfg.j == 1.0
+    with_analytic = d > 0.0
+    if with_analytic:
+        analytic.spectral_params(d)  # refuses a d outside the closed forms' domain
+    prop = model.propagator(d, graph)
     pairs = [tuple(p) for p in cfg.pairs]
     names = ["t", *(f"c_{p}{q}" for p, q in pairs)]
     if with_analytic:
@@ -368,9 +365,8 @@ def _evolve_table(cfg: RunConfig, graph: model.CouplingGraph) -> detect.BlockTab
         names += ["max_dev", "leg_xx_table_dev"]
 
     def blocks():
-        for k in range(0, ts.size, dynamics.BLOCK_ROWS):
-            rows = slice(k, k + dynamics.BLOCK_ROWS)
-            yield _evolve_block(states[rows], ts[rows], d, pairs, with_analytic, names)
+        for states, t_block in dynamics.evolved_blocks(prop, ts):
+            yield _evolve_block(states, t_block, d, pairs, with_analytic, names)
 
     return detect.BlockTable(tuple(names), ts.size, blocks)
 
@@ -389,17 +385,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
 # events
 # ---------------------------------------------------------------------------
 
-def _require_unit_j(cfg: RunConfig, command: str) -> None:
-    if cfg.j != 1.0:
-        raise ValidationError(
-            f"{command} compares against closed forms derived for j = 1; got j = {cfg.j}"
-        )
-
-
 def cmd_events(cfg: RunConfig) -> int:
     if cfg.d is None or cfg.d <= 0.0:
         raise ValidationError("events requires --d > 0")
-    _require_unit_j(cfg, "events")
     graph = _load_topology(cfg.topology)
     records = detect.find_events(cfg.d, cfg.t_max, cfg.dt, cfg.tolerance, graph)
     columns = ["kind", "n", "t_predicted", "t_detected", "residual", "fidelity"]
@@ -426,15 +414,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
         d_grid = [cfg.d]
     else:
         d_grid = cfg.d_grid
-    _require_unit_j(cfg, "sweep")
     if cfg.output is None:
         raise ValidationError("sweep requires --output")
     graph = _load_topology(cfg.topology)
     ts = _budgeted_time_grid(cfg, len(d_grid), "sweep")
     table = detect.sweep(d_grid, ts, graph)
+    # before any output: the closed forms refuse a d outside their domain
+    curves = detect.w_time_curves(d_grid, cfg.n_max)
     _write_table(cfg.output, table.names, table, cfg.format)
 
-    curves = detect.w_time_curves(d_grid, cfg.n_max)
     curve_table = np.rec.fromarrays(
         [d_grid, *curves], names=["d"] + [f"t_w_n{n}" for n in range(cfg.n_max + 1)])
     cpath = _curves_path(cfg.output, cfg.format)
@@ -656,12 +644,13 @@ def _verify_events(rep: _Report, d: float, prop: dynamics.Propagator, t_max: flo
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    _require_unit_j(cfg, "verify")
     graph = _load_topology(cfg.topology)
     d_values = cfg.d_grid if cfg.d_grid is not None else (
         [cfg.d] if cfg.d is not None else list(_DEFAULT_VERIFY_D))
     if any(not dv > 0 for dv in d_values):
         raise ValidationError("verify requires all d > 0")
+    for dv in d_values:
+        analytic.spectral_params(float(dv))  # every d, before anything is printed
     ts = _budgeted_time_grid(cfg, len(d_values), "verify")
     rep = _Report()
     print("laddyn verify")
@@ -757,7 +746,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](cfg)
-    except ValidationError as exc:
+    except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -167,8 +167,12 @@ def find_events(d: float, t_max: float, coarse_dt: float = 0.01, tol: float = 1e
     so an event in the last step up to t_max still has a bracket, and hands
     both to find_transfer_events and find_w_events.  Events at the same time
     keep that order, transfers first.  Empty if t_max is below the first event.
+
+    The scan evolves one product per dynamics.BLOCK_ROWS block, not the one
+    whole-grid product of dynamics.evolved_blocks: it only picks candidates,
+    and every written number comes from the refined candidate states.
     """
-    analytic.spectral_params(d)  # validates d > 0 before the scan
+    analytic.spectral_params(d)  # checks d is in the closed forms' domain before the scan
     prop = model.propagator(d, graph)
     # dynamics.time_grid checks t_max and coarse_dt; the first n times keep its bits
     n = dynamics.time_grid(0.0, t_max, coarse_dt).size
@@ -267,11 +271,9 @@ def find_w_events(prop: dynamics.Propagator, ts: np.ndarray, amps: np.ndarray,
     return _merge_events(events)
 
 
-def _sweep_one_d(d: float, t_grid: np.ndarray,
-                 graph: model.CouplingGraph) -> np.recarray:
-    """The sweep table rows of one d value."""
-    states = dynamics.evolve_states(model.propagator(d, graph), t_grid)
-    cols = {"d": np.full(t_grid.size, d), "t": t_grid}
+def _sweep_block(d: float, states: np.ndarray, ts: np.ndarray) -> np.recarray:
+    """The sweep table rows of d at the times ts, from their evolved states."""
+    cols = {"d": np.full(ts.size, d), "t": ts}
     for cls, (p, q) in CLASS_REPRESENTATIVE.items():
         name = CLASS_COLUMN[cls]
         cols[f"c_{name}"] = measures.concurrence_series(states, p, q)
@@ -284,11 +286,12 @@ def _sweep_one_d(d: float, t_grid: np.ndarray,
 def sweep(d_grid, t_grid, graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> BlockTable:
     """Observables over the Cartesian product of grids, ordered d-major then t.
 
-    Returns a BlockTable whose blocks are the per-d structured arrays, in
-    d order, with the float64 fields d, t, c_first, c_last, c_leg,
-    chi_{xx,yy,zz}_{first,leg,last} and s_tot_z; each block is computed
-    when the table is iterated.  The grids are checked, and duplicate d
-    values are dropped with a warning, at the call.
+    Returns a BlockTable of structured arrays with the float64 fields d, t,
+    c_first, c_last, c_leg, chi_{xx,yy,zz}_{first,leg,last} and s_tot_z, in
+    d order and, within each d, in blocks of at most dynamics.BLOCK_ROWS
+    times (dynamics.evolved_blocks); each block is computed when the table
+    is iterated.  The grids are checked, and duplicate d values are dropped
+    with a warning, at the call.
     """
     ds = [float(x) for x in np.atleast_1d(np.asarray(d_grid, dtype=float))]
     # a copy: the blocks are computed later, from the grid as it is now
@@ -300,8 +303,14 @@ def sweep(d_grid, t_grid, graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> B
     unique = list(dict.fromkeys(ds))
     if len(unique) != len(ds):
         warnings.warn("duplicate d values in sweep grid were dropped", stacklevel=2)
-    return BlockTable(_SWEEP_COLUMNS, len(unique) * ts.size,
-                      lambda: (_sweep_one_d(dv, ts, graph) for dv in unique))
+
+    def blocks():
+        for dv in unique:
+            evolved = dynamics.evolved_blocks(model.propagator(dv, graph), ts)
+            # a generator expression, so no slice of one d's states outlives its blocks
+            yield from (_sweep_block(dv, *block) for block in evolved)
+
+    return BlockTable(_SWEEP_COLUMNS, len(unique) * ts.size, blocks)
 
 
 def w_time_curves(d_grid, n_max: int = 9) -> np.ndarray:

@@ -8,6 +8,7 @@ is no integrator and no step-to-step error accumulation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +25,14 @@ from .linalg import (
 DEFAULT_LEAKAGE_TOL = 1e-10
 
 #: Most (d, t) points one command may evaluate.  `evolve`, and `sweep` for
-#: each d, hold the state stack of the whole time grid, 16 complex amplitudes
-#: or 256 B per time point; `evolve_states` needs two more arrays of that
-#: size while it runs, 768 B per point at its peak (measured), so 10^6 points
-#: peak near 0.8 GB.  The observables are computed and written BLOCK_ROWS
-#: points at a time after it.  The `events` scan evolves BLOCK_ROWS points at
-#: a time and keeps only the four one-excitation amplitudes, 64 B per point.
-#: The count is checked before any array is allocated.
+#: each d, hold the state stack of the whole time grid (evolved_blocks), 16
+#: complex amplitudes or 256 B per time point; `evolve_states` needs two more
+#: arrays of that size while it runs, 768 B per point at its peak (measured),
+#: so 10^6 points peak near 0.8 GB.  Their observables are computed and
+#: written BLOCK_ROWS points at a time after it.  The `events` scan evolves
+#: BLOCK_ROWS points at a time and keeps only the four one-excitation
+#: amplitudes, 64 B per point.  The count is checked before any array is
+#: allocated.
 MAX_GRID_POINTS = 1_000_000
 
 #: time points evolved, computed or written per block, so the memory a block
@@ -77,6 +79,20 @@ def evolve_states(prop: Propagator, times) -> np.ndarray:
         raise ValidationError("all times must be finite")
     phases = np.exp(-1j * np.outer(ts, prop.eig.eigenvalues))
     return (phases * prop.coefficients) @ prop.eig.eigenvectors.T
+
+
+def evolved_blocks(prop: Propagator, ts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(states, times) of the grid ts in slices of at most BLOCK_ROWS rows.
+
+    The whole grid is evolved in one evolve_states product, because the bits
+    of a row depend on the row count of the product it comes from, and the
+    written evolve and sweep tables are pinned to the whole-grid bits.  Only
+    the observables are computed a block at a time, from these slices.
+    """
+    states = evolve_states(prop, ts)
+    for k in range(0, len(ts), BLOCK_ROWS):
+        rows = slice(k, k + BLOCK_ROWS)
+        yield states[rows], ts[rows]
 
 
 def grid_points(start: float, stop: float, step: float) -> int:

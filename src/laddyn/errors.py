@@ -10,10 +10,11 @@ class ValidationError(LaddynError, ValueError):
 
 
 class DomainError(LaddynError, ValueError):
-    """Input outside the domain of a closed-form expression (e.g. D <= 0).
+    """Input outside the domain of a closed-form expression (D <= 0, or D*D not normal).
 
-    The numeric propagator handles any D >= 0; callers hitting this should
-    route through the dynamics module instead.
+    The numeric propagator handles D = 0; callers hitting this there should
+    route through the dynamics module instead.  The CLI reports it as a
+    usage error.
     """
 
 

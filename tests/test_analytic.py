@@ -53,6 +53,16 @@ class TestSpectralParams:
         with pytest.raises(DomainError):
             analytic.spectral_params(bad)
 
+    def test_domain_error_where_d_squared_is_not_normal(self):
+        # below sqrt of the smallest normal float nu underflows and eta_xi divides
+        # by zero; above sqrt of the largest one d*d overflows
+        for bad in (1e-170, 1e-154, 2e154, 1e300, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                analytic.spectral_params(bad)
+        for d in (1.5e-154, 1e-150, 1e100):
+            eta, xi = analytic.eta_xi(0.7, d)
+            assert abs(abs(eta) ** 2 + abs(xi) ** 2 - 4.0) < 1e-14
+
 
 class TestEtaXi:
     def test_time_zero(self):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -265,6 +266,15 @@ class TestPinnedOutputs:
         assert res.returncode == 0, res.stderr
         assert sha256(out) == digest
 
+    def test_sweep_across_blocks(self, tmp_path):
+        # 4101 rows per d, more than one block of dynamics.BLOCK_ROWS
+        out = tmp_path / "sweep.csv"
+        res = run_cli("sweep", "--d-grid", "0.5:1:0.5", "--t-max", "41", "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        assert sha256(out) == "9ac3abf240a1fa43b1ebcd32d291a7e71c0623647e1d853e30d800f301c49298"
+        assert sha256(tmp_path / "sweep_twcurves.csv") == (
+            "94c1856cfef1a3050e28edb1ad3949fb37d774da2f7706f35a2f9754ee9faef0")
+
     def test_sweep_json(self, tmp_path):
         out = tmp_path / "sweep.json"
         res = run_cli("sweep", "--d-grid", "0.3:0.9:0.3", "--t-max", "1", "--format", "json",
@@ -482,20 +492,16 @@ class TestConfigFile:
             columns[spec] = [r[header.index(name)] for r in rows]
         assert columns["2-1"] == columns["1-2"]
 
-    def test_non_unit_j_drops_analytic_columns_for_evolve(self, tmp_path):
+    def test_j_is_not_a_config_key(self, tmp_path):
+        # energies are in units of J: H(J, D) = J H(1, D/J), so a run at J > 0 is
+        # the J = 1 run at D/J with its times scaled by J
         out = tmp_path / "j2.csv"
         cfg = tmp_path / "j.cfg"
         cfg.write_text(f"j = 2.0\nd = 0.6\nt_max = 1\ndt = 0.5\noutput = {out}\n")
         res = run_cli("evolve", "--config", str(cfg))
-        assert res.returncode == 0, res.stderr
-        header, _, _ = read_csv(out)
-        assert not any(c.startswith("c_an_") for c in header)
-
-    def test_non_unit_j_rejected_where_closed_forms_anchor(self, tmp_path):
-        cfg = tmp_path / "j.cfg"
-        cfg.write_text("j = 2.0\nd = 1.0\nt_max = 2\n")
-        res = run_cli("events", "--config", str(cfg))
         assert res.returncode == 2
+        assert "error: unknown config key 'j'" in res.stderr
+        assert not out.exists()
 
     def test_evolve_without_d_is_usage_error(self, tmp_path):
         res = run_cli("evolve", "--t-max", "1", "--dt", "0.5",
@@ -577,6 +583,24 @@ class TestMalformedInput:
         assert sorted(p.name for p in tmp_path.iterdir()) == (
             ["n.cfg"] if source == "config" else [])
 
+    @pytest.mark.parametrize("command", [
+        ("verify", "--d", "1e-170"),
+        ("events", "--d", "1e300", "--t-max", "1"),
+        ("evolve", "--d", "1e300", "--t-max", "1", "--output"),
+        ("sweep", "--d", "1e300", "--t-max", "1", "--output"),
+    ])
+    def test_d_outside_closed_form_domain(self, tmp_path, command):
+        # d*d underflows or overflows, so the closed forms are not finite there
+        out = tmp_path / "x.csv"
+        if command[-1] == "--output":
+            command += (str(out),)
+        res = run_cli(*command)
+        assert res.returncode == 2
+        assert "error: closed forms need d*d to be a normal float" in res.stderr
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("text", [
         '{"rungs": [[1, 2],',
         '{"rungs": [["a", 2]], "legs": []}',
@@ -591,6 +615,14 @@ class TestMalformedInput:
         assert "error:" in res.stderr
         assert "topo.json" in res.stderr
         assert "Traceback" not in res.stderr
+
+
+def test_every_config_key_is_documented():
+    # each key is named in the README as its flag or as a config-file line
+    readme = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+    missing = [key for key in cli._CONFIG_PARSERS
+               if not re.search(rf"--{key.replace('_', '-')}(?![\w-])|\b{key} =", readme)]
+    assert missing == []
 
 
 def test_console_script_entry_point():

@@ -119,13 +119,12 @@ class TestCandidateScan:
         np.testing.assert_array_equal(changes, detect._sign_changes(full[(1, 2)] - full[(3, 4)]))
 
 
-def _leaky_propagator(d, graph=model.DEFAULT_GRAPH, j=1.0):
+def _leaky_propagator(d, graph=model.DEFAULT_GRAPH):
     # the Bell seed plus weight on |0000>, which no Hamiltonian of the model moves
     psi0 = model.initial_state().astype(complex)
     psi0[0] = 0.05
     psi0 /= np.linalg.norm(psi0)
-    return dynamics.make_propagator(model.build_hamiltonian(model.ModelParams(d=d, j=j), graph),
-                                    psi0)
+    return dynamics.make_propagator(model.build_hamiltonian(model.ModelParams(d=d), graph), psi0)
 
 
 def _record_calls(monkeypatch, name):
@@ -277,22 +276,33 @@ class TestSweep:
         assert len(table) == 1
 
     def test_chunks_are_computed_per_d_as_read(self, monkeypatch):
-        real = detect._sweep_one_d
-        computed = []
-
-        def recording(d, t_grid, graph):
-            computed.append(d)
-            return real(d, t_grid, graph)
-
-        monkeypatch.setattr(detect, "_sweep_one_d", recording)
+        calls = _record_calls(monkeypatch, "_sweep_block")
         table = detect.sweep([0.5, 1.0, 1.5], [0.0, 1.0])
         assert len(table) == 6 and table.names == detect._SWEEP_COLUMNS
-        assert computed == []
+        assert calls == []
         for k, chunk in enumerate(table, 1):
+            computed = [d for d, *_ in calls]
             assert computed == [0.5, 1.0, 1.5][:k]
             assert chunk["d"].tolist() == [computed[-1]] * 2
-        # a second pass computes the chunks again
-        assert np.array_equal(np.concatenate(list(table)), np.concatenate(list(table)))
+        # a second pass computes the chunks again, with the same bits
+        again = np.concatenate(list(table))
+        assert len(calls) == 6
+        assert np.array_equal(again, np.concatenate(list(table)))
+        assert len(calls) == 9
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 20,001 times per d in 5 blocks; whole per-d tables peaked at 40.4 MB here,
+        # the blocks of one whole-grid product per d at 16.0 MB, and 21.2 MB when a
+        # slice of the first d's states stayed alive into the second d's product
+        ts = dynamics.time_grid(0.0, 200.0, 0.01)
+        tracemalloc.start()
+        try:
+            rows = [len(block) for block in detect.sweep([1.0, 2.0], ts)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert sum(rows) == 2 * ts.size and max(rows) <= dynamics.BLOCK_ROWS
 
     def test_validation(self):
         with pytest.raises(ValidationError):
