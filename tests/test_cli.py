@@ -503,6 +503,13 @@ class TestConfigFile:
         assert "error: unknown config key 'j'" in res.stderr
         assert not out.exists()
 
+    def test_j_is_not_a_config_key_for_events(self, tmp_path):
+        cfg = tmp_path / "j.cfg"
+        cfg.write_text("j = 2.0\nd = 1.0\nt_max = 2\n")
+        res = run_cli("events", "--config", str(cfg))
+        assert res.returncode == 2
+        assert "error: unknown config key 'j'" in res.stderr
+
     def test_evolve_without_d_is_usage_error(self, tmp_path):
         res = run_cli("evolve", "--t-max", "1", "--dt", "0.5",
                       "--output", str(tmp_path / "x.csv"))
