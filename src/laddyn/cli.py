@@ -365,8 +365,8 @@ def _evolve_table(cfg: RunConfig, graph: model.CouplingGraph) -> detect.BlockTab
         names += ["max_dev", "leg_xx_table_dev"]
 
     def blocks():
-        for states, t_block in dynamics.evolved_blocks(prop, ts):
-            yield _evolve_block(states, t_block, d, pairs, with_analytic, names)
+        for rows, states in dynamics.evolved_blocks(prop, ts):
+            yield _evolve_block(states, ts[rows], d, pairs, with_analytic, names)
 
     return detect.BlockTable(tuple(names), ts.size, blocks)
 

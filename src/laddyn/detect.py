@@ -150,8 +150,10 @@ def _merge_events(events: list[EventRecord]) -> list[EventRecord]:
 
 def _candidate_concurrences(prop: dynamics.Propagator, t_stars: list) -> tuple:
     """Candidate states and their full-Wootters concurrences, one array per pair."""
-    # evolve per candidate, not evolve_states: that multiplies in another
-    # order, and the written residuals and fidelities are pinned to these bits
+    # evolve per candidate, not evolve_states: evolve, like a one-row product,
+    # takes numpy's vector path, whose bits can differ from a row of a product
+    # of two or more rows, and the written residuals and fidelities are pinned
+    # to these bits
     states = np.array([dynamics.evolve(prop, t) for t in t_stars])
     return states, {
         pair: measures.concurrence_series(states, *pair) for pair in ALL_PAIRS
@@ -167,10 +169,6 @@ def find_events(d: float, t_max: float, coarse_dt: float = 0.01, tol: float = 1e
     so an event in the last step up to t_max still has a bracket, and hands
     both to find_transfer_events and find_w_events.  Events at the same time
     keep that order, transfers first.  Empty if t_max is below the first event.
-
-    The scan evolves one product per dynamics.BLOCK_ROWS block, not the one
-    whole-grid product of dynamics.evolved_blocks: it only picks candidates,
-    and every written number comes from the refined candidate states.
     """
     analytic.spectral_params(d)  # checks d is in the closed forms' domain before the scan
     prop = model.propagator(d, graph)
@@ -181,9 +179,9 @@ def find_events(d: float, t_max: float, coarse_dt: float = 0.01, tol: float = 1e
     # grid; the sector check raises SectorLeakageError in any block where
     # 2|b_p b_q| would not hold
     amps = np.empty((ts.size, 4), dtype=complex)
-    for k in range(0, ts.size, dynamics.BLOCK_ROWS):
-        rows = slice(k, k + dynamics.BLOCK_ROWS)
-        amps[rows] = dynamics.one_particle_amplitudes(dynamics.evolve_states(prop, ts[rows]))
+    for rows, states in dynamics.evolved_blocks(prop, ts):
+        amps[rows] = dynamics.one_particle_amplitudes(states)
+        del states  # hold no block while the next one is evolved
     events = (find_transfer_events(prop, ts, amps, d, t_max, tol)
               + find_w_events(prop, ts, amps, d, t_max, tol))
     return sorted(events, key=lambda e: e.t_detected)
@@ -306,9 +304,8 @@ def sweep(d_grid, t_grid, graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> B
 
     def blocks():
         for dv in unique:
-            evolved = dynamics.evolved_blocks(model.propagator(dv, graph), ts)
-            # a generator expression, so no slice of one d's states outlives its blocks
-            yield from (_sweep_block(dv, *block) for block in evolved)
+            for rows, states in dynamics.evolved_blocks(model.propagator(dv, graph), ts):
+                yield _sweep_block(dv, states, ts[rows])
 
     return BlockTable(_SWEEP_COLUMNS, len(unique) * ts.size, blocks)
 

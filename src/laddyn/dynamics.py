@@ -24,15 +24,12 @@ from .linalg import (
 
 DEFAULT_LEAKAGE_TOL = 1e-10
 
-#: Most (d, t) points one command may evaluate.  `evolve`, and `sweep` for
-#: each d, hold the state stack of the whole time grid (evolved_blocks), 16
-#: complex amplitudes or 256 B per time point; `evolve_states` needs two more
-#: arrays of that size while it runs, 768 B per point at its peak (measured),
-#: so 10^6 points peak near 0.8 GB.  Their observables are computed and
-#: written BLOCK_ROWS points at a time after it.  The `events` scan evolves
-#: BLOCK_ROWS points at a time and keeps only the four one-excitation
-#: amplitudes, 64 B per point.  The count is checked before any array is
-#: allocated.
+#: Most (d, t) points one command may evaluate.  `evolve`, `sweep` and the
+#: `events` scan evolve their grids in blocks of at most BLOCK_ROWS points
+#: (evolved_blocks), so their state stacks stay bounded by the block.  What
+#: still grows with the grid: the scan keeps the four one-excitation amplitudes
+#: of every point, 64 B per point, and `verify` holds whole-grid state stacks
+#: of each d.  The count is checked before any array is allocated.
 MAX_GRID_POINTS = 1_000_000
 
 #: time points evolved, computed or written per block, so the memory a block
@@ -81,18 +78,18 @@ def evolve_states(prop: Propagator, times) -> np.ndarray:
     return (phases * prop.coefficients) @ prop.eig.eigenvectors.T
 
 
-def evolved_blocks(prop: Propagator, ts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(states, times) of the grid ts in slices of at most BLOCK_ROWS rows.
+def evolved_blocks(prop: Propagator, ts: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, states) of the grid ts in the fewest equal blocks of at most BLOCK_ROWS rows.
 
-    The whole grid is evolved in one evolve_states product, because the bits
-    of a row depend on the row count of the product it comes from, and the
-    written evolve and sweep tables are pinned to the whole-grid bits.  Only
-    the observables are computed a block at a time, from these slices.
+    Each block is evolved in its own evolve_states product when it is asked
+    for.  A row of a product of two or more rows has the bits of the same row
+    of the whole-grid product; a one-row product takes numpy's vector path and
+    may differ, and equal blocks have one row only when the grid has.
     """
-    states = evolve_states(prop, ts)
-    for k in range(0, len(ts), BLOCK_ROWS):
-        rows = slice(k, k + BLOCK_ROWS)
-        yield states[rows], ts[rows]
+    n_blocks = -(-len(ts) // BLOCK_ROWS)
+    for k in range(n_blocks):
+        rows = slice(len(ts) * k // n_blocks, len(ts) * (k + 1) // n_blocks)
+        yield rows, evolve_states(prop, ts[rows])
 
 
 def grid_points(start: float, stop: float, step: float) -> int:

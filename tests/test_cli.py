@@ -259,7 +259,7 @@ class TestPinnedOutputs:
         ("json", "2df9fd85919c19a01566fcefe75729b4557288ea8ced9b8fa2356b560835ad8d"),
     ])
     def test_evolve_across_blocks(self, tmp_path, fmt, digest):
-        # 4101 rows, more than one block of dynamics.BLOCK_ROWS
+        # 4101 rows, evolved in two blocks of 2050 and 2051 rows
         out = tmp_path / f"evolve.{fmt}"
         res = run_cli("evolve", "--d", "0.6", "--t-max", "41", "--format", fmt,
                       "--output", str(out))
@@ -267,13 +267,26 @@ class TestPinnedOutputs:
         assert sha256(out) == digest
 
     def test_sweep_across_blocks(self, tmp_path):
-        # 4101 rows per d, more than one block of dynamics.BLOCK_ROWS
+        # 4101 rows per d, evolved in two blocks of 2050 and 2051 rows
         out = tmp_path / "sweep.csv"
         res = run_cli("sweep", "--d-grid", "0.5:1:0.5", "--t-max", "41", "--output", str(out))
         assert res.returncode == 0, res.stderr
         assert sha256(out) == "9ac3abf240a1fa43b1ebcd32d291a7e71c0623647e1d853e30d800f301c49298"
         assert sha256(tmp_path / "sweep_twcurves.csv") == (
             "94c1856cfef1a3050e28edb1ad3949fb37d774da2f7706f35a2f9754ee9faef0")
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "f76bd27e2d5becea2924ed2427102876313d2712344fe651c22fc2f5d8e4c609"),
+        ("json", "8bf31bb81a15e0872087345c0d2c68546739abed404822f51fd121c9faa0786b"),
+    ])
+    def test_evolve_one_past_a_block(self, tmp_path, fmt, digest):
+        # 4097 rows, one more than dynamics.BLOCK_ROWS: blocks of 4096 and 1 row would
+        # evolve the last row in a one-row product, whose bits may differ
+        out = tmp_path / f"evolve.{fmt}"
+        res = run_cli("evolve", "--d", "0.6", "--t-max", "40.96", "--format", fmt,
+                      "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        assert sha256(out) == digest
 
     def test_sweep_json(self, tmp_path):
         out = tmp_path / "sweep.json"
@@ -292,7 +305,7 @@ class TestPinnedOutputs:
         assert sha256(out) == "d043f204341ac0317e5d3556864a2850670bd24c8915839f9b46bb548353d672"
 
     def test_events_scan_across_blocks(self, tmp_path):
-        # 4097 grid points up to t_max, one more than a scan block of dynamics.BLOCK_ROWS
+        # 4097 grid points up to t_max and two past it, scanned in blocks of 2049 and 2050
         out = tmp_path / "events.csv"
         res = run_cli("events", "--d", "3", "--t-max", "40.96", "--output", str(out))
         assert res.returncode == 0, res.stderr
@@ -385,8 +398,9 @@ class TestStreamedOutput:
                          "--format", fmt, "--output", str(out)])
         assert code == cli.EXIT_CHECK_FAILURE
         assert "injected failure" in capsys.readouterr().err
-        # one pair, so the second call is the second block: the first one was written
-        assert calls == [dynamics.BLOCK_ROWS, 4101 - dynamics.BLOCK_ROWS]
+        # one pair, so the second call is the second of the two blocks of the 4101
+        # rows: the first one was computed and written, the second one raised
+        assert calls == [2050, 2051]
         assert out.read_bytes() == b"earlier output\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["evolve." + fmt, "one_pair.cfg"]
 

@@ -160,8 +160,8 @@ class TestCoarseScan:
 
     @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
     def test_block_scan_candidates_match_whole_grid(self, monkeypatch, d):
-        # the scan of t_max 300 runs in 8 blocks; the block products may differ from
-        # the whole-grid product in low bits, but not in the candidates they give
+        # the scan of t_max 300 runs in 8 blocks, which give the bits of the
+        # whole-grid product and so its candidates
         scans = _record_calls(monkeypatch, "find_transfer_events")
         detect.find_events(d, 300.0)
         [(prop, ts, amps, *_)] = scans
@@ -173,6 +173,7 @@ class TestCoarseScan:
             c_last = measures.concurrence_one_particle(a, 3, 4)
             return detect._local_maxima(c_last), detect._sign_changes(c_first - c_last)
 
+        assert np.array_equal(amps, whole)
         (maxima, changes), (whole_maxima, whole_changes) = candidates(amps), candidates(whole)
         assert maxima.size and changes.size
         np.testing.assert_array_equal(maxima, whole_maxima)
@@ -213,12 +214,12 @@ class TestSectorLeakage:
         assert reached == []
 
     def test_leakage_in_last_block_fails_loudly(self, monkeypatch):
-        # weight on |0000> only at times in the last of the 8 blocks of the 30,003
-        # scan points of t_max 300
+        # weight on |0000> only at times in the last of the 8 equal blocks of the
+        # 30,003 scan points of t_max 300
         transfer_reached = _record_calls(monkeypatch, "find_transfer_events")
         w_reached = _record_calls(monkeypatch, "find_w_events")
         real = dynamics.evolve_states
-        last_block = 0.01 * (30_002 // dynamics.BLOCK_ROWS * dynamics.BLOCK_ROWS)
+        last_block = 0.01 * (30_003 * 7 // 8)
 
         def leaky(prop, times):
             states = real(prop, times)
@@ -290,19 +291,24 @@ class TestSweep:
         assert np.array_equal(again, np.concatenate(list(table)))
         assert len(calls) == 9
 
-    def test_memory_is_bounded_by_the_block(self):
-        # 20,001 times per d in 5 blocks; whole per-d tables peaked at 40.4 MB here,
-        # the blocks of one whole-grid product per d at 16.0 MB, and 21.2 MB when a
-        # slice of the first d's states stayed alive into the second d's product
+    @pytest.mark.parametrize("command, n_d", [("sweep", 2), ("evolve", 1)])
+    def test_memory_is_bounded_by_the_block(self, command, n_d):
+        # 20,001 times per d in 5 blocks; whole per-d sweep tables peaked at 40.4 MB
+        # here, and slices of one whole-grid product per d at 16.0 MB (sweep) and
+        # 15.5 MB (evolve); one product per block peaks at 8.3 and 8.5 MB
         ts = dynamics.time_grid(0.0, 200.0, 0.01)
         tracemalloc.start()
         try:
-            rows = [len(block) for block in detect.sweep([1.0, 2.0], ts)]
+            if command == "sweep":
+                table = detect.sweep([1.0, 2.0], ts)
+            else:
+                table = cli._evolve_table(cli.RunConfig(d=0.6, t_max=200.0), model.DEFAULT_GRAPH)
+            rows = [len(block) for block in table]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 20e6
-        assert sum(rows) == 2 * ts.size and max(rows) <= dynamics.BLOCK_ROWS
+        assert peak < 12e6
+        assert sum(rows) == n_d * ts.size and max(rows) <= dynamics.BLOCK_ROWS
 
     def test_validation(self):
         with pytest.raises(ValidationError):

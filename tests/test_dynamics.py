@@ -96,6 +96,25 @@ class TestEvolveSeries:
             dynamics.time_grid(0.0, 1e18, 1.0)
 
 
+class TestEvolvedBlocks:
+    @pytest.mark.parametrize("d", [0.0, 0.6, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4096, 4097, 8193, 30001])
+    def test_blocks_tile_the_grid_with_whole_grid_bits(self, n, d):
+        # every table and the event scan are pinned to the bits of one whole-grid
+        # product; a one-row product may differ, so no block may have one row
+        prop = model.propagator(d)
+        ts = 0.01 * np.arange(n)
+        rows, states = zip(*dynamics.evolved_blocks(prop, ts))
+        assert [r.start for r in rows] == [0, *(r.stop for r in rows[:-1])]
+        assert rows[-1].stop == n
+        sizes = [r.stop - r.start for r in rows]
+        assert len(sizes) == -(-n // dynamics.BLOCK_ROWS)
+        assert max(sizes) <= dynamics.BLOCK_ROWS
+        assert n == 1 or min(sizes) > 1
+        assert [len(s) for s in states] == sizes
+        assert np.array_equal(np.concatenate(states), dynamics.evolve_states(prop, ts))
+
+
 class TestOneParticleAmplitudes:
     def test_initial_state(self):
         b = dynamics.one_particle_amplitudes(model.initial_state())
