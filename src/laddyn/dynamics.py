@@ -24,17 +24,19 @@ from .linalg import (
 
 DEFAULT_LEAKAGE_TOL = 1e-10
 
-#: Most (d, t) points one command may evaluate.  `evolve`, `sweep` and the
-#: `events` scan evolve their grids in blocks of at most BLOCK_ROWS points
-#: (evolved_blocks), so their state stacks stay bounded by the block.  What
-#: still grows with the grid: the scan keeps the four one-excitation amplitudes
-#: of every point, 64 B per point, and `verify` holds whole-grid state stacks
-#: of each d.  The count is checked before any array is allocated.
+#: Most (d, t) points one command may evaluate.  `evolve`, `sweep`, `verify`
+#: and the `events` scan evolve their grids in blocks of at most BLOCK_ROWS
+#: points (evolved_blocks), so their state stacks stay bounded by the block.
+#: Besides the time grid itself, only the scan grows with the grid: it keeps
+#: the four one-excitation amplitudes of every point, 64 B per point.  The
+#: count is checked before any array is allocated.
 MAX_GRID_POINTS = 1_000_000
 
-#: time points evolved, computed or written per block, so the memory a block
-#: takes stays bounded
-BLOCK_ROWS = 4096
+#: time points evolved, computed or written per block.  A block's stack of 16
+#: complex amplitudes per point takes 500 * 256 B = 125 KiB, below glibc's
+#: default 128 KiB mmap threshold, so the per-block temporaries are reused from
+#: the heap instead of being mapped, page-faulted and unmapped for each block.
+BLOCK_ROWS = 500
 
 _SECTOR_MASK = np.ones(DIM, dtype=bool)
 _SECTOR_MASK[list(ONE_PARTICLE_INDICES)] = False

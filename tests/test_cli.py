@@ -8,13 +8,14 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from laddyn import cli, detect, dynamics, measures
+from laddyn import cli, detect, dynamics, measures, model
 from laddyn.errors import NumericalFailureError
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -259,7 +260,7 @@ class TestPinnedOutputs:
         ("json", "2df9fd85919c19a01566fcefe75729b4557288ea8ced9b8fa2356b560835ad8d"),
     ])
     def test_evolve_across_blocks(self, tmp_path, fmt, digest):
-        # 4101 rows, evolved in two blocks of 2050 and 2051 rows
+        # 4101 rows, evolved in nine blocks of 455 or 456 rows
         out = tmp_path / f"evolve.{fmt}"
         res = run_cli("evolve", "--d", "0.6", "--t-max", "41", "--format", fmt,
                       "--output", str(out))
@@ -267,7 +268,7 @@ class TestPinnedOutputs:
         assert sha256(out) == digest
 
     def test_sweep_across_blocks(self, tmp_path):
-        # 4101 rows per d, evolved in two blocks of 2050 and 2051 rows
+        # 4101 rows per d, evolved in nine blocks of 455 or 456 rows
         out = tmp_path / "sweep.csv"
         res = run_cli("sweep", "--d-grid", "0.5:1:0.5", "--t-max", "41", "--output", str(out))
         assert res.returncode == 0, res.stderr
@@ -280,10 +281,24 @@ class TestPinnedOutputs:
         ("json", "8bf31bb81a15e0872087345c0d2c68546739abed404822f51fd121c9faa0786b"),
     ])
     def test_evolve_one_past_a_block(self, tmp_path, fmt, digest):
-        # 4097 rows, one more than dynamics.BLOCK_ROWS: blocks of 4096 and 1 row would
-        # evolve the last row in a one-row product, whose bits may differ
+        # 4097 rows, evolved in nine blocks of 455 or 456 rows; blocks of 4096
+        # rows and 1 row would evolve the last row in a one-row product, whose
+        # bits may differ
         out = tmp_path / f"evolve.{fmt}"
         res = run_cli("evolve", "--d", "0.6", "--t-max", "40.96", "--format", fmt,
+                      "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        assert sha256(out) == digest
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "9fd4070f67d0a810d8698040f733000310023873ea912b3f7838ea10f6256e06"),
+        ("json", "da65be5dc19c2f1db684c255214ef79723cd80f459e9388f5f8cb5ea52dcc847"),
+    ])
+    def test_evolve_one_past_block_rows(self, tmp_path, fmt, digest):
+        # 501 rows, one more than dynamics.BLOCK_ROWS: blocks of 500 and 1 row would
+        # evolve the last row in a one-row product, whose bits may differ
+        out = tmp_path / f"evolve.{fmt}"
+        res = run_cli("evolve", "--d", "0.6", "--t-max", "5", "--format", fmt,
                       "--output", str(out))
         assert res.returncode == 0, res.stderr
         assert sha256(out) == digest
@@ -305,11 +320,20 @@ class TestPinnedOutputs:
         assert sha256(out) == "d043f204341ac0317e5d3556864a2850670bd24c8915839f9b46bb548353d672"
 
     def test_events_scan_across_blocks(self, tmp_path):
-        # 4097 grid points up to t_max and two past it, scanned in blocks of 2049 and 2050
+        # 4097 grid points up to t_max and two past it, scanned in nine blocks of
+        # 455 or 456 points
         out = tmp_path / "events.csv"
         res = run_cli("events", "--d", "3", "--t-max", "40.96", "--output", str(out))
         assert res.returncode == 0, res.stderr
         assert sha256(out) == "94db8f1e8fdce1d785873c59690f9e6044a4a229e513a609d05ad9aaab4ec4fd"
+
+    def test_events_scan_one_past_block_rows(self, tmp_path):
+        # 499 grid points up to t_max and two past it, one more than
+        # dynamics.BLOCK_ROWS: scanned in blocks of 250 and 251 points
+        out = tmp_path / "events.csv"
+        res = run_cli("events", "--d", "3", "--t-max", "4.98", "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        assert sha256(out) == "9abc86e8412960f1ff9cf6c0575969b0f4dcdea9af413e5d971ba7885c2226dd"
 
 
 def _reference_csv(columns, rows):
@@ -330,7 +354,8 @@ class TestWriteTable:
     SPECIAL = [-0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan,
                0.0, 1.0, -3.0, 2.0 ** 53, 1e16, 1e17, 0.1, 1.0 / 3.0]
 
-    @pytest.mark.parametrize("n_rows", [0, 5, dynamics.BLOCK_ROWS + 7])
+    # up to one block, a block and a part, and many blocks
+    @pytest.mark.parametrize("n_rows", [0, 5, dynamics.BLOCK_ROWS + 7, 4103])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_float_table_matches_reference(self, tmp_path, rng, n_rows, fmt):
         columns = ["a", "b", "c", "d"]
@@ -394,13 +419,13 @@ class TestStreamedOutput:
             return real(states, p, q)
 
         monkeypatch.setattr(measures, "concurrence_series", fail_on_second_call)
-        code = cli.main(["evolve", "--config", str(cfg), "--d", "0.6", "--t-max", "41",
+        code = cli.main(["evolve", "--config", str(cfg), "--d", "0.6", "--t-max", "6",
                          "--format", fmt, "--output", str(out)])
         assert code == cli.EXIT_CHECK_FAILURE
         assert "injected failure" in capsys.readouterr().err
-        # one pair, so the second call is the second of the two blocks of the 4101
+        # one pair, so the second call is the second of the two blocks of the 601
         # rows: the first one was computed and written, the second one raised
-        assert calls == [2050, 2051]
+        assert calls == [300, 301]
         assert out.read_bytes() == b"earlier output\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["evolve." + fmt, "one_pair.cfg"]
 
@@ -453,6 +478,19 @@ class TestVerifyCommand:
                       "--topology", str(topo))
         assert res.returncode == 1
         assert "FAIL amplitudes_vs_closed_form" in res.stdout
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 20,001 times in 41 blocks; whole-grid state stacks peaked at 40.5 MB here
+        ts = dynamics.time_grid(0.0, 200.0, 0.01)
+        rep = cli._Report()
+        tracemalloc.start()
+        try:
+            cli._verify_one_d(rep, 0.6, model.propagator(0.6), ts, 1e-9, model.DEFAULT_GRAPH)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+        assert rep.all_passed
 
     @pytest.mark.parametrize("t_max", ["1.111", "2.225", "3.3325"])
     def test_event_in_last_grid_step_is_counted(self, t_max):

@@ -140,19 +140,27 @@ def _record_calls(monkeypatch, name):
     return calls
 
 
+def _record_block_sizes(monkeypatch):
+    """Replace dynamics.evolve_states by a wrapper that logs each call's row count."""
+    real = dynamics.evolve_states
+    sizes = []
+
+    def counting(prop, times):
+        sizes.append(len(times))
+        return real(prop, times)
+
+    monkeypatch.setattr(dynamics, "evolve_states", counting)
+    return sizes
+
+
 class TestCoarseScan:
     def test_one_scan_serves_both_finders(self, monkeypatch):
-        real = dynamics.evolve_states
-        calls = []
-
-        def counting(prop, times):
-            calls.append(len(times))
-            return real(prop, times)
-
-        monkeypatch.setattr(dynamics, "evolve_states", counting)
+        calls = _record_block_sizes(monkeypatch)
         events = detect.find_events(1.0, 10.0)
-        # 1001 grid points up to t_max and two past it, in one block
-        assert calls == [1003]
+        # 1001 grid points up to t_max and two past it, evolved once, in the
+        # fewest equal blocks
+        assert sum(calls) == 1003 and len(calls) == -(-1003 // dynamics.BLOCK_ROWS)
+        assert max(calls) - min(calls) <= 1
         assert [e.kind for e in events].count(detect.TRANSFER) == 2
         assert [e.kind for e in events].count(detect.W_STATE) == 5
         times = [e.t_detected for e in events]
@@ -160,12 +168,13 @@ class TestCoarseScan:
 
     @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
     def test_block_scan_candidates_match_whole_grid(self, monkeypatch, d):
-        # the scan of t_max 300 runs in 8 blocks, which give the bits of the
+        # the scan of t_max 300 runs in many blocks, which give the bits of the
         # whole-grid product and so its candidates
         scans = _record_calls(monkeypatch, "find_transfer_events")
+        blocks = _record_block_sizes(monkeypatch)
         detect.find_events(d, 300.0)
         [(prop, ts, amps, *_)] = scans
-        assert -(-ts.size // dynamics.BLOCK_ROWS) == 8
+        assert sum(blocks) == ts.size and len(blocks) == -(-ts.size // dynamics.BLOCK_ROWS) > 1
         whole = dynamics.one_particle_amplitudes(dynamics.evolve_states(prop, ts))
 
         def candidates(a):
@@ -180,15 +189,16 @@ class TestCoarseScan:
         np.testing.assert_array_equal(changes, whole_changes)
 
     def test_scan_memory_is_bounded(self):
-        # the whole-grid scan peaked at 22.5 MB here (768 B per point); the block
-        # scan holds 64 B of amplitudes per point plus one block
+        # the whole-grid scan peaked at 22.5 MB here (768 B per point), the scan in
+        # 4096-row blocks at 5.1 MB; the block scan holds 64 B of amplitudes per
+        # point plus one block
         tracemalloc.start()
         try:
             detect.find_events(1.0, 300.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 4e6
 
     @pytest.mark.parametrize("search", ["find_transfer_events", "find_w_events"])
     def test_validation(self, monkeypatch, search):
@@ -293,9 +303,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("command, n_d", [("sweep", 2), ("evolve", 1)])
     def test_memory_is_bounded_by_the_block(self, command, n_d):
-        # 20,001 times per d in 5 blocks; whole per-d sweep tables peaked at 40.4 MB
-        # here, and slices of one whole-grid product per d at 16.0 MB (sweep) and
-        # 15.5 MB (evolve); one product per block peaks at 8.3 and 8.5 MB
+        # 20,001 times per d in 41 blocks; whole per-d sweep tables peaked at 40.4 MB
+        # here, slices of one whole-grid product per d at 16.0 MB (sweep) and
+        # 15.5 MB (evolve), and one product per 4096-row block at 8.3 and 8.5 MB
         ts = dynamics.time_grid(0.0, 200.0, 0.01)
         tracemalloc.start()
         try:
@@ -307,7 +317,7 @@ class TestSweep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 3e6
         assert sum(rows) == n_d * ts.size and max(rows) <= dynamics.BLOCK_ROWS
 
     def test_validation(self):

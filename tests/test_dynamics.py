@@ -98,10 +98,12 @@ class TestEvolveSeries:
 
 class TestEvolvedBlocks:
     @pytest.mark.parametrize("d", [0.0, 0.6, 3.0])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4096, 4097, 8193, 30001])
+    @pytest.mark.parametrize("n", [1, 2, 3, dynamics.BLOCK_ROWS, dynamics.BLOCK_ROWS + 1,
+                                   2 * dynamics.BLOCK_ROWS + 1, 4096, 4097, 8193, 30001])
     def test_blocks_tile_the_grid_with_whole_grid_bits(self, n, d):
         # every table and the event scan are pinned to the bits of one whole-grid
-        # product; a one-row product may differ, so no block may have one row
+        # product; a one-row product may differ, so no block may have one row.  A
+        # block's states stay below glibc's 128 KiB mmap threshold.
         prop = model.propagator(d)
         ts = 0.01 * np.arange(n)
         rows, states = zip(*dynamics.evolved_blocks(prop, ts))
@@ -112,6 +114,7 @@ class TestEvolvedBlocks:
         assert max(sizes) <= dynamics.BLOCK_ROWS
         assert n == 1 or min(sizes) > 1
         assert [len(s) for s in states] == sizes
+        assert all(s.nbytes < 128 * 1024 for s in states)
         assert np.array_equal(np.concatenate(states), dynamics.evolve_states(prop, ts))
 
 
