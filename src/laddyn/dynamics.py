@@ -26,10 +26,10 @@ DEFAULT_LEAKAGE_TOL = 1e-10
 
 #: Most (d, t) points one command may evaluate.  `evolve`, `sweep`, `verify`
 #: and the `events` scan evolve their grids in blocks of at most BLOCK_ROWS
-#: points (evolved_blocks), so their state stacks stay bounded by the block.
-#: Besides the time grid itself, only the scan grows with the grid: it keeps
-#: the four one-excitation amplitudes of every point, 64 B per point.  The
-#: count is checked before any array is allocated.
+#: points (evolved_blocks) and compute on one block at a time, so besides the
+#: time grid itself (8 B per point) they hold one block; the `events` scan
+#: also keeps one (lo, hi) time bracket per event candidate.  The count is
+#: checked before any array is allocated.
 MAX_GRID_POINTS = 1_000_000
 
 #: time points evolved, computed or written per block.  A block's stack of 16
@@ -108,13 +108,18 @@ def grid_points(start: float, stop: float, step: float) -> int:
     return math.floor(span) + 1
 
 
-def time_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
-    """Inclusive grid t_start, t_start+dt, ... up to t_end (within roundoff)."""
+def time_grid_points(t_start: float, t_end: float, dt: float) -> int:
+    """Point count of time_grid(t_start, t_end, dt), with its checks, without building it."""
     if not dt > 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
     if not t_end > t_start:
         raise ValidationError(f"need t_end > t_start, got [{t_start}, {t_end}]")
-    return t_start + dt * np.arange(grid_points(t_start, t_end, dt))
+    return grid_points(t_start, t_end, dt)
+
+
+def time_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
+    """Inclusive grid t_start, t_start+dt, ... up to t_end (within roundoff)."""
+    return t_start + dt * np.arange(time_grid_points(t_start, t_end, dt))
 
 
 def sector_leakage(psi) -> float:

@@ -335,6 +335,14 @@ class TestPinnedOutputs:
         assert res.returncode == 0, res.stderr
         assert sha256(out) == "9abc86e8412960f1ff9cf6c0575969b0f4dcdea9af413e5d971ba7885c2226dd"
 
+    def test_events_scan_many_blocks(self, tmp_path):
+        # 300,003 scan points in 601 blocks of 499 or 500 points, so 600 block
+        # edges that the candidates must cross as the whole-grid scan found them
+        out = tmp_path / "events.csv"
+        res = run_cli("events", "--d", "1", "--t-max", "3000", "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        assert sha256(out) == "988165938b4ccbf198e2ee6b1fceeb9522bdb918273a857566d074fbb13e60e6"
+
 
 def _reference_csv(columns, rows):
     # the per-value writer that the block writer replaced

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laddyn import analytic, cli, detect, dynamics, measures, model
 from laddyn.detect import ALL_PAIRS
@@ -17,6 +19,14 @@ class TestWFidelity:
     def test_initial_state_half(self):
         b = np.array([1 / math.sqrt(2), 1 / math.sqrt(2), 0, 0])
         assert abs(detect.w_fidelity(b) - 0.5) < 1e-14
+
+    def test_stack_has_the_bits_of_each_row(self, rng):
+        # the one-state form is the reference: numpy's array square differs from
+        # a scalar power in the last bit for about one value in a thousand
+        b = rng.normal(size=(10_000, 4)) + 1j * rng.normal(size=(10_000, 4))
+        rows = [float(np.abs(row).sum() ** 2 / 4.0) for row in b]
+        assert detect.w_fidelity(b).tolist() == rows
+        assert [detect.w_fidelity(row) for row in b[:100]] == rows[:100]
 
     def test_matches_brute_force_phase_search(self, rng):
         # oracle: explicit maximization of |<W(theta)|psi>|^2 over a phase grid,
@@ -169,36 +179,80 @@ class TestCoarseScan:
     @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
     def test_block_scan_candidates_match_whole_grid(self, monkeypatch, d):
         # the scan of t_max 300 runs in many blocks, which give the bits of the
-        # whole-grid product and so its candidates
-        scans = _record_calls(monkeypatch, "find_transfer_events")
+        # whole-grid product; the candidates of the whole-grid amplitudes are the
+        # oracle for the brackets each search is handed
+        transfer_calls = _record_calls(monkeypatch, "find_transfer_events")
+        w_calls = _record_calls(monkeypatch, "find_w_events")
         blocks = _record_block_sizes(monkeypatch)
         detect.find_events(d, 300.0)
-        [(prop, ts, amps, *_)] = scans
+        [(prop, transfer_brackets, *_)] = transfer_calls
+        [(_, w_brackets, *_)] = w_calls
+        ts = 0.01 * np.arange(dynamics.time_grid(0.0, 300.0, 0.01).size + 2)
         assert sum(blocks) == ts.size and len(blocks) == -(-ts.size // dynamics.BLOCK_ROWS) > 1
         whole = dynamics.one_particle_amplitudes(dynamics.evolve_states(prop, ts))
-
-        def candidates(a):
-            c_first = measures.concurrence_one_particle(a, 1, 2)
-            c_last = measures.concurrence_one_particle(a, 3, 4)
-            return detect._local_maxima(c_last), detect._sign_changes(c_first - c_last)
-
-        assert np.array_equal(amps, whole)
-        (maxima, changes), (whole_maxima, whole_changes) = candidates(amps), candidates(whole)
+        c_last = measures.concurrence_one_particle(whole, 3, 4)
+        maxima = detect._local_maxima(c_last)
+        changes = detect._sign_changes(measures.concurrence_one_particle(whole, 1, 2) - c_last)
         assert maxima.size and changes.size
-        np.testing.assert_array_equal(maxima, whole_maxima)
-        np.testing.assert_array_equal(changes, whole_changes)
+        np.testing.assert_array_equal(
+            transfer_brackets, np.column_stack((ts[maxima - 1], ts[maxima + 1])))
+        np.testing.assert_array_equal(
+            w_brackets, np.column_stack((ts[changes], ts[changes + 1])))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_block_candidates_match_whole_array(self, data):
+        # values from a small set make plateaus and exact zeros, and every block
+        # edge may get a zero on either side or a plateau across it
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=10))
+        values = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0)
+
+        def sequence():
+            x = np.array(data.draw(st.lists(values, min_size=sum(sizes), max_size=sum(sizes))))
+            for edge in np.cumsum(sizes)[:-1]:
+                how = data.draw(st.sampled_from(["none", "zero_before", "zero_after",
+                                                 "plateau", "zero_plateau"]))
+                if how == "zero_before":
+                    x[edge - 1] = 0.0
+                elif how == "zero_after":
+                    x[edge] = 0.0
+                elif how == "plateau":
+                    x[edge] = x[edge - 1]
+                elif how == "zero_plateau":
+                    x[edge - 1] = x[edge] = 0.0
+            return x
+
+        c, diff = sequence(), sequence()
+        edges = np.cumsum(sizes)[:-1]
+        maxima, changes = detect._block_candidates(
+            zip(np.split(c, edges), np.split(diff, edges)))
+        np.testing.assert_array_equal(maxima, detect._local_maxima(c))
+        np.testing.assert_array_equal(changes, detect._sign_changes(diff))
 
     def test_scan_memory_is_bounded(self):
-        # the whole-grid scan peaked at 22.5 MB here (768 B per point), the scan in
-        # 4096-row blocks at 5.1 MB; the block scan holds 64 B of amplitudes per
-        # point plus one block
+        # the scan in 4096-row blocks peaked at 5.1 MB here, and with 64 B of
+        # amplitudes per point and whole-grid concurrences at 3.2 MB; the
+        # streamed scan holds the 240 kB time grid, one block and the brackets
         tracemalloc.start()
         try:
             detect.find_events(1.0, 300.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4e6
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("d", [1.0, 3.0])
+    def test_scan_memory_grows_only_with_the_time_grid(self, d):
+        # at t_max 3000 the scan that kept 64 B of amplitudes per point peaked at
+        # 31.4 MB (d = 1) and 31.6 MB (d = 3) here; the time grid takes 2.4 MB
+        grid_bytes = 8 * (dynamics.time_grid(0.0, 3000.0, 0.01).size + 2)
+        tracemalloc.start()
+        try:
+            detect.find_events(d, 3000.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_bytes + 0.8e6
 
     @pytest.mark.parametrize("search", ["find_transfer_events", "find_w_events"])
     def test_validation(self, monkeypatch, search):
@@ -211,6 +265,68 @@ class TestCoarseScan:
             with pytest.raises(error):
                 detect.find_events(*args)
         assert reached == []
+
+
+def _bounded(f, max_calls=100):
+    """f, failing once it has been called max_calls times (a bisection that does not stop)."""
+    calls = []
+
+    def bounded(t):
+        calls.append(t)
+        assert len(calls) < max_calls, "bisection did not stop"
+        return f(t)
+
+    return bounded
+
+
+class TestRefinement:
+    def test_bisection_stops_at_float_resolution(self):
+        # near 2**30 adjacent floats are 2.4e-7 apart, wider than the 1e-10 width;
+        # t - 2**30 is exact there and never 0.3, so no step lands on a zero
+        lo = 2.0 ** 30
+        for width in (detect._REFINE_WIDTH, 0.0):
+            t = detect._bisect(_bounded(lambda t: (t - lo) - 0.3), lo, lo + 1.0, width)
+            assert abs((t - lo) - 0.3) <= math.ulp(lo)
+
+    def test_zero_width_bisects_to_adjacent_floats(self):
+        t = detect._bisect(_bounded(math.cos), 1.5, 1.6, 0.0)
+        assert abs(t - math.pi / 2) <= math.ulp(math.pi / 2)
+
+    @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
+    def test_pinned_candidates_take_no_extra_steps(self, monkeypatch, d):
+        # every candidate of the pinned events configs passes the check at the
+        # 1e-10 width, so none is bisected on to float resolution and every
+        # written bit stays as it was
+        calls = _record_calls(monkeypatch, "_refined_roots")
+        detect.find_events(d, 300.0)
+        assert calls and all(width == detect._REFINE_WIDTH for *_, width in calls)
+
+    @pytest.mark.parametrize("d, t_max, n_transfer, n_w", [
+        (60.0, 30.0, 287, 573),
+        (100.0, 3.0, 48, 95),
+    ])
+    def test_large_d_finds_every_event(self, monkeypatch, d, t_max, n_transfer, n_w):
+        # refined to 1e-10 in t, a root leaves a residual up to about d * 2.5e-11,
+        # and only 256 / 512 (d = 60) and 24 / 56 (d = 100) of these passed the check
+        calls = _record_calls(monkeypatch, "_refined_roots")
+        events = detect.find_events(d, t_max)
+        trs = [e for e in events if e.kind == detect.TRANSFER]
+        ws = [e for e in events if e.kind == detect.W_STATE]
+        assert [e.n for e in trs] == list(range(n_transfer))
+        assert [e.n for e in ws] == list(range(n_w))
+        # the closed-form counts up to t_max
+        assert analytic.transfer_times(d, n_transfer - 1) <= t_max < analytic.transfer_times(
+            d, n_transfer)
+        assert analytic.w_times(d, n_w - 1) <= t_max < analytic.w_times(d, n_w)
+        assert all(e.residual <= 1e-9 for e in events)
+        assert any(width == 0.0 for *_, width in calls)
+
+    def test_candidate_checks_run_in_blocks(self, monkeypatch):
+        # the 573 W candidates at d = 60 are checked at most BLOCK_ROWS at a time
+        calls = _record_calls(monkeypatch, "_checked")
+        detect.find_events(60.0, 30.0)
+        sizes = [len(roots) for _, roots, _ in calls]
+        assert max(sizes) <= dynamics.BLOCK_ROWS and sum(sizes) > dynamics.BLOCK_ROWS
 
 
 class TestSectorLeakage:
