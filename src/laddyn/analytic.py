@@ -62,9 +62,10 @@ def spectral_params(d: float) -> SpectralParams:
 
     nu is evaluated through the exact identity mu*nu = d^2 rather than the
     subtractive square root, which cancels catastrophically for small d.
-    Raises DomainError unless d > 0 and d^2 is a normal float, about
-    1.5e-154 <= d <= 1.3e154: below that nu underflows and eta_xi divides
-    by zero, above it d^2 overflows.
+    Raises DomainError outside about 1.5e-154 <= d <= 5.6e102: d must be
+    > 0 and d^2 a normal float, below which nu underflows and eta_xi divides
+    by zero, and omega*d^2, the prefactor of xi in eta_xi, must be finite,
+    above which |eta|^2 + |xi|^2 = 4 fails (by 4.0 at d = 1e103).
     """
     d = float(d)
     if not d > 0.0:
@@ -75,10 +76,11 @@ def spectral_params(d: float) -> SpectralParams:
     omega = math.sqrt(1.0 + d * d)
     mu = math.sqrt(2.0 + d * d + 2.0 * omega)
     nu = d * d / mu
-    if not (sys.float_info.min <= d * d < math.inf and math.isfinite(mu) and math.isfinite(nu)):
+    # om * d * d in the order eta_xi evaluates it
+    if not (sys.float_info.min <= d * d and math.isfinite(omega * d * d)):
         raise DomainError(
-            f"closed forms need d*d to be a normal float, about 1.5e-154 <= d <= "
-            f"1.3e154 (got {d})"
+            f"closed forms need d*d to be a normal float and omega*d*d finite, about "
+            f"1.5e-154 <= d <= 5.6e102 (got {d})"
         )
     return SpectralParams(d=d, omega=omega, mu=mu, nu=nu)
 
@@ -151,7 +153,12 @@ def correlation_formula(pair_class: PairClass, axes: str, t, d: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_event_index(n: int) -> int:
+def _check_event_index(n):
+    """n as an int, or an integer ndarray of indices as it is; each must be >= 0."""
+    if isinstance(n, np.ndarray) and n.dtype.kind in "iu":
+        if np.any(n < 0):
+            raise ValidationError(f"event indices n must be non-negative, got {n.min()}")
+        return n
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValidationError(f"event index n must be a non-negative integer, got {n!r}")
     return int(n)
@@ -175,16 +182,21 @@ def _event_time_base(d: float) -> float:
     return math.ldexp(round(math.ldexp(frac, 48)), exp - 48)
 
 
-def w_times(d: float, n: int) -> float:
-    """n-th time at which the evolved state is a W state: (2n+1)*pi/(mu+nu)."""
+def w_times(d: float, n):
+    """n-th time at which the evolved state is a W state: (2n+1)*pi/(mu+nu).
+
+    n is an int, or an integer ndarray that gives an array of times with the
+    bits of each int n.
+    """
     n = _check_event_index(n)
     return (2 * n + 1) * _event_time_base(d)
 
 
-def transfer_times(d: float, n: int) -> float:
+def transfer_times(d: float, n):
     """n-th time of complete entanglement transfer to the last rung.
 
     Equals (2n+1)*2*pi/(mu+nu); evaluated as 2*w_times so the documented
-    ratio t_w = t_tr/2 is exact in floating point as well.
+    ratio t_w = t_tr/2 is exact in floating point as well.  n is an int or
+    an integer ndarray, as in w_times.
     """
     return 2.0 * w_times(d, n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic, dynamics, measures, model
+from . import analytic, dynamics, linalg, measures, model
 from .errors import ValidationError
 
 #: the six unordered site pairs, and the four of them in the leg class
@@ -50,6 +50,14 @@ W_STATE = "w_state"
 
 _REFINE_WIDTH = 1e-10
 _MERGE_WINDOW = 1e-6
+
+#: fewest coarse scan points per period 4 pi/(mu+nu) of C_{3,4}.  A transfer
+#: bracket spans two steps, so at 3 points or fewer it can reach the roots of
+#: sin((mu+nu)t/2) at the minima of C_{3,4} either side of a maximum.  Measured
+#: at d = 1, 3 and 100: every transfer was found at each of 101 steps from 3.05
+#: to 8 points per period, and 0 to 66 of the 68 transfers of d = 1 up to
+#: t = 300 at 23 steps from 2.01 to 2.97 points; 4 leaves a third in reserve.
+SCAN_POINTS_PER_PERIOD = 4
 
 
 @dataclass(frozen=True)
@@ -102,33 +110,6 @@ def w_fidelity(amps):
     return np.array([s ** 2 / 4.0 for s in sums.tolist()])
 
 
-def _bisect(f, lo: float, hi: float, width: float) -> float | None:
-    """Root of f by bisection, or None when f does not change sign on [lo, hi].
-
-    Bisection stops once the bracket is no wider than width, or at float
-    resolution, where its midpoint equals lo or hi; width 0 bisects to there.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        return None
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _local_maxima(c: np.ndarray) -> np.ndarray:
     """Indices of interior points not below either neighbour (transfer candidates)."""
     return np.flatnonzero((c[1:-1] >= c[:-2]) & (c[1:-1] >= c[2:])) + 1
@@ -177,11 +158,36 @@ def _scan_blocks(prop: dynamics.Propagator, ts: np.ndarray) -> Iterator[tuple]:
         yield c_last, 2.0 * np.abs(b[:, 0] * b[:, 1]) - c_last
 
 
-def _refined_roots(f, brackets, t_max: float, width: float) -> list:
-    """(root, bracket) of each (lo, hi) bracket where f changes sign, up to t_max."""
-    # t_max as requested, not the grid's end, which can pass it by roundoff
-    roots = ((_bisect(f, lo, hi, width), (lo, hi)) for lo, hi in brackets)
-    return [(t, bracket) for t, bracket in roots if t is not None and t <= t_max]
+def _refined_roots(f, brackets: np.ndarray, t_max: float,
+                   width: float) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, brackets) of the (lo, hi) rows of brackets where f changes sign, up to t_max.
+
+    All rows are bisected together; f maps an array of times to an array.
+    Each row keeps the rules of a scalar bisection: an end where f is 0 is
+    the root, and a row whose ends f gives the same sign has none.  Else the
+    row is halved at 0.5 * (lo + hi), keeping the half over which f changes
+    sign, until it is no wider than width, or its midpoint equals lo or hi
+    (float resolution, so width 0 bisects to there), or f is 0 there; the
+    root is that midpoint.
+    """
+    lo, hi = brackets[:, 0], brackets[:, 1]
+    f_lo, f_hi = f(lo), f(hi)
+    roots = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, np.nan))
+    rows = np.flatnonzero((f_lo != 0.0) & (f_hi != 0.0) & ((f_lo > 0) != (f_hi > 0)))
+    lo, hi, up = lo[rows], hi[rows], f_lo[rows] > 0
+    while rows.size:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        done = ~((hi - lo > width) & (mid != lo) & (mid != hi)) | (f_mid == 0.0)
+        roots[rows[done]] = mid[done]
+        above = (f_mid > 0) == up  # f keeps its sign at lo up to mid
+        go = ~done
+        rows, up = rows[go], up[go]
+        lo, hi = np.where(above, mid, lo)[go], np.where(above, hi, mid)[go]
+    # t_max as requested, not the grid's end, which can pass it by roundoff; a
+    # row without a root holds NaN, which no comparison keeps
+    found = roots <= t_max
+    return roots[found], brackets[found]
 
 
 def _merge_events(events: list[EventRecord]) -> list[EventRecord]:
@@ -197,16 +203,19 @@ def _merge_events(events: list[EventRecord]) -> list[EventRecord]:
     return merged
 
 
-def _checked(prop: dynamics.Propagator, roots: list, check) -> list:
-    """check(t_stars, states, conc) of the roots' states and full-Wootters concurrences."""
-    if not roots:
-        return []
-    t_stars = [t for t, _ in roots]
+def _checked(prop: dynamics.Propagator, t_stars: np.ndarray, check) -> tuple[list, np.ndarray]:
+    """check(t_stars, states, conc) of the roots' states and full-Wootters concurrences.
+
+    check gives the EventRecords of the roots that pass, in root order, and
+    the mask of those roots.
+    """
+    if not t_stars.size:
+        return [], np.zeros(0, dtype=bool)
     # evolve per candidate, not evolve_states: evolve, like a one-row product,
     # takes numpy's vector path, whose bits can differ from a row of a product
     # of two or more rows, and the written residuals and fidelities are pinned
     # to these bits
-    states = np.array([dynamics.evolve(prop, t) for t in t_stars])
+    states = np.array([dynamics.evolve(prop, t) for t in t_stars.tolist()])
     conc = {pair: measures.concurrence_series(states, *pair) for pair in ALL_PAIRS}
     return check(t_stars, states, conc)
 
@@ -217,24 +226,20 @@ def _checked_events(prop: dynamics.Propagator, f, brackets: np.ndarray, t_max: f
 
     The brackets are taken dynamics.BLOCK_ROWS at a time.  Each one in which
     f changes sign is bisected to _REFINE_WIDTH in t, and the roots are
-    checked together: check(t_stars, states, conc) gives an EventRecord, or
-    None for a root that fails.  A root that fails is bisected on to float
+    checked together (_checked).  A root that fails is bisected on to float
     resolution and checked once more: a root up to 5e-11 off in t leaves a
     residual of up to the tested concurrences' slope, about d/2 near an
     event, times 5e-11, which exceeds tol = 1e-9 above d of about 40.
     """
     events = []
     for k in range(0, len(brackets), dynamics.BLOCK_ROWS):
-        roots = _refined_roots(f, brackets[k:k + dynamics.BLOCK_ROWS], t_max, _REFINE_WIDTH)
-        failed = []
-        for (_, bracket), event in zip(roots, _checked(prop, roots, check)):
-            if event is None:
-                failed.append(bracket)
-            else:
-                events.append(event)
-        if failed:
-            retried = _checked(prop, _refined_roots(f, failed, t_max, 0.0), check)
-            events += [event for event in retried if event is not None]
+        t_stars, found = _refined_roots(f, brackets[k:k + dynamics.BLOCK_ROWS], t_max,
+                                        _REFINE_WIDTH)
+        checked, passed = _checked(prop, t_stars, check)
+        events += checked
+        if not passed.all():
+            retried, _ = _refined_roots(f, found[~passed], t_max, 0.0)
+            events += _checked(prop, retried, check)[0]
     return _merge_events(events)
 
 
@@ -252,8 +257,28 @@ def find_events(d: float, t_max: float, coarse_dt: float = 0.01, tol: float = 1e
     scan holds the time grid, one block and the brackets, and the searches
     the brackets and their events.  Events at the same time keep that order,
     transfers first.  Empty if t_max is below the first event.
+
+    The searches bisect the closed forms of the default graph, so any other
+    graph must have its one-particle Hamiltonian within
+    linalg.HERMITICITY_TOL of the default's at d.  And coarse_dt must give at
+    least SCAN_POINTS_PER_PERIOD points per period 4 pi/(mu+nu) of C_{3,4}.
+    Either raises ValidationError before the scan.
     """
-    analytic.spectral_params(d)  # checks d is in the closed forms' domain before the scan
+    sp = analytic.spectral_params(d)  # checks d is in the closed forms' domain
+    if graph != model.DEFAULT_GRAPH:
+        params = model.ModelParams(d=d)
+        dev = np.max(np.abs(model.one_particle_hamiltonian(params, graph)
+                            - model.one_particle_hamiltonian(params)))
+        if dev > linalg.HERMITICITY_TOL:
+            raise ValidationError(
+                f"events are refined on the closed forms of the default ladder, and this "
+                f"topology's one-particle Hamiltonian differs from it by {dev:.3e} at d = {d:g}")
+    dt_max = 4.0 * math.pi / ((sp.mu + sp.nu) * SCAN_POINTS_PER_PERIOD)
+    if coarse_dt > dt_max:
+        raise ValidationError(
+            f"a scan step of {coarse_dt:g} undersamples C_34 at d = {d:g}: it needs "
+            f"{SCAN_POINTS_PER_PERIOD} points per period 4*pi/(mu+nu), so a step (--dt) "
+            f"of at most {dt_max:.6g}")
     prop = model.propagator(d, graph)
     # every block passes the sector check before either search starts
     transfer_brackets, w_brackets = _scan_brackets(prop, t_max, coarse_dt)
@@ -293,25 +318,18 @@ def find_transfer_events(prop: dynamics.Propagator, brackets: np.ndarray, d: flo
     s = sp.mu + sp.nu
 
     def check(t_stars, states, conc):
-        events = []
-        for k, t_star in enumerate(t_stars):
-            c_last_k, c_first_k = conc[(3, 4)][k], conc[(1, 2)][k]
-            c_leg = [conc[p][k] for p in LEG_CLASS_PAIRS]
-            residual = max(1.0 - c_last_k, c_first_k, *c_leg)
-            if c_last_k < 1.0 - tol or c_first_k > tol or any(c > tol for c in c_leg):
-                events.append(None)
-                continue
-            n = int(round((t_star * s / (2.0 * math.pi) - 1.0) / 2.0))
-            events.append(EventRecord(
-                kind=TRANSFER,
-                n=n,
-                t_detected=float(t_star),
-                t_predicted=analytic.transfer_times(d, n),
-                residual=float(residual),
-            ))
-        return events
+        c_last, c_first = conc[(3, 4)], conc[(1, 2)]
+        c_leg = np.array([conc[p] for p in LEG_CLASS_PAIRS])
+        # every value is +0.0 or above, so np.max has the bits of Python's max
+        residuals = np.max([1.0 - c_last, c_first, *c_leg], axis=0)
+        passed = ~((c_last < 1.0 - tol) | (c_first > tol) | np.any(c_leg > tol, axis=0))
+        t = t_stars[passed]
+        n = np.rint((t * s / (2.0 * math.pi) - 1.0) / 2.0).astype(int)
+        return [EventRecord(TRANSFER, *row) for row in zip(
+            n.tolist(), t.tolist(), analytic.transfer_times(d, n).tolist(),
+            residuals[passed].tolist())], passed
 
-    return _checked_events(prop, lambda t: math.sin(s * t / 2.0), brackets, t_max, check)
+    return _checked_events(prop, lambda t: np.sin(s * t / 2.0), brackets, t_max, check)
 
 
 def find_w_events(prop: dynamics.Propagator, brackets: np.ndarray, d: float,
@@ -329,27 +347,21 @@ def find_w_events(prop: dynamics.Propagator, brackets: np.ndarray, d: float,
     s = sp.mu + sp.nu
 
     def check(t_stars, states, conc):
-        residuals = [max(abs(c[k] - 0.5) for c in conc.values()) for k in range(len(t_stars))]
-        passed = [k for k, residual in enumerate(residuals) if not residual > tol]
-        events = [None] * len(t_stars)
-        if not passed:
-            return events
+        residuals = np.max([np.abs(c - 0.5) for c in conc.values()], axis=0)
+        passed = ~(residuals > tol)
+        if not passed.any():
+            return [], passed
         fids = w_fidelity(dynamics.one_particle_amplitudes(states[passed]))
-        for k, fid in zip(passed, fids.tolist()):
-            if fid < 1.0 - tol:
-                continue
-            n = int(round((t_stars[k] * s / math.pi - 1.0) / 2.0))
-            events[k] = EventRecord(
-                kind=W_STATE,
-                n=n,
-                t_detected=float(t_stars[k]),
-                t_predicted=analytic.w_times(d, n),
-                residual=float(residuals[k]),
-                fidelity=fid,
-            )
-        return events
+        fit = ~(fids < 1.0 - tol)
+        passed[passed] = fit
+        fids = fids[fit]
+        t = t_stars[passed]
+        n = np.rint((t * s / math.pi - 1.0) / 2.0).astype(int)
+        return [EventRecord(W_STATE, *row) for row in zip(
+            n.tolist(), t.tolist(), analytic.w_times(d, n).tolist(),
+            residuals[passed].tolist(), fids.tolist())], passed
 
-    return _checked_events(prop, lambda t: math.cos(s * t / 2.0), brackets, t_max, check)
+    return _checked_events(prop, lambda t: np.cos(s * t / 2.0), brackets, t_max, check)
 
 
 def _sweep_block(d: float, states: np.ndarray, ts: np.ndarray) -> np.recarray:

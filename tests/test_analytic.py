@@ -55,8 +55,9 @@ class TestSpectralParams:
 
     def test_domain_error_where_d_squared_is_not_normal(self):
         # below sqrt of the smallest normal float nu underflows and eta_xi divides
-        # by zero; above sqrt of the largest one d*d overflows
-        for bad in (1e-170, 1e-154, 2e154, 1e300, math.inf, math.nan):
+        # by zero; above the cube root of the largest one omega*d*d overflows, and
+        # |eta|^2 + |xi|^2 - 4 was 4.0 at d = 1e103
+        for bad in (1e-170, 1e-154, 1e103, 1e120, 2e154, 1e300, math.inf, math.nan):
             with pytest.raises(DomainError):
                 analytic.spectral_params(bad)
         for d in (1.5e-154, 1e-150, 1e100):
@@ -65,6 +66,20 @@ class TestSpectralParams:
 
 
 class TestEtaXi:
+    @given(log_d=st.floats(min_value=math.log(1.5e-154), max_value=math.log(5.6e102)),
+           t=st.floats(min_value=0.0, max_value=100.0))
+    @settings(max_examples=200, deadline=None)
+    def test_norm_identity_across_the_domain(self, log_d, t):
+        # every d that spectral_params accepts; the identity held to 5.3e-14 on
+        # 100,000 random (d, t) with t up to 300
+        eta, xi = analytic.eta_xi(t, math.exp(log_d))
+        assert abs(abs(eta) ** 2 + abs(xi) ** 2 - 4.0) < 1e-13
+
+    def test_domain_ends(self):
+        assert analytic.spectral_params(5.6e102)
+        with pytest.raises(DomainError, match="omega\\*d\\*d finite"):
+            analytic.spectral_params(5.7e102)
+
     def test_time_zero(self):
         for d in (0.2, 0.6, 1.0, 3.5):
             eta, xi = analytic.eta_xi(0.0, d)
@@ -207,6 +222,13 @@ class TestEventTimes:
             assert all(a > b for a, b in zip(vals, vals[1:]))
         assert analytic.w_times(0.5, 3) > analytic.w_times(0.5, 2)
 
+    def test_array_of_n_has_the_bits_of_each_n(self):
+        # the event search takes the times of a whole chunk of events at once
+        n = np.arange(20_000)
+        for d in (0.3, 1.0, 60.0):
+            for times in (analytic.w_times, analytic.transfer_times):
+                assert times(d, n).tolist() == [times(d, k) for k in range(n.size)]
+
     def test_validation(self):
         with pytest.raises(DomainError):
             analytic.transfer_times(0.0, 0)
@@ -214,6 +236,10 @@ class TestEventTimes:
             analytic.w_times(1.0, -1)
         with pytest.raises(ValidationError):
             analytic.w_times(1.0, 1.5)
+        with pytest.raises(ValidationError):
+            analytic.w_times(1.0, np.array([0, -1]))
+        with pytest.raises(ValidationError):
+            analytic.w_times(1.0, np.array([0.0, 1.0]))
 
 
 class TestClassifyPair:

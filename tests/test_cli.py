@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -136,6 +137,31 @@ class TestEventsCommand:
     def test_requires_positive_d(self):
         res = run_cli("events", "--d", "0", "--t-max", "5")
         assert res.returncode == 2
+
+    def test_undersampled_scan_exits_2_at_once(self, capsys):
+        # 0.04 scan points per period of C_34; this scan took 18 s and listed
+        # 22,378 of 6,752,373 events before the step was checked
+        start = time.process_time()
+        code = cli.main(["events", "--d", "1", "--t-max", "1e7", "--dt", "100"])
+        elapsed = time.process_time() - start
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "error: a scan step of 100 undersamples" in err
+        assert "a step (--dt) of at most 1.11072" in err
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize("legs, rungs", [
+        ([[3, 1], [2, 4]], [[1, 2], [2, 3], [3, 4], [4, 1]]),
+        ([[1, 3], [2, 4]], [[1, 2], [2, 3], [3, 4]]),
+    ], ids=["reversed_leg", "missing_rung"])
+    def test_topology_without_closed_forms_exits_2(self, tmp_path, legs, rungs):
+        # these topologies printed an empty table and exited 0
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"rungs": rungs, "legs": legs}))
+        res = run_cli("events", "--d", "1", "--t-max", "30", "--topology", str(topo))
+        assert res.returncode == 2
+        assert "error: events are refined on the closed forms of the default ladder" in res.stderr
+        assert res.stdout == "" and "Traceback" not in res.stderr
 
     def test_event_in_last_grid_step_is_listed(self, tmp_path):
         # t_tr(1, 0) = 2.2214... lies between the last grid point 2.22 and t_max
@@ -478,6 +504,14 @@ class TestVerifyCommand:
         assert res.returncode == 1
         assert "FAIL" in res.stdout
 
+    def test_undersampled_event_scan_fails(self):
+        # the 0.01 scan has 2.1 points per period at d = 300; it found 13 of the
+        # 143 transfers and event_count failed
+        res = run_cli("verify", "--d", "300", "--t-max", "3")
+        assert res.returncode == 1
+        assert "FAIL event_detection[d=300] (raised a scan step of 0.01 undersamples" in res.stdout
+        assert "event_count" not in res.stdout
+
     def test_pure_flip_caught_by_amplitude_oracle(self, tmp_path):
         topo = tmp_path / "flip.json"
         topo.write_text(json.dumps(
@@ -653,11 +687,13 @@ class TestMalformedInput:
     @pytest.mark.parametrize("command", [
         ("verify", "--d", "1e-170"),
         ("events", "--d", "1e300", "--t-max", "1"),
+        ("events", "--d", "1e103", "--t-max", "1"),
         ("evolve", "--d", "1e300", "--t-max", "1", "--output"),
+        ("evolve", "--d", "1e120", "--t-max", "1", "--output"),
         ("sweep", "--d", "1e300", "--t-max", "1", "--output"),
     ])
     def test_d_outside_closed_form_domain(self, tmp_path, command):
-        # d*d underflows or overflows, so the closed forms are not finite there
+        # d*d underflows, or omega*d*d overflows, so the closed forms fail there
         out = tmp_path / "x.csv"
         if command[-1] == "--output":
             command += (str(out),)

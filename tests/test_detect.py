@@ -279,18 +279,115 @@ def _bounded(f, max_calls=100):
     return bounded
 
 
+def _bisect(f, lo: float, hi: float, width: float) -> float | None:
+    """Root of f by bisection, or None when f does not change sign on [lo, hi].
+
+    The scalar reference that detect._refined_roots, which bisects a whole
+    array of brackets at once, is checked against.  Bisection stops once the
+    bracket is no wider than width, or at float resolution, where its midpoint
+    equals lo or hi; width 0 bisects to there.
+    """
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0) == (fhi > 0):
+        return None
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _array_roots(f, brackets, width):
+    """detect._refined_roots of the rows of brackets, with None for a row without a root."""
+    brackets = np.array(brackets, dtype=float).reshape(-1, 2)
+    roots, found = detect._refined_roots(f, brackets, math.inf, width)
+    # the rows with a root come back in bracket order, and equal rows have equal roots
+    out, k = [], 0
+    for row in brackets.tolist():
+        has_root = k < len(found) and found[k].tolist() == row
+        out.append(roots[k].item() if has_root else None)
+        k += has_root
+    assert k == len(found)
+    return out
+
+
+def _bits(roots):
+    return [None if t is None else float(t).hex() for t in roots]
+
+
 class TestRefinement:
     def test_bisection_stops_at_float_resolution(self):
         # near 2**30 adjacent floats are 2.4e-7 apart, wider than the 1e-10 width;
         # t - 2**30 is exact there and never 0.3, so no step lands on a zero
         lo = 2.0 ** 30
         for width in (detect._REFINE_WIDTH, 0.0):
-            t = detect._bisect(_bounded(lambda t: (t - lo) - 0.3), lo, lo + 1.0, width)
+            t = _bisect(_bounded(lambda t: (t - lo) - 0.3), lo, lo + 1.0, width)
             assert abs((t - lo) - 0.3) <= math.ulp(lo)
+            assert _array_roots(_bounded(lambda t: (t - lo) - 0.3), [lo, lo + 1.0], width) == [t]
 
     def test_zero_width_bisects_to_adjacent_floats(self):
-        t = detect._bisect(_bounded(math.cos), 1.5, 1.6, 0.0)
+        t = _bisect(_bounded(math.cos), 1.5, 1.6, 0.0)
         assert abs(t - math.pi / 2) <= math.ulp(math.pi / 2)
+        assert _array_roots(_bounded(np.cos), [1.5, 1.6], 0.0) == [t]
+
+    @given(base=st.sampled_from([0.0, 3.0, 2.0 ** 30]),
+           roots=st.lists(st.integers(0, 2 ** 10).map(lambda m: m / 2 ** 8)
+                          | st.floats(0.0, 4.0) | st.floats(0.0, 1e-10),
+                          min_size=1, max_size=2),
+           ends=st.lists(st.tuples(st.integers(0, 64).map(lambda m: m / 16) | st.floats(0.0, 4.0),
+                                   st.integers(0, 64).map(lambda m: m / 16) | st.floats(0.0, 4.0)),
+                         max_size=30),
+           width=st.sampled_from([detect._REFINE_WIDTH, 0.0]),
+           sign=st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_array_bisection_matches_scalar_oracle(self, base, roots, ends, width, sign):
+        # f = sign * prod(t - r) is evaluated with the same float operations on a
+        # scalar and on an array, so the two bisections see the same signs.  Many
+        # ends are multiples of 2**-4 above base and many roots multiples of 2**-8,
+        # so zeros at an end, at both ends (the brackets between and at the roots)
+        # and at a midpoint occur, as do brackets around both roots (no sign
+        # change), a bracket exactly width wide at base 0 and, near 2**30,
+        # brackets bisected to float resolution
+        roots = [base + r for r in roots]
+        brackets = [(base + min(a, b), base + max(a, b)) for a, b in ends]
+        brackets += [(min(roots), max(roots)), (roots[0], roots[0] + 0.0625),
+                     (roots[0] - 0.0625, roots[0]), (base, base + 1e-10)]
+
+        def f(t):
+            out = sign * (t - roots[0])
+            for r in roots[1:]:
+                out = out * (t - r)
+            return out
+
+        expected = [_bisect(f, lo, hi, width) for lo, hi in brackets]
+        assert _bits(_array_roots(f, brackets, width)) == _bits(expected)
+
+    @pytest.mark.parametrize("d, t_max", [(0.3, 300.0), (1.0, 300.0), (3.0, 300.0),
+                                          (60.0, 30.0), (100.0, 3.0)])
+    def test_closed_form_roots_match_scalar_oracle(self, d, t_max):
+        # the searches' own functions: the oracle takes math.sin and math.cos of
+        # each time, the array bisection np.sin and np.cos of a whole chunk
+        sp = analytic.spectral_params(d)
+        s = sp.mu + sp.nu
+        transfer, w = detect._scan_brackets(model.propagator(d), t_max, 0.01)
+        for brackets, scalar, array in ((transfer, math.sin, np.sin), (w, math.cos, np.cos)):
+            for width in (detect._REFINE_WIDTH, 0.0):
+                expected = [_bisect(lambda t: scalar(s * t / 2.0), lo, hi, width)
+                            for lo, hi in brackets.tolist()]
+                got = _array_roots(lambda t: array(s * t / 2.0), brackets, width)
+                assert None not in expected
+                assert _bits(got) == _bits(expected)
 
     @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
     def test_pinned_candidates_take_no_extra_steps(self, monkeypatch, d):
@@ -327,6 +424,62 @@ class TestRefinement:
         detect.find_events(60.0, 30.0)
         sizes = [len(roots) for _, roots, _ in calls]
         assert max(sizes) <= dynamics.BLOCK_ROWS and sum(sizes) > dynamics.BLOCK_ROWS
+
+
+class TestScanSampling:
+    def test_undersampled_scan_is_refused(self, monkeypatch):
+        # d = 300 at dt 0.01 gives 2.1 points per period 4 pi/(mu+nu): the scan
+        # found 13 of 143 transfers there; d = 1 at dt 100 gives 0.04 points, and
+        # its scan to t = 1e7 listed 22,378 of 6,752,373 events in 18 s
+        reached = _record_calls(monkeypatch, "_scan_brackets")
+        for d, t_max, dt in ((300.0, 3.0, 0.01), (1.0, 1e7, 100.0)):
+            sp = analytic.spectral_params(d)
+            dt_max = 4.0 * math.pi / ((sp.mu + sp.nu) * detect.SCAN_POINTS_PER_PERIOD)
+            with pytest.raises(ValidationError, match=f"at most {dt_max:.6g}"):
+                detect.find_events(d, t_max, dt)
+            with pytest.raises(ValidationError):
+                detect.find_events(d, t_max, math.nextafter(dt_max, math.inf))
+        assert reached == []
+
+    def test_largest_allowed_step_is_accepted(self):
+        # exactly SCAN_POINTS_PER_PERIOD points per period at d = 1
+        dt_max = 4.0 * math.pi / (2.0 * math.sqrt(2.0) * detect.SCAN_POINTS_PER_PERIOD)
+        dt = math.nextafter(dt_max, 0.0)
+        assert detect.find_events(1.0, 30.0, dt)
+
+    def test_fine_scan_at_d_300_finds_every_event(self):
+        # 5.2 points per period; the residuals reach 9.3e-10 of the 1e-9 tolerance
+        events = detect.find_events(300.0, 3.0, 0.004)
+        trs = [e for e in events if e.kind == detect.TRANSFER]
+        ws = [e for e in events if e.kind == detect.W_STATE]
+        assert [e.n for e in trs] == list(range(143))
+        assert [e.n for e in ws] == list(range(286))
+        # the closed-form counts up to t_max
+        assert analytic.transfer_times(300.0, 142) <= 3.0 < analytic.transfer_times(300.0, 143)
+        assert analytic.w_times(300.0, 285) <= 3.0 < analytic.w_times(300.0, 286)
+        assert all(e.residual <= 1e-9 for e in events)
+
+
+class TestTopology:
+    @pytest.mark.parametrize("graph", [
+        model.CouplingGraph(rung_bonds=((1, 2), (2, 3), (3, 4), (4, 1)),
+                            leg_bonds=((3, 1), (2, 4))),
+        model.CouplingGraph(rung_bonds=((1, 2), (2, 3), (3, 4)), leg_bonds=((1, 3), (2, 4))),
+    ], ids=["reversed_leg", "missing_rung"])
+    def test_graph_without_the_closed_forms_is_refused(self, monkeypatch, graph):
+        # the refinement bisects the default ladder's closed forms, which found
+        # no event of these graphs: events --d 1 --t-max 30 printed an empty table
+        reached = _record_calls(monkeypatch, "_scan_brackets")
+        with pytest.raises(ValidationError, match="one-particle Hamiltonian differs"):
+            detect.find_events(1.0, 30.0, graph=graph)
+        assert reached == []
+
+    def test_relabelled_default_graph_is_accepted(self):
+        # rung order and the order within a rung do not change the Hamiltonian
+        graph = model.CouplingGraph(rung_bonds=((4, 1), (4, 3), (2, 1), (3, 2)),
+                                    leg_bonds=((2, 4), (1, 3)))
+        assert graph != model.DEFAULT_GRAPH
+        assert detect.find_events(1.0, 30.0, graph=graph) == detect.find_events(1.0, 30.0)
 
 
 class TestSectorLeakage:

