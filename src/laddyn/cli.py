@@ -190,14 +190,13 @@ def _budgeted_time_grid(cfg: RunConfig, n_d: int, command: str) -> np.ndarray:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return format(float(x), ".17g")
+#: the CSV line of an event row per kind: '%d' % n is str(n), and '%.17g' % x is
+#: format(x, '.17g'), -0, inf and nan included.  A transfer has no fidelity, so
+#: its line ends in an empty field.
+_EVENT_LINES = {
+    detect.TRANSFER: f"{detect.TRANSFER},%d,%.17g,%.17g,%.17g,\n",
+    detect.W_STATE: f"{detect.W_STATE},%d,%.17g,%.17g,%.17g,%.17g\n",
+}
 
 
 def _json_value(v):
@@ -265,7 +264,8 @@ def _encode_table(fh, columns, rows, fmt: str) -> None:
     """Write a table as CSV or JSON to the open text file fh, a block of rows at a time.
 
     rows is a structured array of float64 fields, a detect.BlockTable of
-    such arrays, or for events a short list of mixed str/int/float/None rows.
+    such arrays, or for events a list of [kind, n, t_predicted, t_detected,
+    residual, fidelity] rows, written in CSV through _EVENT_LINES.
     """
     floats = not isinstance(rows, list)
     if fmt == "csv":
@@ -275,7 +275,8 @@ def _encode_table(fh, columns, rows, fmt: str) -> None:
             line = ",".join(["%.17g"] * len(columns)) + "\n"
             fh.writelines(_encoded_blocks(rows, lambda block: "".join([line % r for r in block])))
         else:
-            fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+            fh.writelines(_EVENT_LINES[row[0]] % tuple(row[1:5] if row[5] is None else row[1:])
+                          for row in rows)
     else:
         # the bytes of one json.dumps of {"schema", "columns", "rows"} with
         # sort_keys=True and separators=(",", ":"), NaN and Infinity included,

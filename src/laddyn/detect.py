@@ -190,6 +190,25 @@ def _refined_roots(f, brackets: np.ndarray, t_max: float,
     return roots[found], brackets[found]
 
 
+def _widened_without_root(f, brackets: np.ndarray) -> np.ndarray:
+    """brackets, with each (lo, hi) row over which f has no sign change widened by hi - lo.
+
+    A W bracket is the scan step where the numeric C_{1,2} - C_{3,4} changes
+    sign.  Where a root lies within roundoff of a grid point, as on a grid
+    commensurate with the W spacing, the closed form can take the other sign
+    there, and its root lies in the step before or after; the widened row,
+    which starts no earlier than t = 0, holds it.  A root found twice is
+    merged (_merge_events).
+    """
+    lo, hi = brackets[:, 0], brackets[:, 1]
+    f_lo, f_hi = f(lo), f(hi)
+    stuck = (f_lo != 0.0) & (f_hi != 0.0) & ((f_lo > 0) == (f_hi > 0))
+    step = hi[stuck] - lo[stuck]
+    widened = brackets.copy()
+    widened[stuck] = np.column_stack((np.maximum(lo[stuck] - step, 0.0), hi[stuck] + step))
+    return widened
+
+
 def _merge_events(events: list[EventRecord]) -> list[EventRecord]:
     """Collapse detections closer than the merge window, keeping the smaller residual."""
     events = sorted(events, key=lambda e: e.t_detected)
@@ -361,7 +380,10 @@ def find_w_events(prop: dynamics.Propagator, brackets: np.ndarray, d: float,
             n.tolist(), t.tolist(), analytic.w_times(d, n).tolist(),
             residuals[passed].tolist(), fids.tolist())], passed
 
-    return _checked_events(prop, lambda t: np.cos(s * t / 2.0), brackets, t_max, check)
+    def f(t):
+        return np.cos(s * t / 2.0)
+
+    return _checked_events(prop, f, _widened_without_root(f, brackets), t_max, check)
 
 
 def _sweep_block(d: float, states: np.ndarray, ts: np.ndarray) -> np.recarray:

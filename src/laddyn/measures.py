@@ -16,9 +16,9 @@ from . import model
 from .errors import NumericalFailureError, ValidationError
 from .linalg import N_SITES, check_sites, pair_marginal_factors, require_normalized
 
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-#: sigma_y (x) sigma_y, a real symmetric matrix
-_YY = np.kron(_SY, _SY).real
+#: sigma_y (x) sigma_y is the real anti-diagonal (-1, 1, 1, -1), so M @ (sy (x) sy)
+#: is M with its columns reversed and signed: M[..., ::-1] * _YY_SIGNS
+_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 #: relative rank cutoff for density-matrix eigenvalues (trace is 1)
 _RANK_TOL = 64.0 * np.finfo(float).eps
@@ -33,9 +33,10 @@ def _wootters_from_factors(z) -> np.ndarray:
     The Wootters lambdas are the singular values of the complex symmetric
     matrix z^T (sy (x) sy) z, whose squared spectrum equals that of
     rho (sy (x) sy) rho* (sy (x) sy); the factored form avoids squaring and
-    keeps full precision at rank-deficient rho.
+    keeps full precision at rank-deficient rho.  The product with sy (x) sy
+    is a signed column permutation, with the bits of the dense matmul.
     """
-    w = z.swapaxes(-1, -2) @ _YY @ z
+    w = (z.swapaxes(-1, -2)[..., ::-1] * _YY_SIGNS) @ z
     lam = np.linalg.svd(w, compute_uv=False)  # descending
     raw = lam[..., 0] - lam[..., 1:].sum(axis=-1)
     # negative raw values are ordinary (separable mixed states); the max
@@ -138,7 +139,13 @@ def two_point_correlation(psi, p: int, q: int, alpha: str, beta: str) -> float:
 
 
 def total_spin_series(states, alpha: str) -> np.ndarray:
-    """<sum_p S^alpha_p> for a stack of states."""
+    """<sum_p S^alpha_p> for a stack of states.
+
+    S^z_tot is diagonal and is contracted on its diagonal, with the bits of
+    the dense contraction; S^x_tot and S^y_tot are contracted dense.
+    """
     op = model.total_spin_operator(alpha)
     psi = np.asarray(states, dtype=complex)
+    if alpha == "z":
+        return np.einsum("...j,...j->...", psi.conj() * op.diagonal().real, psi).real
     return np.einsum("...i,ij,...j->...", psi.conj(), op, psi).real

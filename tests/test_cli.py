@@ -414,6 +414,37 @@ class TestWriteTable:
             assert fh.read() == expected
 
 
+def _fmt(x) -> str:
+    # the per-value event formatter that the per-kind line templates replaced
+    if x is None:
+        return ""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, str):
+        return x
+    return format(float(x), ".17g")
+
+
+class TestEventLines:
+    COLUMNS = ["kind", "n", "t_predicted", "t_detected", "residual", "fidelity"]
+
+    def test_templates_have_the_bytes_of_per_value_formatting(self):
+        rows = [
+            [detect.TRANSFER, 0, -0.0, math.nan, math.inf, None],
+            [detect.W_STATE, 7, math.nan, -0.0, 5e-324, -0.0],
+            [detect.W_STATE, np.int64(2 ** 40), -math.inf, 1e308, np.float64(1 / 3), math.nan],
+            [detect.TRANSFER, 12, 0.1, 2.0 ** 53, 1e16, None],
+        ]
+        rows += [[e.kind, e.n, e.t_predicted, e.t_detected, e.residual, e.fidelity]
+                 for e in detect.find_events(1.0, 30.0)]
+        assert {row[0] for row in rows} == {detect.TRANSFER, detect.W_STATE}
+        buf = io.StringIO()
+        cli._encode_table(buf, self.COLUMNS, rows, "csv")
+        lines = ["# laddyn schema v1", ",".join(self.COLUMNS)]
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        assert buf.getvalue() == "\n".join(lines) + "\n"
+
+
 class TestStreamedOutput:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_writer_holds_one_block_at_a_time(self, tmp_path, fmt):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laddyn import analytic, cli, detect, dynamics, measures, model
@@ -458,6 +458,49 @@ class TestScanSampling:
         assert analytic.transfer_times(300.0, 142) <= 3.0 < analytic.transfer_times(300.0, 143)
         assert analytic.w_times(300.0, 285) <= 3.0 < analytic.w_times(300.0, 286)
         assert all(e.residual <= 1e-9 for e in events)
+
+
+def _closed_form_counts(d, t_max):
+    # the transfer and W counts `verify` expects up to t_max (cli._verify_events):
+    # transfers at (2n+1) 2 pi/s and W events at (2n+1) pi/s, s = mu + nu
+    sp = analytic.spectral_params(d)
+    s = sp.mu + sp.nu
+    n_tr = int((t_max * s / (2 * math.pi) - 1) // 2) + 1 if t_max * s >= 2 * math.pi else 0
+    n_w = int((t_max * s / math.pi - 1) // 2) + 1 if t_max * s >= math.pi else 0
+    return n_tr, n_w
+
+
+#: d where t_w(0) = 1, 1/2 and 1/4, so every W time lies on the default 0.01 grid.
+#: There the numeric C_12 - C_34 at a grid point within roundoff of a root can
+#: pick the step after it while the closed form puts the root in the step
+#: before; the scan listed 36/150, 71/300 and 145/600 W events up to t = 300
+COMMENSURATE_DS = (1.2113633229846195, 2.9781881070693568, 6.203097420189161)
+
+
+class TestCommensurateGrid:
+    @pytest.mark.parametrize("d, t_w0, n_transfer", zip(COMMENSURATE_DS, (1.0, 0.5, 0.25),
+                                                        (75, 150, 300)))
+    def test_every_w_event_is_listed(self, d, t_w0, n_transfer):
+        assert analytic.w_times(d, 0) == t_w0
+        events = detect.find_events(d, 300.0)
+        trs = [e for e in events if e.kind == detect.TRANSFER]
+        ws = [e for e in events if e.kind == detect.W_STATE]
+        assert _closed_form_counts(d, 300.0) == (n_transfer, 2 * n_transfer)
+        assert [e.n for e in trs] == list(range(n_transfer))
+        assert [e.n for e in ws] == list(range(2 * n_transfer))
+        assert all(e.residual <= 1e-9 for e in events)
+
+    @given(d=st.floats(min_value=math.log(0.05), max_value=math.log(40.0)).map(math.exp),
+           t_max=st.floats(min_value=1.0, max_value=60.0))
+    @example(d=COMMENSURATE_DS[0], t_max=60.0)
+    @example(d=COMMENSURATE_DS[1], t_max=60.0)
+    @example(d=COMMENSURATE_DS[2], t_max=60.0)
+    @settings(max_examples=100, deadline=None)
+    def test_counts_match_the_closed_form(self, d, t_max):
+        events = detect.find_events(d, t_max)
+        counts = (sum(e.kind == detect.TRANSFER for e in events),
+                  sum(e.kind == detect.W_STATE for e in events))
+        assert counts == _closed_form_counts(d, t_max)
 
 
 class TestTopology:

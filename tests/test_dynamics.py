@@ -118,6 +118,62 @@ class TestEvolvedBlocks:
         assert np.array_equal(np.concatenate(states), dynamics.evolve_states(prop, ts))
 
 
+def _exp_phase_states(prop, ts):
+    # the complex-exponential phases that evolve_states replaced by cos - i sin,
+    # kept as its oracle
+    phases = np.exp(-1j * np.outer(ts, prop.eig.eigenvalues))
+    return (phases * prop.coefficients) @ prop.eig.eigenvectors.T
+
+
+# |t| log-uniform in [1e-6, 1e9], either sign, and t = 0
+signed_times = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=math.log(1e-6), max_value=math.log(1e9)).map(math.exp).flatmap(
+        lambda t: st.sampled_from([t, -t])),
+)
+
+
+class TestPhaseOracle:
+    @given(d=st.one_of(st.just(0.0),
+                       st.floats(min_value=math.log(1e-2), max_value=math.log(1e6)).map(math.exp)),
+           ts=st.lists(signed_times, min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_states_have_the_bits_of_the_exponential_form(self, d, ts):
+        # one-row stacks included: the phases are elementwise, so the rows agree
+        # whatever path the product takes
+        prop = model.propagator(d)
+        states = dynamics.evolve_states(prop, ts)
+        expected = _exp_phase_states(prop, np.asarray(ts))
+        assert states.dtype == expected.dtype and states.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
+    def test_grid_states_have_the_bits_of_the_exponential_form(self, d):
+        prop = model.propagator(d)
+        ts = 0.01 * np.arange(dynamics.BLOCK_ROWS)
+        assert dynamics.evolve_states(prop, ts).tobytes() == _exp_phase_states(prop, ts).tobytes()
+
+
+class TestSectorLeakage:
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           n=st.integers(min_value=1, max_value=20),
+           weight=st.floats(min_value=math.log(1e-30), max_value=0.0).map(math.exp))
+    @settings(max_examples=100, deadline=None)
+    def test_same_decision_as_the_modulus_form(self, seed, n, weight):
+        # re^2 + im^2 replaced abs()**2; both round a sum of 12 squares, so they
+        # differ by a few ulps and decide alike away from the tolerance
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=(n, 16)) + 1j * rng.normal(size=(n, 16))
+        outside = np.ones(16, dtype=bool)
+        outside[list(linalg.ONE_PARTICLE_INDICES)] = False
+        psi[:, outside] *= math.sqrt(weight) / np.linalg.norm(psi[:, outside], axis=1)[:, None]
+        modulus = float(np.sum(np.abs(psi[..., outside]) ** 2, axis=-1).max())
+        leaked = dynamics.sector_leakage(psi)
+        ulps = 8 * np.finfo(float).eps
+        assert abs(leaked - modulus) <= ulps * modulus
+        tol = dynamics.DEFAULT_LEAKAGE_TOL
+        assert (leaked > tol) == (modulus > tol) or abs(modulus - tol) <= ulps * tol
+
+
 class TestOneParticleAmplitudes:
     def test_initial_state(self):
         b = dynamics.one_particle_amplitudes(model.initial_state())

@@ -147,6 +147,86 @@ class TestTotalSpin:
         assert abs(measures.total_spin_series(psi[None], "z")[0] - 2.0) < 1e-14
 
 
+_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+#: the dense sigma_y (x) sigma_y that _wootters_from_factors replaced by a signed
+#: column permutation, kept as its oracle
+_YY = np.kron(_SY, _SY).real
+
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+def _svd_inputs(monkeypatch):
+    """The matrices np.linalg.svd is called with, in call order."""
+    seen, svd = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return seen
+
+
+class TestSignedPermutationOracle:
+    @given(seed=seeds, n=st.integers(min_value=1, max_value=30),
+           rank=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=200, deadline=None)
+    def test_product_has_the_bits_of_the_dense_product(self, seed, n, rank):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+        z[..., rank:] = 0.0
+        # trace z z^dagger, the state's weight, up to 1
+        z *= 10.0 ** rng.uniform(-8.0, 0.0, size=(n, 1, 1)) / np.linalg.norm(
+            z, axis=(-2, -1), keepdims=True)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = _svd_inputs(mp)
+            conc = measures._wootters_from_factors(z)
+        expected = z.swapaxes(-1, -2) @ _YY @ z
+        assert len(seen) == 1 and seen[0].tobytes() == expected.tobytes()
+        lam = np.linalg.svd(expected, compute_uv=False)
+        raw = lam[..., 0] - lam[..., 1:].sum(axis=-1)
+        assert conc.tobytes() == np.clip(raw, 0.0, 1.0).tobytes()
+
+    @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
+    def test_evolved_pairs_have_the_bits_of_the_dense_product(self, monkeypatch, d):
+        states = dynamics.evolve_states(model.propagator(d), 0.01 * np.arange(300))
+        seen = _svd_inputs(monkeypatch)
+        for pair in ALL_PAIRS:
+            measures.concurrence_series(states, *pair)
+        assert len(seen) == len(ALL_PAIRS)
+        for pair, w in zip(ALL_PAIRS, seen):
+            a = linalg.pair_marginal_factors(states, *pair)
+            rhos = a @ a.conj().swapaxes(-1, -2)
+            ev, v = np.linalg.eigh(rhos)
+            ev = np.where(ev < measures._RANK_TOL, 0.0, ev)
+            z = v * np.sqrt(ev)[..., None, :]
+            assert w.tobytes() == (z.swapaxes(-1, -2) @ _YY @ z).tobytes(), pair
+
+
+def _dense_total(psi, alpha):
+    # the dense contraction that total_spin_series replaced for S^z_tot, its oracle
+    return np.einsum("...i,ij,...j->...", psi.conj(), model.total_spin_operator(alpha), psi).real
+
+
+class TestTotalSpinOracle:
+    @given(seed=seeds, n=st.integers(min_value=1, max_value=30))
+    @settings(max_examples=200, deadline=None)
+    def test_diagonal_z_has_the_bits_of_the_dense_contraction(self, seed, n):
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=(n, 16)) + 1j * rng.normal(size=(n, 16))
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        for states in (psi, psi[0]):
+            for a in model.AXES:
+                got = measures.total_spin_series(states, a)
+                assert got.tobytes() == _dense_total(states, a).tobytes(), a
+
+    @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
+    def test_evolved_z_has_the_bits_of_the_dense_contraction(self, d):
+        states = dynamics.evolve_states(model.propagator(d), 0.01 * np.arange(1000))
+        got = measures.total_spin_series(states, "z")
+        assert got.tobytes() == _dense_total(states, "z").tobytes()
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("d", [0.2, 0.6, 1.0, 1.5, 2.0])
     def test_numeric_matches_closed_forms(self, d):
