@@ -16,16 +16,7 @@ from .analytic import (
     transfer_times,
     w_times,
 )
-from .detect import (
-    ALL_PAIRS,
-    LEG_CLASS_PAIRS,
-    BlockTable,
-    EventRecord,
-    find_events,
-    sweep,
-    w_fidelity,
-    w_time_curves,
-)
+from .detect import EventRecord, find_events, w_fidelity, w_time_curves
 from .dynamics import (
     Propagator,
     evolve,
@@ -57,7 +48,9 @@ from .model import (
     propagator,
     spin_operator,
 )
+from .tables import ALL_PAIRS, LEG_CLASS_PAIRS, BlockTable, sweep
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# tables' public names are exported above; the module is reached as laddyn.tables
+__all__ = [name for name in dir() if not name.startswith("_") and name != "tables"]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytic, detect, dynamics, measures, model
+from . import analytic, detect, dynamics, measures, model, tables
 from .errors import DomainError, LaddynError, ValidationError
 from .linalg import check_sites
 
@@ -44,7 +44,7 @@ class RunConfig:
     d_grid: list[float] | None = None
     t_max: float = 30.0
     dt: float = 0.01
-    pairs: list[tuple[int, int]] = field(default_factory=lambda: list(detect.ALL_PAIRS))
+    pairs: list[tuple[int, int]] = field(default_factory=lambda: list(tables.ALL_PAIRS))
     tolerance: float = 1e-9
     output: str | None = None
     format: str = "csv"
@@ -199,28 +199,14 @@ _EVENT_LINES = {
 }
 
 
-def _json_value(v):
-    if v is None or isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return float(v)
-
-
 def _compact_json(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
-def _encoded_blocks(rows, encode):
-    """encode(rows as a list of tuples) for at most dynamics.BLOCK_ROWS rows at a time.
-
-    rows is a structured array or an iterable of them (a detect.BlockTable).
-    The blocks of the evolve and sweep tables come from dynamics.evolved_blocks
-    and are encoded whole; a longer array is encoded in BLOCK_ROWS slices.
-    """
-    for block in [rows] if isinstance(rows, np.ndarray) else rows:
-        for k in range(0, len(block), dynamics.BLOCK_ROWS):
-            yield encode(block[k:k + dynamics.BLOCK_ROWS].tolist())
+def _encoded_blocks(table, encode):
+    """encode(block as a list of tuples) for each block of a tables.BlockTable, in order."""
+    for block in table:
+        yield encode(block.tolist())
         del block  # hold no block while the next one is computed
 
 
@@ -263,11 +249,11 @@ def _replace_on_success(path: str):
 def _encode_table(fh, columns, rows, fmt: str) -> None:
     """Write a table as CSV or JSON to the open text file fh, a block of rows at a time.
 
-    rows is a structured array of float64 fields, a detect.BlockTable of
-    such arrays, or for events a list of [kind, n, t_predicted, t_detected,
-    residual, fidelity] rows, written in CSV through _EVENT_LINES.
+    rows is a tables.BlockTable of structured arrays of float64 fields, or
+    for events a list of [kind, n, t_predicted, t_detected, residual,
+    fidelity] rows, written in CSV through _EVENT_LINES.
     """
-    floats = not isinstance(rows, list)
+    floats = isinstance(rows, tables.BlockTable)
     if fmt == "csv":
         fh.write(f"{SCHEMA_COMMENT}\n{','.join(columns)}\n")
         if floats:
@@ -285,7 +271,7 @@ def _encode_table(fh, columns, rows, fmt: str) -> None:
         if floats:
             texts = _encoded_blocks(rows, lambda block: _compact_json(block)[1:-1])
         else:
-            texts = [_compact_json([[_json_value(v) for v in row] for row in rows])[1:-1]]
+            texts = [_compact_json(rows)[1:-1]]
         sep = ""
         for text in texts:
             fh.write(sep)
@@ -307,86 +293,21 @@ def _curves_path(output: str, fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evolve
+# evolve, events, sweep
 # ---------------------------------------------------------------------------
-
-def _evolve_block(states: np.ndarray, ts: np.ndarray, d: float, pairs: list,
-                  with_analytic: bool, names: list) -> np.recarray:
-    """The evolve table rows of one block of time points."""
-    conc = {pair: measures.concurrence_series(states, *pair) for pair in pairs}
-    chi = {}
-    for cls, rep in detect.CLASS_REPRESENTATIVE.items():
-        for axes in ("xx", "yy", "zz"):
-            chi[(cls, axes)] = measures.correlation_series(states, *rep, axes[0], axes[1])
-
-    cols = {"t": ts}
-    cols.update((f"c_{p}{q}", conc[(p, q)]) for (p, q) in pairs)
-    if with_analytic:
-        conc_an = {pair: analytic.concurrence_formula(analytic.classify_pair(*pair), ts, d)
-                   for pair in pairs}
-        cols.update((f"c_an_{p}{q}", conc_an[(p, q)]) for (p, q) in pairs)
-    for (cls, axes), values in chi.items():
-        cols[f"chi_{axes}_{detect.CLASS_COLUMN[cls]}"] = values
-    for a in model.AXES:
-        cols[f"s_tot_{a}"] = measures.total_spin_series(states, a)
-
-    if with_analytic:
-        # oracle set: concurrences, rung correlations, leg zz (leg xx/yy vs the
-        # tabulated form is a reported adjudication, kept out of max_dev)
-        devs = [np.abs(conc[p] - conc_an[p]) for p in pairs]
-        for cls in (analytic.PairClass.FIRST_RUNG, analytic.PairClass.LAST_RUNG):
-            for axes in ("xx", "yy", "zz"):
-                devs.append(np.abs(chi[(cls, axes)] - analytic.correlation_formula(cls, axes, ts, d)))
-        devs.append(np.abs(chi[(analytic.PairClass.LEG, "zz")]))
-        cols["max_dev"] = np.max(devs, axis=0)
-        leg_table = analytic.correlation_formula(analytic.PairClass.LEG, "xx", ts, d)
-        cols["leg_xx_table_dev"] = np.maximum(
-            np.abs(chi[(analytic.PairClass.LEG, "xx")] - leg_table),
-            np.abs(chi[(analytic.PairClass.LEG, "yy")] - leg_table),
-        )
-    return np.rec.fromarrays([cols[name] for name in names], names=names)
-
-
-def _evolve_table(cfg: RunConfig, graph: model.CouplingGraph) -> detect.BlockTable:
-    """The evolve table, computed dynamics.BLOCK_ROWS time points at a time as it is read."""
-    if cfg.d is None:
-        raise ValidationError("evolve requires --d (0 is allowed, numeric-only)")
-    d = cfg.d
-    ts = dynamics.time_grid(0.0, cfg.t_max, cfg.dt)
-    with_analytic = d > 0.0
-    if with_analytic:
-        analytic.spectral_params(d)  # refuses a d outside the closed forms' domain
-    prop = model.propagator(d, graph)
-    pairs = [tuple(p) for p in cfg.pairs]
-    names = ["t", *(f"c_{p}{q}" for p, q in pairs)]
-    if with_analytic:
-        names += [f"c_an_{p}{q}" for p, q in pairs]
-    names += [f"chi_{axes}_{detect.CLASS_COLUMN[cls]}" for cls in detect.CLASS_REPRESENTATIVE
-              for axes in ("xx", "yy", "zz")]
-    names += [f"s_tot_{a}" for a in model.AXES]
-    if with_analytic:
-        names += ["max_dev", "leg_xx_table_dev"]
-
-    def blocks():
-        for rows, states in dynamics.evolved_blocks(prop, ts):
-            yield _evolve_block(states, ts[rows], d, pairs, with_analytic, names)
-
-    return detect.BlockTable(tuple(names), ts.size, blocks)
-
 
 def cmd_evolve(cfg: RunConfig) -> int:
     if cfg.output is None:
         raise ValidationError("evolve requires --output")
     graph = _load_topology(cfg.topology)
-    table = _evolve_table(cfg, graph)
+    if cfg.d is None:
+        raise ValidationError("evolve requires --d (0 is allowed, numeric-only)")
+    ts = dynamics.time_grid(0.0, cfg.t_max, cfg.dt)
+    table = tables.evolve_table(cfg.d, ts, cfg.pairs, graph)
     _write_table(cfg.output, table.names, table, cfg.format)
     print(f"wrote {len(table)} rows to {cfg.output}")
     return EXIT_OK
 
-
-# ---------------------------------------------------------------------------
-# events
-# ---------------------------------------------------------------------------
 
 def cmd_events(cfg: RunConfig) -> int:
     if cfg.d is None or cfg.d <= 0.0:
@@ -394,10 +315,7 @@ def cmd_events(cfg: RunConfig) -> int:
     graph = _load_topology(cfg.topology)
     records = detect.find_events(cfg.d, cfg.t_max, cfg.dt, cfg.tolerance, graph)
     columns = ["kind", "n", "t_predicted", "t_detected", "residual", "fidelity"]
-    rows = [
-        [e.kind, e.n, e.t_predicted, e.t_detected, e.residual, e.fidelity]
-        for e in records
-    ]
+    rows = [[e.kind, e.n, e.t_predicted, e.t_detected, e.residual, e.fidelity] for e in records]
     if cfg.output:
         _write_table(cfg.output, columns, rows, cfg.format)
         print(f"wrote {len(rows)} events to {cfg.output}")
@@ -406,30 +324,23 @@ def cmd_events(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# sweep
-# ---------------------------------------------------------------------------
-
 def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.d_grid is None:
-        if cfg.d is None:
-            raise ValidationError("sweep requires --d-grid or --d")
-        d_grid = [cfg.d]
-    else:
-        d_grid = cfg.d_grid
+    if cfg.d_grid is None and cfg.d is None:
+        raise ValidationError("sweep requires --d-grid or --d")
+    d_grid = [cfg.d] if cfg.d_grid is None else cfg.d_grid
     if cfg.output is None:
         raise ValidationError("sweep requires --output")
     graph = _load_topology(cfg.topology)
     ts = _budgeted_time_grid(cfg, len(d_grid), "sweep")
-    table = detect.sweep(d_grid, ts, graph)
+    table = tables.sweep(d_grid, ts, graph)
     # before any output: the closed forms refuse a d outside their domain
     curves = detect.w_time_curves(d_grid, cfg.n_max)
     _write_table(cfg.output, table.names, table, cfg.format)
 
-    curve_table = np.rec.fromarrays(
-        [d_grid, *curves], names=["d"] + [f"t_w_n{n}" for n in range(cfg.n_max + 1)])
+    curve_table = tables.BlockTable.from_array(np.rec.fromarrays(
+        [d_grid, *curves], names=["d"] + [f"t_w_n{n}" for n in range(cfg.n_max + 1)]))
     cpath = _curves_path(cfg.output, cfg.format)
-    _write_table(cpath, curve_table.dtype.names, curve_table, cfg.format)
+    _write_table(cpath, curve_table.names, curve_table, cfg.format)
     print(f"wrote {len(table)} sweep rows to {cfg.output} and "
           f"{len(curve_table)} t_w curve rows to {cpath}")
     return EXIT_OK
@@ -523,21 +434,21 @@ def _verify_one_d(rep: _Report, d: float, prop: dynamics.Propagator, ts: np.ndar
         expected_amps = np.stack([eta, eta, xi, xi], axis=1) / root8
         note("amps", np.max(np.abs(amps - expected_amps)))
 
-        for pair in detect.ALL_PAIRS:
-            cn = measures.concurrence_series(states, *pair)
-            ca = analytic.concurrence_formula(analytic.classify_pair(*pair), t, d)
-            note("conc", np.max(np.abs(cn - ca)))
-            note("short", np.max(np.abs(cn - measures.concurrence_one_particle(amps, *pair))))
+        # the observables the tables write, from their kernel
+        cols = tables.BlockColumns(d, states, t)
+        for p, q in tables.ALL_PAIRS:
+            cn = cols[f"c_{p}{q}"]
+            note("conc", np.max(np.abs(cn - cols[f"c_an_{p}{q}"])))
+            note("short", np.max(np.abs(cn - measures.concurrence_one_particle(amps, p, q))))
 
         for cls in (analytic.PairClass.FIRST_RUNG, analytic.PairClass.LAST_RUNG):
-            rep_pair = detect.CLASS_REPRESENTATIVE[cls]
             for axes in ("xx", "yy", "zz"):
-                chi_n = measures.correlation_series(states, *rep_pair, axes[0], axes[1])
+                chi_n = cols[f"chi_{axes}_{tables.CLASS_COLUMN[cls]}"]
                 chi_a = analytic.correlation_formula(cls, axes, t, d)
                 note("rung_chi", np.max(np.abs(chi_n - chi_a)))
 
         leg_table = analytic.correlation_formula(analytic.PairClass.LEG, "xx", t, d)
-        for pair in detect.LEG_CLASS_PAIRS:
+        for pair in tables.LEG_CLASS_PAIRS:
             note("leg_zz", np.max(np.abs(measures.correlation_series(states, *pair, "z", "z"))))
             for a, b in (("x", "x"), ("y", "y")):
                 chi_n = measures.correlation_series(states, *pair, a, b)
@@ -546,7 +457,7 @@ def _verify_one_d(rep: _Report, d: float, prop: dynamics.Propagator, ts: np.ndar
                 chi_n = measures.correlation_series(states, *pair, a, b)
                 note("leg_cross", np.max(np.abs(chi_n)))
 
-        for pair in detect.ALL_PAIRS:
+        for pair in tables.ALL_PAIRS:
             for a, b in (("x", "z"), ("z", "x"), ("y", "z"), ("z", "y")):
                 vals = measures.correlation_series(states, *pair, a, b)
                 note("cross", np.max(np.abs(vals)))
@@ -555,10 +466,9 @@ def _verify_one_d(rep: _Report, d: float, prop: dynamics.Propagator, ts: np.ndar
                 vals = measures.correlation_series(states, *pair, a, b)
                 note("cross", np.max(np.abs(vals)))
 
-        note("spin_z", np.max(np.abs(measures.total_spin_series(states, "z") + 1.0)))
-        note("spin_xy", np.max(np.abs(measures.total_spin_series(states, "x"))),
-             np.max(np.abs(measures.total_spin_series(states, "y"))))
-        del states  # hold no block while the next one is evolved
+        note("spin_z", np.max(np.abs(cols["s_tot_z"] + 1.0)))
+        note("spin_xy", np.max(np.abs(cols["s_tot_x"])), np.max(np.abs(cols["s_tot_y"])))
+        del states, cols  # hold no block while the next one is evolved
 
     rep.check(f"norm_preservation[d={d:g}]", worst["norm"], 1e-12)
     rep.check(f"energy_constant[d={d:g}]", energy_hi - energy_lo, 1e-10)
@@ -593,6 +503,17 @@ def _verify_one_d(rep: _Report, d: float, prop: dynamics.Propagator, ts: np.ndar
                                   - dynamics.evolve(prop, t_mid)))), 1e-10)
 
 
+def _closed_form_count(times, d: float, t_max: float) -> int:
+    """How many n = 0, 1, ... have a closed-form event time times(d, n) <= t_max."""
+    # (2n+1) times(d, 0) <= t_max, up to the roundoff of times(d, n)
+    n = max(0, math.floor((t_max / times(d, 0) + 1.0) / 2.0))
+    while n and times(d, n - 1) > t_max:
+        n -= 1
+    while times(d, n) <= t_max:
+        n += 1
+    return n
+
+
 def _verify_events(rep: _Report, d: float, prop: dynamics.Propagator, t_max: float,
                    dt: float, tol: float, graph: model.CouplingGraph) -> None:
     try:
@@ -602,12 +523,9 @@ def _verify_events(rep: _Report, d: float, prop: dynamics.Propagator, t_max: flo
         return
     transfers = [ev for ev in events if ev.kind == detect.TRANSFER]
     ws = [ev for ev in events if ev.kind == detect.W_STATE]
-    sp = analytic.spectral_params(d)
-    s = sp.mu + sp.nu
-    n_tr = int((t_max * s / (2 * math.pi) - 1) // 2) + 1 if t_max * s >= 2 * math.pi else 0
-    n_w = int((t_max * s / math.pi - 1) // 2) + 1 if t_max * s >= math.pi else 0
-    rep.require(f"event_count[d={d:g}]",
-                len(transfers) == max(n_tr, 0) and len(ws) == max(n_w, 0),
+    n_tr = _closed_form_count(analytic.transfer_times, d, t_max)
+    n_w = _closed_form_count(analytic.w_times, d, t_max)
+    rep.require(f"event_count[d={d:g}]", len(transfers) == n_tr and len(ws) == n_w,
                 f"got {len(transfers)} transfers / {len(ws)} W, "
                 f"expected {n_tr} / {n_w}")
     worst_t = 0.0
@@ -635,12 +553,12 @@ def _verify_events(rep: _Report, d: float, prop: dynamics.Propagator, t_max: flo
     for ev in ws:
         psi = dynamics.evolve(prop, ev.t_detected)
         worst_fid = max(worst_fid, 1.0 - (ev.fidelity or 0.0))
-        for pair in detect.ALL_PAIRS:
+        for pair in tables.ALL_PAIRS:
             worst_zz = max(worst_zz, abs(measures.two_point_correlation(psi, *pair, "z", "z")))
         for pair in ((1, 2), (3, 4)):
             worst_rung_xx = max(worst_rung_xx, abs(
                 abs(measures.two_point_correlation(psi, *pair, "x", "x")) - 0.125))
-        for pair in detect.LEG_CLASS_PAIRS:
+        for pair in tables.LEG_CLASS_PAIRS:
             worst_leg_xx_dev = max(worst_leg_xx_dev, abs(
                 abs(measures.two_point_correlation(psi, *pair, "x", "x")) - 0.125))
     rep.check(f"w_event_fidelity[d={d:g}]", worst_fid, tol)

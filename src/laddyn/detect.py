@@ -1,49 +1,25 @@
-"""Event detection and parameter sweeps.
+"""Event detection.
 
 Locates entanglement-transfer events (all entanglement on the last rung)
 and W-state events (all six pairwise concurrences equal to 1/2) in the
 numeric evolution, refines each against the closed-form event structure,
-and generates the sweep data behind the time/coupling surface plots.
+and gives the closed-form W times behind the t_w curves.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytic, dynamics, linalg, measures, model
 from .errors import ValidationError
-
-#: the six unordered site pairs, and the four of them in the leg class
-ALL_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-LEG_CLASS_PAIRS = ((1, 3), (1, 4), (2, 3), (2, 4))
-
-#: representative pair per observable class, used for sweep columns
-CLASS_REPRESENTATIVE = {
-    analytic.PairClass.FIRST_RUNG: (1, 2),
-    analytic.PairClass.LEG: (1, 3),
-    analytic.PairClass.LAST_RUNG: (3, 4),
-}
-
-#: column-name suffix per observable class
-CLASS_COLUMN = {
-    analytic.PairClass.FIRST_RUNG: "first",
-    analytic.PairClass.LEG: "leg",
-    analytic.PairClass.LAST_RUNG: "last",
-}
-
-#: fields of the sweep table, in output order
-_SWEEP_COLUMNS = (
-    "d", "t", "c_first", "c_last", "c_leg",
-    "chi_xx_first", "chi_yy_first", "chi_zz_first",
-    "chi_xx_leg", "chi_yy_leg", "chi_zz_leg",
-    "chi_xx_last", "chi_yy_last", "chi_zz_last",
-    "s_tot_z",
-)
+from .tables import ALL_PAIRS, LEG_CLASS_PAIRS
+# the sweep table lives in tables; perfbench/tracing.py wraps it as detect.sweep,
+# by name, so the name stays bound here until the benchmark's TRACED names it there
+from .tables import sweep  # noqa: F401
 
 TRANSFER = "transfer"
 W_STATE = "w_state"
@@ -70,27 +46,6 @@ class EventRecord:
     t_predicted: float
     residual: float
     fidelity: float | None = None
-
-
-@dataclass(frozen=True)
-class BlockTable:
-    """A float table as a stream of structured-array blocks, in row order.
-
-    len() is the total row count, known before any block is computed.
-    Each iteration calls ``blocks`` and so computes the blocks afresh; a
-    consumer that drops each block before asking for the next holds one
-    block at a time.
-    """
-
-    names: tuple
-    n_rows: int
-    blocks: Callable[[], Iterator[np.ndarray]]
-
-    def __len__(self) -> int:
-        return self.n_rows
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return self.blocks()
 
 
 def w_fidelity(amps):
@@ -158,9 +113,8 @@ def _scan_blocks(prop: dynamics.Propagator, ts: np.ndarray) -> Iterator[tuple]:
         yield c_last, 2.0 * np.abs(b[:, 0] * b[:, 1]) - c_last
 
 
-def _refined_roots(f, brackets: np.ndarray, t_max: float,
-                   width: float) -> tuple[np.ndarray, np.ndarray]:
-    """(roots, brackets) of the (lo, hi) rows of brackets where f changes sign, up to t_max.
+def _refined_roots(f, brackets: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, brackets) of the (lo, hi) rows of brackets where f changes sign.
 
     All rows are bisected together; f maps an array of times to an array.
     Each row keeps the rules of a scalar bisection: an end where f is 0 is
@@ -184,9 +138,7 @@ def _refined_roots(f, brackets: np.ndarray, t_max: float,
         go = ~done
         rows, up = rows[go], up[go]
         lo, hi = np.where(above, mid, lo)[go], np.where(above, hi, mid)[go]
-    # t_max as requested, not the grid's end, which can pass it by roundoff; a
-    # row without a root holds NaN, which no comparison keeps
-    found = roots <= t_max
+    found = ~np.isnan(roots)  # a row without a root holds NaN
     return roots[found], brackets[found]
 
 
@@ -241,30 +193,31 @@ def _checked(prop: dynamics.Propagator, t_stars: np.ndarray, check) -> tuple[lis
 
 def _checked_events(prop: dynamics.Propagator, f, brackets: np.ndarray, t_max: float,
                     check) -> list[EventRecord]:
-    """Events at the roots of f in the (lo, hi) rows of brackets, up to t_max, merged.
+    """Events at the roots of f in the (lo, hi) rows of brackets, merged, up to t_max.
 
     The brackets are taken dynamics.BLOCK_ROWS at a time.  Each one in which
     f changes sign is bisected to _REFINE_WIDTH in t, and the roots are
     checked together (_checked).  A root that fails is bisected on to float
     resolution and checked once more: a root up to 5e-11 off in t leaves a
     residual of up to the tested concurrences' slope, about d/2 near an
-    event, times 5e-11, which exceeds tol = 1e-9 above d of about 40.
+    event, times 5e-11, which exceeds tol = 1e-9 above d of about 40.  An
+    event is up to t_max when its closed-form time t_predicted is, the rule
+    `verify` counts by; its root can lie past a t_max within roundoff of it.
     """
     events = []
     for k in range(0, len(brackets), dynamics.BLOCK_ROWS):
-        t_stars, found = _refined_roots(f, brackets[k:k + dynamics.BLOCK_ROWS], t_max,
-                                        _REFINE_WIDTH)
+        t_stars, found = _refined_roots(f, brackets[k:k + dynamics.BLOCK_ROWS], _REFINE_WIDTH)
         checked, passed = _checked(prop, t_stars, check)
         events += checked
         if not passed.all():
-            retried, _ = _refined_roots(f, found[~passed], t_max, 0.0)
+            retried, _ = _refined_roots(f, found[~passed], 0.0)
             events += _checked(prop, retried, check)[0]
-    return _merge_events(events)
+    return [ev for ev in _merge_events(events) if ev.t_predicted <= t_max]
 
 
 def find_events(d: float, t_max: float, coarse_dt: float = 0.01, tol: float = 1e-9,
                 graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> list[EventRecord]:
-    """Transfer and W-state events up to t_max, in time order, from one coarse scan.
+    """Transfer and W events with t_predicted <= t_max, in time order, from one coarse scan.
 
     Builds the propagator of (d, graph) and walks the grid 0, coarse_dt, ...,
     which runs two steps past t_max so that an event in the last step up to
@@ -272,10 +225,9 @@ def find_events(d: float, t_max: float, coarse_dt: float = 0.01, tol: float = 1e
     The candidates are found block by block (_block_candidates) and kept as
     (lo, hi) time brackets: local maxima of C_{3,4} for find_transfer_events
     and sign changes of C_{1,2} - C_{3,4} for find_w_events, which refine and
-    check them.  So the
-    scan holds the time grid, one block and the brackets, and the searches
-    the brackets and their events.  Events at the same time keep that order,
-    transfers first.  Empty if t_max is below the first event.
+    check them.  So the scan holds the time grid, one block and the brackets,
+    and the searches the brackets and their events.  Events at the same time
+    keep that order, transfers first.  Empty if t_max is below the first event.
 
     The searches bisect the closed forms of the default graph, so any other
     graph must have its one-particle Hamiltonian within
@@ -384,47 +336,6 @@ def find_w_events(prop: dynamics.Propagator, brackets: np.ndarray, d: float,
         return np.cos(s * t / 2.0)
 
     return _checked_events(prop, f, _widened_without_root(f, brackets), t_max, check)
-
-
-def _sweep_block(d: float, states: np.ndarray, ts: np.ndarray) -> np.recarray:
-    """The sweep table rows of d at the times ts, from their evolved states."""
-    cols = {"d": np.full(ts.size, d), "t": ts}
-    for cls, (p, q) in CLASS_REPRESENTATIVE.items():
-        name = CLASS_COLUMN[cls]
-        cols[f"c_{name}"] = measures.concurrence_series(states, p, q)
-        for a in model.AXES:
-            cols[f"chi_{a}{a}_{name}"] = measures.correlation_series(states, p, q, a, a)
-    cols["s_tot_z"] = measures.total_spin_series(states, "z")
-    return np.rec.fromarrays([cols[name] for name in _SWEEP_COLUMNS], names=_SWEEP_COLUMNS)
-
-
-def sweep(d_grid, t_grid, graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> BlockTable:
-    """Observables over the Cartesian product of grids, ordered d-major then t.
-
-    Returns a BlockTable of structured arrays with the float64 fields d, t,
-    c_first, c_last, c_leg, chi_{xx,yy,zz}_{first,leg,last} and s_tot_z, in
-    d order and, within each d, in blocks of at most dynamics.BLOCK_ROWS
-    times (dynamics.evolved_blocks); each block is computed when the table
-    is iterated.  The grids are checked, and duplicate d values are dropped
-    with a warning, at the call.
-    """
-    ds = [float(x) for x in np.atleast_1d(np.asarray(d_grid, dtype=float))]
-    # a copy: the blocks are computed later, from the grid as it is now
-    ts = np.array(t_grid, dtype=float, ndmin=1)
-    if len(ds) == 0 or ts.size == 0:
-        raise ValidationError("sweep grids must be non-empty")
-    if any(not dv > 0.0 for dv in ds):
-        raise ValidationError("all sweep d values must be > 0")
-    unique = list(dict.fromkeys(ds))
-    if len(unique) != len(ds):
-        warnings.warn("duplicate d values in sweep grid were dropped", stacklevel=2)
-
-    def blocks():
-        for dv in unique:
-            for rows, states in dynamics.evolved_blocks(model.propagator(dv, graph), ts):
-                yield _sweep_block(dv, states, ts[rows])
-
-    return BlockTable(_SWEEP_COLUMNS, len(unique) * ts.size, blocks)
 
 
 def w_time_curves(d_grid, n_max: int = 9) -> np.ndarray:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from laddyn import cli, detect, dynamics, measures, model
+from laddyn import cli, detect, dynamics, measures, model, tables
 from laddyn.errors import NumericalFailureError
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -94,11 +94,11 @@ class TestEvolveCommand:
         assert res.returncode == 3
         assert "x.csv" in res.stderr
 
-    def test_missing_output_is_checked_before_work(self, monkeypatch, capsys):
+    def test_missing_output_is_checked_before_evolve_table(self, monkeypatch, capsys):
         def no_work(*args):
             raise AssertionError("evolve computed before checking --output")
 
-        monkeypatch.setattr(cli, "_evolve_table", no_work)
+        monkeypatch.setattr(tables, "evolve_table", no_work)
         assert cli.main(["evolve", "--d", "0.5", "--t-max", "3000"]) == 2
         assert "evolve requires --output" in capsys.readouterr().err
 
@@ -396,7 +396,7 @@ class TestWriteTable:
         values = rng.normal(size=(n_rows, 4)) * 10.0 ** rng.integers(-300, 300, size=(n_rows, 4))
         specials = np.resize(self.SPECIAL, values.size)[:values.size].reshape(values.shape)
         values[::2] = specials[::2]
-        table = np.rec.fromarrays(list(values.T), names=columns)
+        table = tables.BlockTable.from_array(np.rec.fromarrays(list(values.T), names=columns))
         path = tmp_path / f"t.{fmt}"
         cli._write_table(str(path), columns, table, fmt)
         rows = values.tolist()
@@ -461,7 +461,7 @@ class TestStreamedOutput:
                 del block
 
         path = tmp_path / f"s.{fmt}"
-        cli._write_table(str(path), columns, detect.BlockTable(columns, 12, blocks), fmt)
+        cli._write_table(str(path), columns, tables.BlockTable(columns, 12, blocks), fmt)
         assert alive == [0, 0, 0, 0]
         rows = [[float(k), float(i)] for k in range(4) for i in range(3)]
         ref = _reference_csv if fmt == "csv" else _reference_json
@@ -498,7 +498,8 @@ class TestStreamedOutput:
         target = tmp_path / "real.csv"
         link = tmp_path / "link.csv"
         link.symlink_to(target)
-        cli._write_table(str(link), ["a"], np.rec.fromarrays([[1.0]], names=["a"]), "csv")
+        cli._write_table(str(link), ["a"], tables.BlockTable.from_array(
+            np.rec.fromarrays([[1.0]], names=["a"])), "csv")
         assert link.is_symlink()
         assert target.read_text() == "# laddyn schema v1\na\n1\n"
 
@@ -508,7 +509,8 @@ class TestStreamedOutput:
         received = []
         reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
         reader.start()
-        cli._write_table(str(fifo), ["a"], np.rec.fromarrays([[1.0]], names=["a"]), "csv")
+        cli._write_table(str(fifo), ["a"], tables.BlockTable.from_array(
+            np.rec.fromarrays([[1.0]], names=["a"])), "csv")
         reader.join(timeout=10)
         assert not reader.is_alive()
         assert received == [b"# laddyn schema v1\na\n1\n"]
@@ -571,6 +573,23 @@ class TestVerifyCommand:
         # lie after the last grid point at or below t_max
         res = run_cli("verify", "--d", "1", "--t-max", t_max)
         assert res.returncode == 0, res.stdout + res.stderr
+        assert "summary: 28/28 checks passed" in res.stdout
+
+    @pytest.mark.parametrize("d, n_transfer, n_w", [
+        # transfer 37 at 60.00000000000006: past t_max, though t_max s / (2 pi)
+        # rounds to an odd integer
+        ("3.797532998764082", 37, 75),
+        # W event 562 at 59.999999999999886: up to t_max, though its bisected
+        # root is past it
+        ("29.435449704641755", 281, 563),
+    ])
+    def test_t_max_within_roundoff_of_an_event(self, d, n_transfer, n_w):
+        # an event is up to t_max when its closed-form time is, in the events
+        # listed and in the count verify expects
+        res = run_cli("verify", "--d", d, "--t-max", "60")
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert (f"PASS event_count[d={float(d):g}] (got {n_transfer} transfers / {n_w} W, "
+                f"expected {n_transfer} / {n_w})") in res.stdout
         assert "summary: 28/28 checks passed" in res.stdout
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laddyn import analytic, cli, detect, dynamics, measures, model
+from laddyn import analytic, cli, detect, dynamics, measures, model, tables
 from laddyn.detect import ALL_PAIRS
 from laddyn.errors import DomainError, SectorLeakageError, ValidationError
 
@@ -311,7 +311,7 @@ def _bisect(f, lo: float, hi: float, width: float) -> float | None:
 def _array_roots(f, brackets, width):
     """detect._refined_roots of the rows of brackets, with None for a row without a root."""
     brackets = np.array(brackets, dtype=float).reshape(-1, 2)
-    roots, found = detect._refined_roots(f, brackets, math.inf, width)
+    roots, found = detect._refined_roots(f, brackets, width)
     # the rows with a root come back in bracket order, and equal rows have equal roots
     out, k = [], 0
     for row in brackets.tolist():
@@ -461,13 +461,13 @@ class TestScanSampling:
 
 
 def _closed_form_counts(d, t_max):
-    # the transfer and W counts `verify` expects up to t_max (cli._verify_events):
-    # transfers at (2n+1) 2 pi/s and W events at (2n+1) pi/s, s = mu + nu
+    # the transfer and W counts `verify` expects: how many closed-form times,
+    # transfers at (2n+1) 2 pi/s and W events at (2n+1) pi/s, s = mu + nu, are
+    # <= t_max; the n past the last one is at most t_max s / pi + 1
     sp = analytic.spectral_params(d)
-    s = sp.mu + sp.nu
-    n_tr = int((t_max * s / (2 * math.pi) - 1) // 2) + 1 if t_max * s >= 2 * math.pi else 0
-    n_w = int((t_max * s / math.pi - 1) // 2) + 1 if t_max * s >= math.pi else 0
-    return n_tr, n_w
+    n = np.arange(int(t_max * (sp.mu + sp.nu) / math.pi) + 2)
+    return (int(np.count_nonzero(analytic.transfer_times(d, n) <= t_max)),
+            int(np.count_nonzero(analytic.w_times(d, n) <= t_max)))
 
 
 #: d where t_w(0) = 1, 1/2 and 1/4, so every W time lies on the default 0.01 grid.
@@ -495,6 +495,10 @@ class TestCommensurateGrid:
     @example(d=COMMENSURATE_DS[0], t_max=60.0)
     @example(d=COMMENSURATE_DS[1], t_max=60.0)
     @example(d=COMMENSURATE_DS[2], t_max=60.0)
+    # t_max within roundoff of an event: transfer 37 at 60.00000000000006 is
+    # past it, and W event 562 at 59.999999999999886 is not, though its root is
+    @example(d=3.797532998764082, t_max=60.0)
+    @example(d=29.435449704641755, t_max=60.0)
     @settings(max_examples=100, deadline=None)
     def test_counts_match_the_closed_form(self, d, t_max):
         events = detect.find_events(d, t_max)
@@ -563,7 +567,7 @@ class TestSectorLeakage:
 
 class TestSweep:
     def test_single_point_matches_measures(self):
-        table = np.concatenate(list(detect.sweep([0.5], [0.0])))
+        table = np.concatenate(list(tables.sweep([0.5], [0.0])))
         assert len(table) == 1
         psi = dynamics.evolve(model.propagator(0.5), 0.0)
         assert table["c_first"][0] == pytest.approx(
@@ -574,7 +578,7 @@ class TestSweep:
 
     def test_cross_section_starts_correctly(self):
         ts = np.arange(0.0, 12.0, 0.05)
-        table = np.concatenate(list(detect.sweep([0.6], ts)))
+        table = np.concatenate(list(tables.sweep([0.6], ts)))
         assert table["c_first"][0] == pytest.approx(1.0, abs=1e-12)
         assert table["c_last"][0] == pytest.approx(0.0, abs=1e-12)
         assert table["c_leg"][0] == pytest.approx(0.0, abs=1e-12)
@@ -587,7 +591,7 @@ class TestSweep:
         assert all(a > b for a, b in zip(firsts, firsts[1:]))
 
     def test_row_ordering_d_major(self):
-        table = np.concatenate(list(detect.sweep([0.5, 1.0], [0.0, 1.0, 2.0])))
+        table = np.concatenate(list(tables.sweep([0.5, 1.0], [0.0, 1.0, 2.0])))
         assert list(zip(table["d"].tolist(), table["t"].tolist())) == [
             (0.5, 0.0), (0.5, 1.0), (0.5, 2.0),
             (1.0, 0.0), (1.0, 1.0), (1.0, 2.0),
@@ -595,13 +599,24 @@ class TestSweep:
 
     def test_duplicate_d_warns_and_dedupes(self):
         with pytest.warns(UserWarning, match="duplicate"):
-            table = detect.sweep([0.5, 0.5], [0.0])
+            table = tables.sweep([0.5, 0.5], [0.0])
         assert len(table) == 1
 
-    def test_chunks_are_computed_per_d_as_read(self, monkeypatch):
-        calls = _record_calls(monkeypatch, "_sweep_block")
-        table = detect.sweep([0.5, 1.0, 1.5], [0.0, 1.0])
-        assert len(table) == 6 and table.names == detect._SWEEP_COLUMNS
+    def test_blocks_are_computed_per_d_as_read(self, monkeypatch):
+        calls = []
+
+        class Recording(tables.BlockColumns):
+            def __init__(self, *args):
+                calls.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(tables, "BlockColumns", Recording)
+        table = tables.sweep([0.5, 1.0, 1.5], [0.0, 1.0])
+        assert len(table) == 6 and table.names == (
+            "d", "t", "c_first", "c_last", "c_leg",
+            "chi_xx_first", "chi_yy_first", "chi_zz_first",
+            "chi_xx_leg", "chi_yy_leg", "chi_zz_leg",
+            "chi_xx_last", "chi_yy_last", "chi_zz_last", "s_tot_z")
         assert calls == []
         for k, chunk in enumerate(table, 1):
             computed = [d for d, *_ in calls]
@@ -622,9 +637,9 @@ class TestSweep:
         tracemalloc.start()
         try:
             if command == "sweep":
-                table = detect.sweep([1.0, 2.0], ts)
+                table = tables.sweep([1.0, 2.0], ts)
             else:
-                table = cli._evolve_table(cli.RunConfig(d=0.6, t_max=200.0), model.DEFAULT_GRAPH)
+                table = tables.evolve_table(0.6, ts, ALL_PAIRS)
             rows = [len(block) for block in table]
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -634,9 +649,9 @@ class TestSweep:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            detect.sweep([], [0.0])
+            tables.sweep([], [0.0])
         with pytest.raises(ValidationError):
-            detect.sweep([0.0], [0.0])
+            tables.sweep([0.0], [0.0])
 
 
 class TestWTimeCurves:
