@@ -12,6 +12,7 @@ from .analytic import (
     concurrence_formula,
     correlation_formula,
     eta_xi,
+    leg_correlation,
     spectral_params,
     transfer_times,
     w_times,
@@ -52,5 +53,57 @@ from .tables import ALL_PAIRS, LEG_CLASS_PAIRS, BlockTable, sweep
 
 __version__ = "0.1.0"
 
-# tables' public names are exported above; the module is reached as laddyn.tables
-__all__ = [name for name in dir() if not name.startswith("_") and name != "tables"]
+__all__ = (
+    # analytic
+    "PairClass",
+    "SpectralParams",
+    "classify_pair",
+    "concurrence_formula",
+    "correlation_formula",
+    "eta_xi",
+    "leg_correlation",
+    "spectral_params",
+    "transfer_times",
+    "w_times",
+    # detect
+    "EventRecord",
+    "find_events",
+    "w_fidelity",
+    "w_time_curves",
+    # dynamics
+    "Propagator",
+    "evolve",
+    "evolve_states",
+    "make_propagator",
+    "one_particle_amplitudes",
+    "sector_leakage",
+    # errors
+    "DomainError",
+    "LaddynError",
+    "NumericalFailureError",
+    "SectorLeakageError",
+    "ValidationError",
+    # linalg
+    "EigenSystem",
+    "check_sites",
+    "hermitian_eig",
+    "partial_trace_to_pair",
+    # measures
+    "concurrence_one_particle",
+    "two_point_correlation",
+    "wootters_concurrence",
+    # model
+    "DEFAULT_GRAPH",
+    "CouplingGraph",
+    "ModelParams",
+    "build_hamiltonian",
+    "initial_state",
+    "one_particle_hamiltonian",
+    "propagator",
+    "spin_operator",
+    # tables
+    "ALL_PAIRS",
+    "LEG_CLASS_PAIRS",
+    "BlockTable",
+    "sweep",
+)

@@ -153,6 +153,30 @@ def correlation_formula(pair_class: PairClass, axes: str, t, d: float):
     return float(out) if out.ndim == 0 else out
 
 
+_LEG_AXES = ("xx", "yy", "xy", "yx")
+
+
+def leg_correlation(axes: str, t, d: float):
+    """Exact transverse two-point correlation <S^a_p S^b_q> on a leg-class pair.
+
+    These are Re and Im of conj(eta) xi / 16, whose phase depends on d only,
+    through the (1j + d) factor of xi.  With s = mu + nu and
+    omega = sqrt(1 + d^2): chi_xx = chi_yy = -(d/omega) sin(s t/2)/8 and
+    chi_xy = -chi_yx = (1/omega) sin(s t/2)/8, for p on the first rung and
+    q on the last (swapping p and q swaps xy and yx).  chi_xx^2 + chi_xy^2
+    is the square of the tabulated correlation_formula entry, which drops
+    the phase.
+    """
+    if axes not in _LEG_AXES:
+        raise ValidationError(f"axes must be one of {_LEG_AXES}, got {axes!r}")
+    sp = spectral_params(d)
+    s = sp.mu + sp.nu
+    t = np.asarray(t, dtype=float)
+    scale = {"xx": -sp.d, "yy": -sp.d, "xy": 1.0, "yx": -1.0}[axes] / sp.omega
+    out = scale * np.sin(s * t / 2.0) / 8.0
+    return float(out) if out.ndim == 0 else out
+
+
 def _check_event_index(n):
     """n as an int, or an integer ndarray of indices as it is; each must be >= 0."""
     if isinstance(n, np.ndarray) and n.dtype.kind in "iu":

@@ -200,6 +200,38 @@ class TestCorrelationFormula:
             analytic.correlation_formula(PairClass.LEG, "xy", 1.0, 1.0)
 
 
+class TestLegCorrelation:
+    @given(t=times, d=ds)
+    @settings(max_examples=50)
+    def test_magnitude_is_the_tabulated_entry(self, t, d):
+        table = analytic.correlation_formula(PairClass.LEG, "xx", t, d)
+        xx = analytic.leg_correlation("xx", t, d)
+        xy = analytic.leg_correlation("xy", t, d)
+        assert abs(xx * xx + xy * xy - table * table) < 1e-15
+        assert analytic.leg_correlation("yy", t, d) == xx
+        assert analytic.leg_correlation("yx", t, d) == -xy
+
+    def test_w_time_value_is_d_over_omega_eighths(self):
+        # the paper's |chi_xx| = 1/8 at W events holds only on the rungs
+        for d in (0.2, 1.0, 2.4):
+            omega = math.sqrt(1.0 + d * d)
+            for n in range(3):
+                t_w = analytic.w_times(d, n)
+                xx = analytic.leg_correlation("xx", t_w, d)
+                assert abs(abs(xx) - d / omega / 8.0) < 1e-12
+
+    def test_scalar_and_array_times(self):
+        t = np.linspace(0.0, 30.0, 7)
+        series = analytic.leg_correlation("xy", t, 0.6)
+        assert isinstance(series, np.ndarray) and series.shape == t.shape
+        assert isinstance(analytic.leg_correlation("xy", 1.5, 0.6), float)
+
+    def test_bad_axes(self):
+        for axes in ("zz", "xz", "x"):
+            with pytest.raises(ValidationError):
+                analytic.leg_correlation(axes, 1.0, 1.0)
+
+
 class TestEventTimes:
     def test_d1_values(self):
         assert abs(analytic.transfer_times(1.0, 0) - 2.221441469) < 1e-6

@@ -253,3 +253,53 @@ class TestOracleEquivalence:
             scalar_val = measures.wootters_concurrence(
                 linalg.partial_trace_to_pair(psi, p, q))
             assert abs(series_val - scalar_val) < 1e-14
+
+
+def _textbook_concurrence(rho):
+    """Wootters, PRL 80, 2245 (1998): the square roots of the eigenvalues of
+    R = rho (sy (x) sy) rho* (sy (x) sy), in decreasing order, give
+    C = max(0, l1 - l2 - l3 - l4).  An oracle that shares no code with measures."""
+    r = rho @ _YY @ rho.conj() @ _YY
+    lam = np.sort(np.sqrt(np.abs(np.linalg.eigvals(r))))[::-1]
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def _textbook_marginal(psi, p, q):
+    """rho_pq of a pure 4-site state by contracting the other two sites,
+    with site p as the more significant qubit."""
+    ket = "abcd"
+    bra = "".join(ch.upper() if site in (p, q) else ch for site, ch in enumerate(ket, 1))
+    out = ket[p - 1] + ket[q - 1] + bra[p - 1] + bra[q - 1]
+    t = psi.reshape((2,) * 4)
+    return np.einsum(f"{ket},{bra}->{out}", t, t.conj()).reshape(4, 4)
+
+
+#: the textbook route keeps about half the digits at rank-deficient rho: a zero
+#: eigenvalue of R comes out near 1e-16 and its square root near 1e-8 (the
+#: largest difference seen on 8,000 random matrices was 9.7e-8)
+TEXTBOOK_TOL = 1e-6
+
+
+class TestTextbookWoottersOracle:
+    @given(seed=seeds, rank=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=200, deadline=None)
+    def test_density_matrices_of_rank_one_to_four(self, seed, rank):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        # unequal weights keep most mixed states entangled, and some separable
+        z *= 10.0 ** rng.uniform(-2.0, 0.0, size=rank)
+        rho = z @ z.conj().T
+        rho /= np.trace(rho).real
+        assert abs(measures.wootters_concurrence(rho) - _textbook_concurrence(rho)) < TEXTBOOK_TOL
+
+    @given(seed=seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_pure_one_excitation_marginals(self, seed):
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi = np.zeros(16, dtype=complex)
+        psi[[8, 4, 2, 1]] = b / np.linalg.norm(b)  # |1000>, |0100>, |0010>, |0001>
+        for p, q in ALL_PAIRS:
+            expected = _textbook_concurrence(_textbook_marginal(psi, p, q))
+            got = measures.concurrence_series(psi[None], p, q)[0]
+            assert abs(got - expected) < TEXTBOOK_TOL, (p, q)

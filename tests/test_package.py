@@ -1,0 +1,30 @@
+"""The package namespace: what `laddyn` exports, and what importing it does."""
+
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import laddyn
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_all_names_resolve_and_none_is_a_module():
+    namespace = {}
+    exec("from laddyn import *", namespace)  # an unresolved name raises here
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(laddyn.__all__)
+    assert not [k for k, v in namespace.items() if isinstance(v, types.ModuleType)]
+
+
+def test_import_makes_no_allocator_call():
+    # the heap setting belongs to the process that runs a command (cli.main);
+    # a library import must not reach the module that makes it
+    code = "import sys, laddyn; print('laddyn.cli' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

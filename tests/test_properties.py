@@ -105,11 +105,13 @@ def test_leg_correlations_exact_form(t, d):
     wave = math.sin(s * t / 2.0) / 8.0
     psi = dynamics.evolve(model.propagator(d), t)
     tol = 2e-15 * (1.0 + s * t)
-    for pair in LEG_CLASS_PAIRS:
-        for axes, expected in (("xx", -(d / omega) * wave), ("yy", -(d / omega) * wave),
-                               ("xy", wave / omega), ("yx", -wave / omega)):
-            numeric = measures.two_point_correlation(psi, *pair, axes[0], axes[1])
-            assert abs(numeric - expected) < tol, (pair, axes)
+    for axes, expected in (("xx", -(d / omega) * wave), ("yy", -(d / omega) * wave),
+                           ("xy", wave / omega), ("yx", -wave / omega)):
+        exact = analytic.leg_correlation(axes, t, d)
+        assert abs(exact - expected) < tol, axes
+        for pair in LEG_CLASS_PAIRS:
+            numeric = measures.correlation_series(psi[None], *pair, axes[0], axes[1])[0]
+            assert abs(numeric - exact) < tol, (pair, axes)
 
 
 @given(t=log_times, d=log_ds)
