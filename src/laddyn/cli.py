@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytic, detect, dynamics, measures, model, tables
+from . import analytic, detect, dynamics, model, tables, verify
 from .errors import DomainError, LaddynError, ValidationError
 from .linalg import check_sites
 
@@ -32,8 +32,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-_DEFAULT_VERIFY_D = (0.2, 0.6, 1.0, 1.5, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +293,7 @@ def _curves_path(output: str, fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evolve, events, sweep
+# commands
 # ---------------------------------------------------------------------------
 
 def cmd_evolve(cfg: RunConfig) -> int:
@@ -348,280 +346,22 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-class _Report:
-    def __init__(self):
-        self.checks: list[tuple[str, bool, float, float]] = []
-        self.adjudications: list[str] = []
-        self.info: list[str] = []
-
-    def check(self, name: str, worst: float, tol: float) -> None:
-        self.checks.append((name, worst <= tol, worst, tol))
-
-    def require(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((name + (f" ({detail})" if detail else ""), ok, np.nan, np.nan))
-
-    @property
-    def all_passed(self) -> bool:
-        return all(ok for _, ok, _, _ in self.checks)
-
-    def render(self) -> str:
-        lines = []
-        for name, ok, worst, tol in self.checks:
-            status = "PASS" if ok else "FAIL"
-            if np.isnan(worst):
-                lines.append(f"{status} {name}")
-            else:
-                lines.append(f"{status} {name}: worst {worst:.3e} (tol {tol:.0e})")
-        if self.adjudications:
-            lines.append("-- tabulated-claim adjudications (reported, not gated) --")
-            lines.extend(self.adjudications)
-        lines.extend(self.info)
-        n_ok = sum(1 for _, ok, _, _ in self.checks if ok)
-        lines.append(f"summary: {n_ok}/{len(self.checks)} checks passed")
-        return "\n".join(lines)
-
-
-def _verify_one_d(rep: _Report, d: float, prop: dynamics.Propagator, ts: np.ndarray,
-                  tol: float, graph: model.CouplingGraph) -> None:
-    params = model.ModelParams(d=d)
-    h = model.build_hamiltonian(params, graph)
-    rep.check(f"hamiltonian_hermitian[d={d:g}]",
-              float(np.max(np.abs(h - h.conj().T))), 1e-14)
-
-    eig = prop.eig
-    recon = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
-    rep.check(f"eig_reconstruction[d={d:g}]", float(np.max(np.abs(recon - h))), 1e-10)
-    rep.check(f"eig_trace[d={d:g}]",
-              abs(float(np.sum(eig.eigenvalues)) - float(np.trace(h).real)), 1e-10)
-
-    sp = analytic.spectral_params(d)
-    sector = np.sort(np.linalg.eigvalsh(model.one_particle_hamiltonian(params, graph)))
-    expected = np.sort([sp.mu / 2, -sp.mu / 2, sp.nu / 2, -sp.nu / 2])
-    rep.check(f"sector_eigenvalues[d={d:g}]",
-              float(np.max(np.abs(sector - expected))), 1e-10)
-    mu_n, nu_n = 2 * sector[-1], 2 * sector[-2]
-    rep.check(f"identity_mu_nu[d={d:g}]",
-              max(abs(mu_n * nu_n - d * d), abs(mu_n ** 2 + nu_n ** 2 - 4 - 2 * d * d)),
-              1e-10)
-
-    # one block of the grid at a time; each check keeps its running worst value,
-    # the max over blocks (energy_constant: the running max minus the running min)
-    worst = dict.fromkeys(("norm", "leakage", "symmetry", "amps", "conc", "short", "rung_chi",
-                           "leg_zz", "leg_xxyy", "leg_cross", "cross", "spin_z", "spin_xy"), 0.0)
-    energy_lo, energy_hi = math.inf, -math.inf
-    root8 = 2.0 * np.sqrt(2.0)
-
-    def note(key: str, *block_values) -> None:
-        # np.max, like a whole-grid max, keeps a nan
-        worst[key] = float(np.max([worst[key], *block_values]))
-
-    for rows, states in dynamics.evolved_blocks(prop, ts):
-        t = ts[rows]
-        note("norm", np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
-        energy = np.einsum("ti,ij,tj->t", states.conj(), h, states).real
-        energy_lo = float(np.min([energy_lo, np.min(energy)]))
-        energy_hi = float(np.max([energy_hi, np.max(energy)]))
-        note("leakage", dynamics.sector_leakage(states))
-
-        amps = states[:, list(dynamics.ONE_PARTICLE_INDICES)]
-        note("symmetry", np.max(np.abs(amps[:, 0] - amps[:, 1])),
-             np.max(np.abs(amps[:, 2] - amps[:, 3])))
-
-        # amplitude-level oracle; this is the check that pins the DM orientation
-        eta, xi = analytic.eta_xi(t, d)
-        expected_amps = np.stack([eta, eta, xi, xi], axis=1) / root8
-        note("amps", np.max(np.abs(amps - expected_amps)))
-
-        # the observables the tables write, from their kernel
-        cols = tables.BlockColumns(d, states, t)
-        for p, q in tables.ALL_PAIRS:
-            cn = cols[f"c_{p}{q}"]
-            note("conc", np.max(np.abs(cn - cols[f"c_an_{p}{q}"])))
-            note("short", np.max(np.abs(cn - measures.concurrence_one_particle(amps, p, q))))
-
-        for cls in (analytic.PairClass.FIRST_RUNG, analytic.PairClass.LAST_RUNG):
-            for axes in ("xx", "yy", "zz"):
-                chi_n = cols[f"chi_{axes}_{tables.CLASS_COLUMN[cls]}"]
-                chi_a = analytic.correlation_formula(cls, axes, t, d)
-                note("rung_chi", np.max(np.abs(chi_n - chi_a)))
-
-        leg_table = analytic.correlation_formula(analytic.PairClass.LEG, "xx", t, d)
-        for pair in tables.LEG_CLASS_PAIRS:
-            note("leg_zz", np.max(np.abs(measures.correlation_series(states, *pair, "z", "z"))))
-            for a, b in (("x", "x"), ("y", "y")):
-                chi_n = measures.correlation_series(states, *pair, a, b)
-                note("leg_xxyy", np.max(np.abs(chi_n - leg_table)))
-            for a, b in (("x", "y"), ("y", "x")):
-                chi_n = measures.correlation_series(states, *pair, a, b)
-                note("leg_cross", np.max(np.abs(chi_n)))
-
-        for pair in tables.ALL_PAIRS:
-            for a, b in (("x", "z"), ("z", "x"), ("y", "z"), ("z", "y")):
-                vals = measures.correlation_series(states, *pair, a, b)
-                note("cross", np.max(np.abs(vals)))
-        for pair in ((1, 2), (3, 4)):
-            for a, b in (("x", "y"), ("y", "x")):
-                vals = measures.correlation_series(states, *pair, a, b)
-                note("cross", np.max(np.abs(vals)))
-
-        note("spin_z", np.max(np.abs(cols["s_tot_z"] + 1.0)))
-        note("spin_xy", np.max(np.abs(cols["s_tot_x"])), np.max(np.abs(cols["s_tot_y"])))
-        del states, cols  # hold no block while the next one is evolved
-
-    rep.check(f"norm_preservation[d={d:g}]", worst["norm"], 1e-12)
-    rep.check(f"energy_constant[d={d:g}]", energy_hi - energy_lo, 1e-10)
-    rep.check(f"sector_leakage[d={d:g}]", worst["leakage"], 1e-12)
-    rep.info.append(f"informational: sector leakage[d={d:g}]: {worst['leakage']:.3e}")
-    rep.check(f"amplitude_symmetry[d={d:g}]", worst["symmetry"], 1e-10)
-    rep.check(f"amplitudes_vs_closed_form[d={d:g}]", worst["amps"], tol)
-    rep.check(f"concurrence_vs_closed_form[d={d:g}]", worst["conc"], tol)
-    rep.check(f"concurrence_full_vs_shortcut[d={d:g}]", worst["short"], tol)
-    rep.check(f"rung_correlations_vs_table[d={d:g}]", worst["rung_chi"], tol)
-    rep.check(f"leg_zz_correlation_zero[d={d:g}]", worst["leg_zz"], tol)
-    rep.check(f"cross_axis_zero_where_provable[d={d:g}]", worst["cross"], tol)
-
-    rep.adjudications.append(
-        f"CONTRADICTED leg xx/yy vs tabulated form [d={d:g}]: max deviation "
-        f"{worst['leg_xxyy']:.3e} (table ignores the relative phase between the "
-        f"rung envelopes)"
-    )
-    rep.adjudications.append(
-        f"CONTRADICTED cross-axis xy/yx zero claim on leg-class pairs [d={d:g}]: "
-        f"max |chi| {worst['leg_cross']:.3e}"
-    )
-
-    rep.check(f"total_spin_z_constant[d={d:g}]", worst["spin_z"], 1e-10)
-    rep.check(f"total_spin_xy_zero[d={d:g}]", worst["spin_xy"], 1e-10)
-
-    t_mid = float(ts[len(ts) // 2]) or 1.0
-    psi_a = dynamics.evolve(prop, t_mid / 2)
-    prop_b = dynamics.make_propagator(h, psi_a)
-    rep.check(f"evolution_composition[d={d:g}]",
-              float(np.max(np.abs(dynamics.evolve(prop_b, t_mid / 2)
-                                  - dynamics.evolve(prop, t_mid)))), 1e-10)
-
-
-def _closed_form_count(times, d: float, t_max: float) -> int:
-    """How many n = 0, 1, ... have a closed-form event time times(d, n) <= t_max."""
-    # (2n+1) times(d, 0) <= t_max, up to the roundoff of times(d, n)
-    n = max(0, math.floor((t_max / times(d, 0) + 1.0) / 2.0))
-    while n and times(d, n - 1) > t_max:
-        n -= 1
-    while times(d, n) <= t_max:
-        n += 1
-    return n
-
-
-def _verify_events(rep: _Report, d: float, prop: dynamics.Propagator, t_max: float,
-                   dt: float, tol: float, graph: model.CouplingGraph) -> None:
-    try:
-        events = detect.find_events(d, t_max, dt, tol, graph)
-    except LaddynError as exc:
-        rep.require(f"event_detection[d={d:g}]", False, f"raised {exc}")
-        return
-    transfers = [ev for ev in events if ev.kind == detect.TRANSFER]
-    ws = [ev for ev in events if ev.kind == detect.W_STATE]
-    n_tr = _closed_form_count(analytic.transfer_times, d, t_max)
-    n_w = _closed_form_count(analytic.w_times, d, t_max)
-    rep.require(f"event_count[d={d:g}]", len(transfers) == n_tr and len(ws) == n_w,
-                f"got {len(transfers)} transfers / {len(ws)} W, "
-                f"expected {n_tr} / {n_w}")
-    worst_t = 0.0
-    worst_res = 0.0
-    for ev in transfers + ws:
-        worst_t = max(worst_t, abs(ev.t_detected - ev.t_predicted))
-        worst_res = max(worst_res, ev.residual)
-    rep.check(f"event_time_agreement[d={d:g}]", worst_t, 1e-8)
-    rep.check(f"event_residuals[d={d:g}]", worst_res, tol)
-
-    worst = 0.0
-    for ev in transfers:
-        psi = dynamics.evolve(prop, ev.t_detected)
-        worst = max(
-            worst,
-            abs(measures.two_point_correlation(psi, 3, 4, "z", "z") + 0.25),
-            abs(measures.two_point_correlation(psi, 1, 2, "z", "z") - 0.25),
-        )
-    rep.check(f"transfer_zz_signature[d={d:g}]", worst, tol)
-
-    worst_fid = 0.0
-    worst_zz = 0.0
-    worst_rung_xx = 0.0
-    worst_leg_xx_dev = 0.0
-    for ev in ws:
-        psi = dynamics.evolve(prop, ev.t_detected)
-        worst_fid = max(worst_fid, 1.0 - (ev.fidelity or 0.0))
-        for pair in tables.ALL_PAIRS:
-            worst_zz = max(worst_zz, abs(measures.two_point_correlation(psi, *pair, "z", "z")))
-        for pair in ((1, 2), (3, 4)):
-            worst_rung_xx = max(worst_rung_xx, abs(
-                abs(measures.two_point_correlation(psi, *pair, "x", "x")) - 0.125))
-        for pair in tables.LEG_CLASS_PAIRS:
-            worst_leg_xx_dev = max(worst_leg_xx_dev, abs(
-                abs(measures.two_point_correlation(psi, *pair, "x", "x")) - 0.125))
-    rep.check(f"w_event_fidelity[d={d:g}]", worst_fid, tol)
-    rep.check(f"w_event_zz_quench[d={d:g}]", worst_zz, tol)
-    rep.check(f"w_event_rung_xx_eighth[d={d:g}]", worst_rung_xx, tol)
-    if ws:
-        rep.adjudications.append(
-            f"CONTRADICTED all-pairs |xx|=1/8 at W events [d={d:g}]: leg-class "
-            f"deviation up to {worst_leg_xx_dev:.3e}"
-        )
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     graph = _load_topology(cfg.topology)
     d_values = cfg.d_grid if cfg.d_grid is not None else (
-        [cfg.d] if cfg.d is not None else list(_DEFAULT_VERIFY_D))
+        [cfg.d] if cfg.d is not None else list(verify.DEFAULT_D))
     if any(not dv > 0 for dv in d_values):
         raise ValidationError("verify requires all d > 0")
     for dv in d_values:
         analytic.spectral_params(float(dv))  # every d, before anything is printed
     ts = _budgeted_time_grid(cfg, len(d_values), "verify")
-    rep = _Report()
     print("laddyn verify")
     print(f"topology: rungs={graph.rung_bonds} legs={graph.leg_bonds}")
     print(f"grid: d in {list(d_values)}, t in [0, {cfg.t_max:g}] step {cfg.dt:g}, "
           f"oracle tolerance {cfg.tolerance:g}")
-
-    for dv in d_values:
-        prop = model.propagator(float(dv), graph)
-        _verify_one_d(rep, float(dv), prop, ts, cfg.tolerance, graph)
-        _verify_events(rep, float(dv), prop, cfg.t_max, cfg.dt, cfg.tolerance, graph)
-        rep.info.append(
-            "informational: commutator |[H, S^z_tot]|_max"
-            f"[d={dv:g}] = {model.magnetization_commutator_norm(model.ModelParams(d=float(dv)), graph):.3e}"
-        )
-
-    # closed-form identities across a fine d sample
-    worst_id = 0.0
-    for dv in np.linspace(0.04, 4.0, 100):
-        sp = analytic.spectral_params(float(dv))
-        worst_id = max(
-            worst_id,
-            abs(sp.mu * sp.nu - dv * dv),
-            abs(sp.mu ** 2 + sp.nu ** 2 - 4.0 - 2.0 * dv * dv),
-            abs(analytic.eta_xi(0.0, float(dv))[0] - 2.0),
-            abs(analytic.eta_xi(0.0, float(dv))[1]),
-        )
-        for t in (0.7, 2.3, 11.0):
-            eta, xi = analytic.eta_xi(t, float(dv))
-            worst_id = max(worst_id, abs(abs(eta) ** 2 + abs(xi) ** 2 - 4.0))
-    rep.check("closed_form_identities", worst_id, 1e-10)
-
-    curves = detect.w_time_curves(np.arange(0.1, 4.0001, 0.1), cfg.n_max)
-    rep.require("w_time_curves_monotone", bool(np.all(np.diff(curves, axis=1) < 0)))
-    ratios_exact = all(
-        np.all(curves[n] / curves[0] == float(2 * n + 1)) for n in range(curves.shape[0])
-    )
-    rep.require("w_time_curve_ratios_exact", ratios_exact)
-
-    print(rep.render())
-    return EXIT_OK if rep.all_passed else EXIT_CHECK_FAILURE
+    records = verify.run_checks(d_values, ts, cfg.t_max, cfg.dt, cfg.tolerance, cfg.n_max, graph)
+    print(verify.render(records))
+    return EXIT_OK if all(r.passed for r in records if r.gated) else EXIT_CHECK_FAILURE
 
 
 # ---------------------------------------------------------------------------

@@ -219,21 +219,22 @@ def find_events(d: float, t_max: float, coarse_dt: float = 0.01, tol: float = 1e
                 graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> list[EventRecord]:
     """Transfer and W events with t_predicted <= t_max, in time order, from one coarse scan.
 
-    Builds the propagator of (d, graph) and walks the grid 0, coarse_dt, ...,
-    which runs two steps past t_max so that an event in the last step up to
-    t_max still has a bracket, once, in the blocks of dynamics.evolved_blocks.
-    The candidates are found block by block (_block_candidates) and kept as
-    (lo, hi) time brackets: local maxima of C_{3,4} for find_transfer_events
-    and sign changes of C_{1,2} - C_{3,4} for find_w_events, which refine and
-    check them.  So the scan holds the time grid, one block and the brackets,
-    and the searches the brackets and their events.  Events at the same time
-    keep that order, transfers first.  Empty if t_max is below the first event.
+    Refuses what check_event_search refuses, then builds the propagator of
+    (d, graph) and runs search_events on it.
+    """
+    check_event_search(d, coarse_dt, graph)
+    return search_events(model.propagator(d, graph), d, t_max, coarse_dt, tol)
 
-    The searches bisect the closed forms of the default graph, so any other
-    graph must have its one-particle Hamiltonian within
-    linalg.HERMITICITY_TOL of the default's at d.  And coarse_dt must give at
-    least SCAN_POINTS_PER_PERIOD points per period 4 pi/(mu+nu) of C_{3,4}.
-    Either raises ValidationError before the scan.
+
+def check_event_search(d: float, coarse_dt: float,
+                       graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> None:
+    """Raise where search_events cannot serve (d, coarse_dt, graph), before any scan.
+
+    d must be in the closed forms' domain (DomainError).  The searches bisect
+    the closed forms of the default graph, so any other graph must have its
+    one-particle Hamiltonian within linalg.HERMITICITY_TOL of the default's
+    at d.  And coarse_dt must give at least SCAN_POINTS_PER_PERIOD points
+    per period 4 pi/(mu+nu) of C_{3,4}.  Either raises ValidationError.
     """
     sp = analytic.spectral_params(d)  # checks d is in the closed forms' domain
     if graph != model.DEFAULT_GRAPH:
@@ -250,7 +251,22 @@ def find_events(d: float, t_max: float, coarse_dt: float = 0.01, tol: float = 1e
             f"a scan step of {coarse_dt:g} undersamples C_34 at d = {d:g}: it needs "
             f"{SCAN_POINTS_PER_PERIOD} points per period 4*pi/(mu+nu), so a step (--dt) "
             f"of at most {dt_max:.6g}")
-    prop = model.propagator(d, graph)
+
+
+def search_events(prop: dynamics.Propagator, d: float, t_max: float, coarse_dt: float,
+                  tol: float) -> list[EventRecord]:
+    """The events of find_events, on the propagator prop of d, for inputs check_event_search passed.
+
+    Walks the grid 0, coarse_dt, ..., which runs two steps past t_max so
+    that an event in the last step up to t_max still has a bracket, once, in
+    the blocks of dynamics.evolved_blocks.  The candidates are found block
+    by block (_block_candidates) and kept as (lo, hi) time brackets: local
+    maxima of C_{3,4} for find_transfer_events and sign changes of C_{1,2} -
+    C_{3,4} for find_w_events, which refine and check them.  So the scan
+    holds the time grid, one block and the brackets, and the searches the
+    brackets and their events.  Events at the same time keep that order,
+    transfers first.  Empty if t_max is below the first event.
+    """
     # every block passes the sector check before either search starts
     transfer_brackets, w_brackets = _scan_brackets(prop, t_max, coarse_dt)
     events = (find_transfer_events(prop, transfer_brackets, d, t_max, tol)

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import SectorLeakageError, ValidationError
 from .linalg import (
     DIM,
+    N_SITES,
     ONE_PARTICLE_INDICES,
     EigenSystem,
     hermitian_eig,
@@ -38,8 +39,16 @@ MAX_GRID_POINTS = 1_000_000
 #: the heap instead of being mapped, page-faulted and unmapped for each block.
 BLOCK_ROWS = 500
 
-_SECTOR_MASK = np.ones(DIM, dtype=bool)
-_SECTOR_MASK[list(ONE_PARTICLE_INDICES)] = False
+#: S^z_tot sector of each basis state, its number of up spins (0..N_SITES)
+_SECTOR_OF = np.array([bin(i).count("1") for i in range(DIM)])
+#: row k marks the basis states of sector k
+_SECTOR_ROWS = _SECTOR_OF == np.arange(N_SITES + 1)[:, None]
+#: the basis states outside the one-excitation sector
+_SECTOR_MASK = _SECTOR_OF != 1
+
+#: most weight an eigenvector may have outside its main S^z_tot sector
+#: before make_propagator rebuilds the eigensystem sector by sector
+MIXING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,9 +59,45 @@ class Propagator:
     coefficients: np.ndarray
 
 
+def _sector_eig(h: np.ndarray, eig: EigenSystem) -> EigenSystem:
+    """eig, or the eigensystem of h's S^z_tot blocks where eig mixes sectors h does not couple.
+
+    Particle-hole symmetry makes the 1- and 3-excitation sectors of the
+    ladder iso-spectral, and eigh of the whole 16x16 h may return a
+    degenerate pair mixed across them (1.15e-2 of one eigenvector's weight
+    at d = 65.43729032048088); the pair's eigenvalues differ by roundoff,
+    so an evolved state leaks out of its sector linearly in t.  Where h has
+    no element between sectors and some eigenvector has more than
+    MIXING_TOL of its weight outside one sector, each diagonal block (sizes
+    1, 4, 6, 4, 1) is diagonalized on its own, so every eigenvector lies in
+    one sector.  Anywhere else eig is returned as it is, with its bits.
+    """
+    if h.shape != (DIM, DIM) or np.any(h[_SECTOR_OF[:, None] != _SECTOR_OF]):
+        return eig
+    v = eig.eigenvectors
+    weights = _SECTOR_ROWS @ (v.real ** 2 + v.imag ** 2)
+    if not np.max(weights.sum(axis=0) - weights.max(axis=0)) > MIXING_TOL:
+        return eig
+    values = np.empty(DIM)
+    vectors = np.zeros((DIM, DIM), dtype=complex)
+    start = 0
+    for rows in _SECTOR_ROWS:
+        idx = np.flatnonzero(rows)
+        cols = slice(start, start + idx.size)
+        values[cols], vectors[idx, cols] = np.linalg.eigh(h[np.ix_(idx, idx)])
+        start = cols.stop
+    order = np.argsort(values, kind="stable")
+    return EigenSystem(eigenvalues=values[order], eigenvectors=vectors[:, order])
+
+
 def make_propagator(h, psi0) -> Propagator:
-    """Diagonalize h and expand psi0 in its eigenbasis."""
-    eig = hermitian_eig(h)
+    """Diagonalize h and expand psi0 in its eigenbasis.
+
+    A 16x16 h that conserves S^z_tot gets eigenvectors that each lie in
+    one sector (_sector_eig).
+    """
+    h = np.asarray(h, dtype=complex)
+    eig = _sector_eig(h, hermitian_eig(h))
     psi0 = require_normalized(psi0)
     if psi0.shape[0] != eig.eigenvectors.shape[0]:
         raise ValidationError(

@@ -155,11 +155,3 @@ def propagator(d: float, graph: CouplingGraph = DEFAULT_GRAPH) -> dynamics.Propa
     return dynamics.make_propagator(build_hamiltonian(ModelParams(d=d), graph),
                                     initial_state())
 
-
-def magnetization_commutator_norm(params: ModelParams, graph: CouplingGraph = DEFAULT_GRAPH) -> float:
-    """Max-entry norm of [H, S^z_tot]; reported by verify (measures 0 here)."""
-    h = build_hamiltonian(params, graph)
-    sz = total_spin_operator("z")
-    comm = h @ sz - sz @ h
-    return float(np.max(np.abs(comm)))
-

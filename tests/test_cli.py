@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from laddyn import cli, detect, dynamics, measures, model, tables
+from laddyn import cli, detect, dynamics, measures, model, tables, verify
 from laddyn.errors import NumericalFailureError
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -598,15 +598,16 @@ class TestVerifyCommand:
     def test_memory_is_bounded_by_the_block(self):
         # 20,001 times in 41 blocks; whole-grid state stacks peaked at 40.5 MB here
         ts = dynamics.time_grid(0.0, 200.0, 0.01)
-        rep = cli._Report()
+        h = model.build_hamiltonian(model.ModelParams(d=0.6))
+        prop = dynamics.make_propagator(h, model.initial_state())
         tracemalloc.start()
         try:
-            cli._verify_one_d(rep, 0.6, model.propagator(0.6), ts, 1e-9, model.DEFAULT_GRAPH)
+            records = list(verify._state_checks(0.6, h, prop, ts, 1e-9))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 3e6
-        assert rep.all_passed
+        assert all(r.passed for r in records if r.gated)
 
     @pytest.mark.parametrize("t_max", ["1.111", "2.225", "3.3325"])
     def test_event_in_last_grid_step_is_counted(self, t_max):

@@ -426,6 +426,29 @@ class TestRefinement:
         assert max(sizes) <= dynamics.BLOCK_ROWS and sum(sizes) > dynamics.BLOCK_ROWS
 
 
+class TestSearchOnAGivenPropagator:
+    @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
+    def test_find_events_is_its_refusals_then_the_search(self, monkeypatch, d):
+        detect.check_event_search(d, 0.01)
+        searched = detect.search_events(model.propagator(d), d, 60.0, 0.01, 1e-9)
+        built = _record_calls(monkeypatch, "search_events")
+        assert detect.find_events(d, 60.0) == searched
+        [(prop, *args)] = built
+        assert args == [d, 60.0, 0.01, 1e-9]
+
+    def test_refusals_come_before_any_propagator(self, monkeypatch):
+        built = _record_calls(monkeypatch, "search_events")
+        monkeypatch.setattr(model, "propagator", None)  # never reached
+        with pytest.raises(ValidationError, match="undersamples"):
+            detect.find_events(300.0, 3.0)
+        with pytest.raises(DomainError):
+            detect.find_events(1e-170, 3.0)
+        assert built == []
+        with pytest.raises(ValidationError, match="undersamples"):
+            detect.check_event_search(300.0, 0.01)
+        detect.check_event_search(300.0, 0.004)
+
+
 class TestScanSampling:
     def test_undersampled_scan_is_refused(self, monkeypatch):
         # d = 300 at dt 0.01 gives 2.1 points per period 4 pi/(mu+nu): the scan

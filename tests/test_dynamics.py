@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laddyn import analytic, dynamics, linalg, model
@@ -10,6 +10,16 @@ from laddyn.errors import SectorLeakageError, ValidationError
 
 
 times = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
+
+#: S^z_tot sector of each basis state, its number of up spins
+SECTOR_OF = np.array([bin(i).count("1") for i in range(16)])
+
+
+def sector_mixing(eigenvectors) -> float:
+    """Largest weight an eigenvector has outside its main S^z_tot sector."""
+    weights = np.array([np.sum(np.abs(eigenvectors[SECTOR_OF == k]) ** 2, axis=0)
+                        for k in range(5)])
+    return float(np.max(weights.sum(axis=0) - weights.max(axis=0)))
 
 
 class TestMakePropagator:
@@ -30,6 +40,22 @@ class TestMakePropagator:
         outside = np.abs(prop.coefficients)[sector_weight < 1e-12]
         assert outside.size > 0 and np.max(outside, initial=0.0) < 1e-12
 
+    def test_sector_mixed_eigensystem_is_rebuilt(self):
+        # eigh of the whole H mixed a degenerate pair across the iso-spectral 1- and
+        # 3-excitation sectors here (1.15e-2 of one eigenvector's weight), so the
+        # evolved state leaked 7.7e-23 by t = 1e4, growing linearly in t
+        d = 65.43729032048088
+        h = model.build_hamiltonian(model.ModelParams(d=d))
+        assert sector_mixing(linalg.hermitian_eig(h).eigenvectors) > 1e-2
+        prop = model.propagator(d)
+        for col in prop.eig.eigenvectors.T:
+            assert len(set(SECTOR_OF[col != 0])) == 1
+        np.testing.assert_allclose((prop.eig.eigenvectors * prop.eig.eigenvalues)
+                                   @ prop.eig.eigenvectors.conj().T, h, atol=1e-13)
+        assert np.all(np.diff(prop.eig.eigenvalues) >= 0)
+        assert dynamics.sector_leakage(dynamics.evolve(prop, 1e4)) == 0.0
+        assert dynamics.sector_leakage(dynamics.evolve_states(prop, [1e3, 1e4])) == 0.0
+
     def test_input_validation(self):
         with pytest.raises(ValidationError):
             dynamics.make_propagator(np.zeros((16, 16)), np.ones(16))
@@ -37,6 +63,54 @@ class TestMakePropagator:
         m[0, 1] = 1.0
         with pytest.raises(ValidationError):
             dynamics.make_propagator(m, model.initial_state())
+
+
+#: the d values of the benchmark's canonical workloads: the sweep grid
+#: 0.1:4.0:0.1 (built as the CLI builds it), evolve, events and verify
+CANONICAL_DS = sorted({*(0.1 + k * 0.1 for k in range(40)), 0.6, 0.3, 1.0, 3.0,
+                       0.2, 1.5, 2.0})
+
+
+class TestSectorGate:
+    """make_propagator rebuilds the eigensystem only where eigh mixes sectors."""
+
+    @staticmethod
+    def _eigensystems(d):
+        h = model.build_hamiltonian(model.ModelParams(d=d))
+        return linalg.hermitian_eig(h), dynamics.make_propagator(h, model.initial_state()).eig
+
+    @pytest.mark.parametrize("d", CANONICAL_DS)
+    def test_canonical_d_keeps_the_eigh_bits(self, d):
+        raw, eig = self._eigensystems(d)
+        assert sector_mixing(raw.eigenvectors) <= dynamics.MIXING_TOL
+        assert eig.eigenvalues.tobytes() == raw.eigenvalues.tobytes()
+        assert eig.eigenvectors.tobytes() == raw.eigenvectors.tobytes()
+
+    @given(d=st.floats(min_value=math.log(1e-2), max_value=math.log(3e2)).map(math.exp))
+    @example(d=65.43729032048088)
+    @example(d=82.63475583856787)
+    @settings(max_examples=100, deadline=None)
+    def test_unmixed_eigensystem_is_kept_bit_for_bit(self, d):
+        raw, eig = self._eigensystems(d)
+        if sector_mixing(raw.eigenvectors) <= dynamics.MIXING_TOL:
+            assert eig.eigenvalues.tobytes() == raw.eigenvalues.tobytes()
+            assert eig.eigenvectors.tobytes() == raw.eigenvectors.tobytes()
+        else:
+            for col in eig.eigenvectors.T:
+                assert len(set(SECTOR_OF[col != 0])) == 1
+            np.testing.assert_allclose(eig.eigenvalues, raw.eigenvalues, atol=1e-12)
+
+    def test_gate_needs_a_sector_conserving_16x16_matrix(self):
+        # an element between sectors, or another size, keeps eigh's eigensystem
+        rng = np.random.default_rng(7)
+        for n in (4, 16):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            m = (a + a.conj().T) / 2
+            psi = np.zeros(n, dtype=complex)
+            psi[0] = 1.0
+            raw = linalg.hermitian_eig(m)
+            eig = dynamics.make_propagator(m, psi).eig
+            assert eig.eigenvectors.tobytes() == raw.eigenvectors.tobytes()
 
 
 class TestEvolve:

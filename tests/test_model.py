@@ -121,8 +121,10 @@ class TestHamiltonian:
         assert abs(mu ** 2 + nu ** 2 - 4 - 2 * d * d) < 1e-10
 
     def test_commutes_with_total_magnetization(self):
+        sz = model.total_spin_operator("z")
         for d in (0.0, 0.6, 2.0):
-            assert model.magnetization_commutator_norm(model.ModelParams(d=d)) < 1e-14
+            h = model.build_hamiltonian(model.ModelParams(d=d))
+            assert np.max(np.abs(h @ sz - sz @ h)) < 1e-14
 
 
 class TestOneParticleBlock:

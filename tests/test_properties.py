@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laddyn import analytic, dynamics, linalg, measures, model
@@ -115,6 +115,9 @@ def test_leg_correlations_exact_form(t, d):
 
 
 @given(t=log_times, d=log_ds)
+# eigh mixed a degenerate pair across the 1- and 3-excitation sectors at this d,
+# and the leaked amplitude left a residual of 1.0114e-13
+@example(d=82.63475583856787, t=math.exp(4.4375))
 @settings(max_examples=50, deadline=None)
 def test_ckw_monogamy_equality(t, d):
     # Coffman, Kundu, Wootters, PRA 61, 052306 (2000): for a pure state with one

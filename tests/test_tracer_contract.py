@@ -51,3 +51,20 @@ def test_tracer_sees_the_traced_calls(tmp_path):
     found = {name: units["events"] for name, *_, units in spans if name.startswith("detect.find_")}
     assert found == {"detect.find_transfer_events": 2, "detect.find_w_events": 5}
     assert tracing.aggregate(spans)["cli._write_table.rows"] == 2 * 201 + 2 + 2 + 5
+
+
+def test_verify_builds_one_hamiltonian_per_d():
+    # the checks of a d read one H and one propagator, and evolution_composition
+    # builds the one other propagator; 5 builds and 3 propagators per d before
+    from laddyn import cli
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["verify", "--d", "1", "--t-max", "2"]) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    calls = tracing.aggregate(tracer.records())
+    assert calls["model.build_hamiltonian.calls"] == 1
+    assert calls["dynamics.make_propagator.calls"] == 2

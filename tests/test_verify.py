@@ -1,0 +1,84 @@
+"""The verify report as records: one CheckRecord per line, rendered as the pinned text."""
+
+import dataclasses
+import hashlib
+import math
+
+import pytest
+
+from laddyn import cli, dynamics, verify
+
+#: sha256 of the default `laddyn verify` stdout (TestPinnedOutputs pins the same)
+VERIFY_STDOUT_SHA256 = "55168a2909d60e2a00416cde61ad69d63457ed108675575dcff89fb6d8734f5a"
+ADJUDICATIONS = {"leg_xxyy_vs_table", "leg_cross_axis_zero", "w_event_leg_xx_eighth"}
+INFORMATIONAL = {"sector_leakage_value", "sz_tot_commutator"}
+
+
+@pytest.fixture(scope="module")
+def default_records():
+    # the inputs of a default `laddyn verify`
+    ts = dynamics.time_grid(0.0, 30.0, 0.01)
+    return verify.run_checks(verify.DEFAULT_D, ts, 30.0, 0.01, 1e-9, 9)
+
+
+def test_default_gated_records_all_pass(default_records):
+    gated = [r for r in default_records if r.gated]
+    assert len(gated) == 128
+    assert all(r.passed for r in gated)
+
+
+def test_render_is_the_pinned_text(default_records, capsys):
+    assert cli.main(["verify"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256
+    header = out.splitlines()[:3]
+    assert out == "\n".join([*header, verify.render(default_records)]) + "\n"
+
+
+def test_non_gated_records_are_the_non_gated_lines(default_records):
+    lines = verify.render(default_records).splitlines()
+    gated = [r for r in default_records if r.gated]
+    assert lines[:len(gated)] == [line for line in lines if line.startswith(("PASS ", "FAIL "))]
+    rest = lines[len(gated):]
+    assert rest[0] == "-- tabulated-claim adjudications (reported, not gated) --"
+    assert rest[-1] == "summary: 128/128 checks passed"
+    reported = [r for r in default_records if not r.gated]
+    # adjudications first, then informational values, each in record order
+    ordered = ([r for r in reported if r.name in ADJUDICATIONS]
+               + [r for r in reported if r.name in INFORMATIONAL])
+    assert len(ordered) == len(reported) == 5 * len(verify.DEFAULT_D)
+    for r, line in zip(ordered, rest[1:-1], strict=True):
+        assert line.startswith("CONTRADICTED " if r.name in ADJUDICATIONS else "informational: ")
+        assert f"[d={r.d:g}]" in line and line.endswith(f"{r.worst:.3e}" + (
+            " (table ignores the relative phase between the rung envelopes)"
+            if r.name == "leg_xxyy_vs_table" else ""))
+
+
+def test_numeric_records_pass_by_their_tolerance(default_records):
+    numeric = [r for r in default_records if not math.isnan(r.worst)]
+    assert all(r.passed == (r.worst <= r.tol) for r in numeric)
+    # the adjudications contradict the tabulated claims at the oracle tolerance;
+    # informational values have no bound
+    assert {r.passed for r in numeric if r.name in ADJUDICATIONS} == {False}
+    assert {r.tol for r in numeric if r.name in INFORMATIONAL} == {math.inf}
+    pass_fail = [r for r in default_records if math.isnan(r.worst)]
+    assert [r.name for r in pass_fail] == ["event_count"] * 5 + [
+        "w_time_curves_monotone", "w_time_curve_ratios_exact"]
+    assert all(math.isnan(r.tol) and r.gated for r in pass_fail)
+    assert [r.d for r in default_records if r.d is None and r.gated] == [None] * 3
+
+
+def test_record_is_immutable(default_records):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        default_records[0].passed = False
+
+
+def test_refused_event_search_is_one_failed_record():
+    records = verify.run_checks([300.0], dynamics.time_grid(0.0, 3.0, 0.01), 3.0, 0.01, 1e-9, 9)
+    [refused] = [r for r in records if r.name.startswith("event")]
+    assert refused.name == "event_detection" and refused.gated and not refused.passed
+    assert refused.detail.startswith("raised a scan step of 0.01 undersamples C_34 at d = 300")
+    text = verify.render(records)
+    assert "FAIL event_detection[d=300] (raised a scan step" in text
+    gated = [r for r in records if r.gated]
+    assert text.endswith(f"summary: {sum(r.passed for r in gated)}/{len(gated)} checks passed")
