@@ -1,10 +1,10 @@
 """Command-line interface: evolve, events, sweep, verify.
 
-Configuration comes from flags, optionally seeded by a key=value config
-file (flags override the file).  CSV output is deterministic: a schema
-comment line, 17-significant-digit floats, '.' decimal separator and LF
-line endings.  Exit codes: 0 success, 1 check failure, 2 usage error,
-3 I/O error.
+Each setting is declared once, in OPTIONS, which gives its --flag, its
+config-file key, its default and its parser; flags override a key=value
+config file.  CSV output is deterministic: a schema comment line,
+17-significant-digit floats, '.' decimal separator and LF line endings.
+Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -37,39 +37,6 @@ EXIT_IO = 3
 # ---------------------------------------------------------------------------
 # configuration plumbing
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RunConfig:
-    d: float | None = None
-    d_grid: list[float] | None = None
-    t_max: float = 30.0
-    dt: float = 0.01
-    pairs: list[tuple[int, int]] = field(default_factory=lambda: list(tables.ALL_PAIRS))
-    tolerance: float = 1e-9
-    output: str | None = None
-    format: str = "csv"
-    topology: str | None = None
-    n_max: int = 9
-
-    def validate(self) -> None:
-        if self.d is not None and not (math.isfinite(self.d) and self.d >= 0.0):
-            raise ValidationError(f"d must be finite and >= 0, got {self.d}")
-        for key in ("dt", "t_max", "tolerance"):
-            value = getattr(self, key)
-            if not math.isfinite(value):
-                raise ValidationError(f"{key} must be finite, got {value}")
-        if not self.dt > 0.0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
-        if not self.t_max > 0.0:
-            raise ValidationError(f"t_max must be positive, got {self.t_max}")
-        if not self.tolerance > 0.0:
-            raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
-        if self.format not in ("csv", "json"):
-            raise ValidationError(f"format must be csv or json, got {self.format!r}")
-        if not 0 <= self.n_max <= analytic.EXACT_N_MAX:
-            raise ValidationError(
-                f"n_max must be in 0..{analytic.EXACT_N_MAX}, got {self.n_max}")
-
 
 def _parse_d_grid(spec: str) -> list[float]:
     """Parse 'start:stop:step' into an inclusive grid."""
@@ -99,13 +66,56 @@ def _parse_pairs(spec: str) -> list[tuple[int, int]]:
     return out
 
 
-def _read_config_file(path: str) -> dict:
-    values: dict = {}
+def _load_topology(path: str) -> model.CouplingGraph:
+    """Read a JSON file of 'rungs' and 'legs' bond lists; a missing file is an OSError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValidationError(f"not valid JSON: {exc}") from None
+    try:
+        return model.CouplingGraph(
+            rung_bonds=tuple(tuple(b) for b in data["rungs"]),
+            leg_bonds=tuple(tuple(b) for b in data["legs"]),
+        )
+    except (KeyError, TypeError):
+        raise ValidationError("expected JSON with 'rungs' and 'legs' bond lists") from None
+
+
+class Option(NamedTuple):
+    parse: Callable[[str], Any]
+    default: Any
+    help: str
+
+
+#: every setting, by config-file key; its flag is --key with '-' for '_'.  A
+#: flag or config-file value is a string that parse converts, and a missing
+#: one is default.
+OPTIONS = {
+    "d": Option(float, None, "DM coupling strength D, in units of J"),
+    "d_grid": Option(_parse_d_grid, None, "START:STOP:STEP, an inclusive grid of D values"),
+    "t_max": Option(float, 30.0, "last time of the grid (default 30)"),
+    "dt": Option(float, 0.01, "time step of the grid (default 0.01)"),
+    "pairs": Option(_parse_pairs, tables.ALL_PAIRS, "site pairs like 1-2,3-4 (default all six)"),
+    "tolerance": Option(float, 1e-9, "oracle tolerance (default 1e-9)"),
+    "output": Option(str, None, "output file"),
+    "format": Option(str, "csv", "csv (default) or json"),
+    "topology": Option(_load_topology, model.DEFAULT_GRAPH,
+                       "JSON file with 'rungs' and 'legs' bond lists (expert override)"),
+    "n_max": Option(int, 9, f"highest W-time curve index, 0..{analytic.EXACT_N_MAX} (default 9)"),
+}
+
+
+def _read_config_file(path: str) -> dict[str, str]:
+    """The raw key=value lines of a config file, by OPTIONS key; every fault is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"config file {path} is not UTF-8 text: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config file {path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ValidationError(str(exc)) from None
+    values = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -113,69 +123,51 @@ def _read_config_file(path: str) -> dict:
         key, sep, val = line.partition("=")
         if not sep:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        values[key.strip().replace("-", "_")] = val.strip()
+        key = key.strip().replace("-", "_")
+        if key not in OPTIONS:
+            raise ValidationError(f"unknown config key {key!r}")
+        values[key] = val.strip()
     return values
 
 
-_CONFIG_PARSERS = {
-    "d": float,
-    "d_grid": _parse_d_grid,
-    "t_max": float,
-    "dt": float,
-    "pairs": _parse_pairs,
-    "tolerance": float,
-    "output": str,
-    "format": str,
-    "topology": str,
-    "n_max": int,
-}
-
-
-def _convert(key: str, raw: str, source: str):
-    """Convert one raw config-file or flag value; every value takes this path."""
-    try:
-        return _CONFIG_PARSERS[key](raw)
-    except ValueError as exc:
-        raise ValidationError(f"{source}: bad {key} value {raw!r}: {exc}") from None
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, raw in _read_config_file(args.config).items():
-            if key not in _CONFIG_PARSERS:
-                raise ValidationError(f"unknown config key {key!r}")
-            setattr(cfg, key, _convert(key, raw, args.config))
-    for key in _CONFIG_PARSERS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            setattr(cfg, key, _convert(key, flag_val, "command line"))
-    cfg.validate()
+def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The OPTIONS defaults, overridden by the config file's values, then by the flags."""
+    cfg = {key: opt.default for key, opt in OPTIONS.items()}
+    flags = {key: raw for key, raw in vars(args).items() if key in OPTIONS and raw is not None}
+    file_values = _read_config_file(args.config) if args.config else {}
+    for source, values in ((args.config, file_values), ("command line", flags)):
+        for key, raw in values.items():
+            try:
+                cfg[key] = OPTIONS[key].parse(raw)
+            except ValueError as exc:
+                raise ValidationError(f"{source}: bad {key} value {raw!r}: {exc}") from None
+    cfg = argparse.Namespace(**cfg)
+    _validate(cfg)
     return cfg
 
 
-def _load_topology(path: str | None) -> model.CouplingGraph:
-    if path is None:
-        return model.DEFAULT_GRAPH
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise ValidationError(f"topology file {path} is not valid JSON: {exc}") from None
-    try:
-        return model.CouplingGraph(
-            rung_bonds=tuple(tuple(b) for b in data["rungs"]),
-            leg_bonds=tuple(tuple(b) for b in data["legs"]),
-        )
-    except (KeyError, TypeError) as exc:
+def _validate(cfg: argparse.Namespace) -> None:
+    """The checks on the merged values; the only check of format."""
+    if cfg.d is not None and not (math.isfinite(cfg.d) and cfg.d >= 0.0):
+        raise ValidationError(f"d must be finite and >= 0, got {cfg.d}")
+    for key in ("dt", "t_max", "tolerance"):
+        value = getattr(cfg, key)
+        if not math.isfinite(value):
+            raise ValidationError(f"{key} must be finite, got {value}")
+    if not cfg.dt > 0.0:
+        raise ValidationError(f"dt must be positive, got {cfg.dt}")
+    if not cfg.t_max > 0.0:
+        raise ValidationError(f"t_max must be positive, got {cfg.t_max}")
+    if not cfg.tolerance > 0.0:
+        raise ValidationError(f"tolerance must be positive, got {cfg.tolerance}")
+    if cfg.format not in ("csv", "json"):
+        raise ValidationError(f"format must be csv or json, got {cfg.format!r}")
+    if not 0 <= cfg.n_max <= analytic.EXACT_N_MAX:
         raise ValidationError(
-            f"topology file {path} must be JSON with 'rungs' and 'legs' bond lists"
-        ) from exc
-    except ValidationError as exc:
-        raise ValidationError(f"topology file {path}: {exc}") from None
+            f"n_max must be in 0..{analytic.EXACT_N_MAX}, got {cfg.n_max}")
 
 
-def _budgeted_time_grid(cfg: RunConfig, n_d: int, command: str) -> np.ndarray:
+def _budgeted_time_grid(cfg: argparse.Namespace, n_d: int, command: str) -> np.ndarray:
     """cfg's time grid, once n_d of them stay within dynamics.MAX_GRID_POINTS."""
     ts = dynamics.time_grid(0.0, cfg.t_max, cfg.dt)
     if n_d * len(ts) > dynamics.MAX_GRID_POINTS:
@@ -296,24 +288,22 @@ def _curves_path(output: str, fmt: str) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_evolve(cfg: RunConfig) -> int:
+def cmd_evolve(cfg: argparse.Namespace) -> int:
     if cfg.output is None:
         raise ValidationError("evolve requires --output")
-    graph = _load_topology(cfg.topology)
     if cfg.d is None:
         raise ValidationError("evolve requires --d (0 is allowed, numeric-only)")
     ts = dynamics.time_grid(0.0, cfg.t_max, cfg.dt)
-    table = tables.evolve_table(cfg.d, ts, cfg.pairs, graph)
+    table = tables.evolve_table(cfg.d, ts, cfg.pairs, cfg.topology)
     _write_table(cfg.output, table.names, table, cfg.format)
     print(f"wrote {len(table)} rows to {cfg.output}")
     return EXIT_OK
 
 
-def cmd_events(cfg: RunConfig) -> int:
+def cmd_events(cfg: argparse.Namespace) -> int:
     if cfg.d is None or cfg.d <= 0.0:
         raise ValidationError("events requires --d > 0")
-    graph = _load_topology(cfg.topology)
-    records = detect.find_events(cfg.d, cfg.t_max, cfg.dt, cfg.tolerance, graph)
+    records = detect.find_events(cfg.d, cfg.t_max, cfg.dt, cfg.tolerance, cfg.topology)
     columns = ["kind", "n", "t_predicted", "t_detected", "residual", "fidelity"]
     rows = [[e.kind, e.n, e.t_predicted, e.t_detected, e.residual, e.fidelity] for e in records]
     if cfg.output:
@@ -324,15 +314,14 @@ def cmd_events(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: argparse.Namespace) -> int:
     if cfg.d_grid is None and cfg.d is None:
         raise ValidationError("sweep requires --d-grid or --d")
     d_grid = [cfg.d] if cfg.d_grid is None else cfg.d_grid
     if cfg.output is None:
         raise ValidationError("sweep requires --output")
-    graph = _load_topology(cfg.topology)
     ts = _budgeted_time_grid(cfg, len(d_grid), "sweep")
-    table = tables.sweep(d_grid, ts, graph)
+    table = tables.sweep(d_grid, ts, cfg.topology)
     # before any output: the closed forms refuse a d outside their domain
     curves = detect.w_time_curves(d_grid, cfg.n_max)
     _write_table(cfg.output, table.names, table, cfg.format)
@@ -346,8 +335,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    graph = _load_topology(cfg.topology)
+def cmd_verify(cfg: argparse.Namespace) -> int:
     d_values = cfg.d_grid if cfg.d_grid is not None else (
         [cfg.d] if cfg.d is not None else list(verify.DEFAULT_D))
     if any(not dv > 0 for dv in d_values):
@@ -356,10 +344,11 @@ def cmd_verify(cfg: RunConfig) -> int:
         analytic.spectral_params(float(dv))  # every d, before anything is printed
     ts = _budgeted_time_grid(cfg, len(d_values), "verify")
     print("laddyn verify")
-    print(f"topology: rungs={graph.rung_bonds} legs={graph.leg_bonds}")
+    print(f"topology: rungs={cfg.topology.rung_bonds} legs={cfg.topology.leg_bonds}")
     print(f"grid: d in {list(d_values)}, t in [0, {cfg.t_max:g}] step {cfg.dt:g}, "
           f"oracle tolerance {cfg.tolerance:g}")
-    records = verify.run_checks(d_values, ts, cfg.t_max, cfg.dt, cfg.tolerance, cfg.n_max, graph)
+    records = verify.run_checks(d_values, ts, cfg.t_max, cfg.dt, cfg.tolerance, cfg.n_max,
+                                cfg.topology)
     print(verify.render(records))
     return EXIT_OK if all(r.passed for r in records if r.gated) else EXIT_CHECK_FAILURE
 
@@ -383,18 +372,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
         # values stay strings here; _merge_config converts flags and config
-        # file values through the same _CONFIG_PARSERS table
-        p.add_argument("--d", default=None, help="DM coupling strength")
-        p.add_argument("--d-grid", dest="d_grid", default=None, metavar="START:STOP:STEP")
-        p.add_argument("--t-max", dest="t_max", default=None)
-        p.add_argument("--dt", default=None)
-        p.add_argument("--tolerance", default=None)
-        p.add_argument("--output", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--topology", default=None,
-                       help="JSON file with 'rungs' and 'legs' bond lists (expert override)")
-        p.add_argument("--n-max", dest="n_max", default=None,
-                       help=f"highest W-time curve index, 0..{analytic.EXACT_N_MAX}")
+        # file values through the same OPTIONS parsers
+        for key, opt in OPTIONS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=opt.help)
     return parser
 
 
@@ -435,15 +415,9 @@ def _keep_freed_heap() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_heap()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _merge_config(args)
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](_merge_config(args))
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

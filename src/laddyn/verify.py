@@ -116,8 +116,10 @@ def _state_checks(d: float, h: np.ndarray, prop: dynamics.Propagator, ts: np.nda
     expected = np.sort([sp.mu / 2, -sp.mu / 2, sp.nu / 2, -sp.nu / 2])
     yield _check("sector_eigenvalues", d, np.max(np.abs(sector - expected)), 1e-10)
     mu_n, nu_n = 2 * sector[-1], 2 * sector[-2]
+    # roundoff in quantities of size 4 + 2 d^2; exactly 1e-10 below d = 59.3
     yield _check("identity_mu_nu", d, max(abs(mu_n * nu_n - d * d),
-                                          abs(mu_n ** 2 + nu_n ** 2 - 4 - 2 * d * d)), 1e-10)
+                                          abs(mu_n ** 2 + nu_n ** 2 - 4 - 2 * d * d)),
+                 max(1e-10, 64 * np.finfo(float).eps * (4 + 2 * d * d)))
 
     # one block of the grid at a time; each check keeps its running worst value,
     # the max over blocks (energy_constant: the running max minus the running min)

@@ -1,7 +1,18 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from laddyn import dynamics, model
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env(**extra: str) -> dict[str, str]:
+    """os.environ with extra, and src first on PYTHONPATH, for a child that imports laddyn."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
 
 
 def evolved(d: float, t: float) -> np.ndarray:

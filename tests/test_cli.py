@@ -20,14 +20,15 @@ import pytest
 from laddyn import cli, detect, dynamics, measures, model, tables, verify
 from laddyn.errors import NumericalFailureError
 
+from conftest import src_env
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "laddyn", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=src_env(),
     )
 
 
@@ -272,7 +273,8 @@ class TestPinnedOutputs:
     def test_events_stdout(self, fmt, digest):
         # without --output the table goes to stdout, byte for byte as --output writes it
         res = subprocess.run([sys.executable, "-m", "laddyn", "events", "--d", "1",
-                              "--t-max", "10", "--format", fmt], capture_output=True)
+                              "--t-max", "10", "--format", fmt], capture_output=True,
+                             env=src_env())
         assert res.returncode == 0, res.stderr
         assert hashlib.sha256(res.stdout).hexdigest() == digest
 
@@ -412,8 +414,7 @@ def test_block_loop_keeps_its_freed_heap(tmp_path):
     # cli.main keeps it (at t_max 100 the trimmed count fell to 3,600 in some
     # heap layouts).  The BLAS pool gets one thread, as in the benchmark; a
     # second thread's start-up can leave a heap layout that hides the trimming.
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    env = src_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     res = subprocess.run(
         [sys.executable, "-c", _FAULT_COUNT_CODE, "evolve", "--d", "0.6", "--t-max", "300",
          "--format", "json", "--output", str(tmp_path / "evolve.json")],
@@ -635,6 +636,81 @@ class TestVerifyCommand:
         assert "summary: 28/28 checks passed" in res.stdout
 
 
+class TestOptionTable:
+    """Each cli.OPTIONS key is one setting, set alike by its flag and its config-file line."""
+
+    COMMANDS = ["evolve", "events", "sweep", "verify"]
+
+    @pytest.fixture
+    def samples(self, tmp_path):
+        # a value of each key that differs from its default
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps(
+            {"rungs": [[1, 2], [2, 3], [3, 4], [4, 1]], "legs": [[3, 1], [2, 4]]}))
+        return {"d": "0.6", "d_grid": "0.1:0.5:0.2", "t_max": "12", "dt": "0.05",
+                "pairs": "2-1,3-4", "tolerance": "1e-8", "output": str(tmp_path / "out.csv"),
+                "format": "json", "topology": str(topo), "n_max": "4"}
+
+    @staticmethod
+    def merged(argv):
+        return vars(cli._merge_config(cli._build_parser().parse_args(argv)))
+
+    @staticmethod
+    def flag(key):
+        return "--" + key.replace("_", "-")
+
+    def test_samples_cover_the_table(self, samples):
+        assert sorted(samples) == sorted(cli.OPTIONS)
+
+    @pytest.mark.parametrize("key", list(cli.OPTIONS))
+    def test_flag_and_config_line_agree(self, tmp_path, samples, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {samples[key]}\n")
+        from_flag = self.merged(["evolve", self.flag(key), samples[key]])
+        assert from_flag == self.merged(["evolve", "--config", str(cfg)])
+        assert from_flag[key] != cli.OPTIONS[key].default
+        assert {k: v for k, v in from_flag.items() if k != key} == {
+            k: opt.default for k, opt in cli.OPTIONS.items() if k != key}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_takes_every_key(self, tmp_path, samples, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in samples.items()))
+        flags = [arg for key, value in samples.items() for arg in (self.flag(key), value)]
+        from_flags = self.merged([command, *flags])
+        assert from_flags == self.merged([command, "--config", str(cfg)])
+        assert from_flags["topology"] == model.CouplingGraph(
+            rung_bonds=((1, 2), (2, 3), (3, 4), (4, 1)), leg_bonds=((3, 1), (2, 4)))
+        assert all(from_flags[key] != opt.default for key, opt in cli.OPTIONS.items())
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_topology_file_is_io_error(self, tmp_path, command):
+        out = tmp_path / "x.csv"
+        res = run_cli(command, "--d", "1", "--t-max", "1", "--output", str(out),
+                      "--topology", str(tmp_path / "none.json"))
+        assert res.returncode == 3
+        assert res.stderr.startswith(f"i/o error: {tmp_path / 'none.json'}: ")
+        assert res.stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_config_file_is_usage_error(self, tmp_path, command):
+        res = run_cli(command, "--config", str(tmp_path / "none.cfg"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and "none.cfg" in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("command", ["evolve", "sweep"])
+    def test_unknown_format_is_usage_error(self, tmp_path, command):
+        out = tmp_path / "x.xml"
+        res = run_cli(command, "--d", "0.6", "--t-max", "1", "--format", "xml",
+                      "--output", str(out))
+        assert res.returncode == 2
+        assert "error: format must be csv or json, got 'xml'" in res.stderr
+        assert res.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigFile:
     def test_config_sets_and_flags_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -815,7 +891,7 @@ class TestMalformedInput:
 def test_every_config_key_is_documented():
     # each key is named in the README as its flag or as a config-file line
     readme = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
-    missing = [key for key in cli._CONFIG_PARSERS
+    missing = [key for key in cli.OPTIONS
                if not re.search(rf"--{key.replace('_', '-')}(?![\w-])|\b{key} =", readme)]
     assert missing == []
 
@@ -835,7 +911,8 @@ def test_console_script_entry_point():
         "sys.argv = ['laddyn', '--help']\n"
         f"sys.exit({attr}())\n"
     )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=src_env())
     assert res.returncode == 0
     for cmd in ("evolve", "events", "sweep", "verify"):
         assert cmd in res.stdout

@@ -1,14 +1,12 @@
 """The package namespace: what `laddyn` exports, and what importing it does."""
 
-import os
 import subprocess
 import sys
 import types
-from pathlib import Path
 
 import laddyn
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import src_env
 
 
 def test_all_names_resolve_and_none_is_a_module():
@@ -23,8 +21,7 @@ def test_import_makes_no_allocator_call():
     # the heap setting belongs to the process that runs a command (cli.main);
     # a library import must not reach the module that makes it
     code = "import sys, laddyn; print('laddyn.cli' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=src_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"

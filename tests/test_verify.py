@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from laddyn import cli, dynamics, verify
+from laddyn import cli, dynamics, model, verify
 
 #: sha256 of the default `laddyn verify` stdout (TestPinnedOutputs pins the same)
 VERIFY_STDOUT_SHA256 = "55168a2909d60e2a00416cde61ad69d63457ed108675575dcff89fb6d8734f5a"
@@ -82,3 +82,23 @@ def test_refused_event_search_is_one_failed_record():
     assert "FAIL event_detection[d=300] (raised a scan step" in text
     gated = [r for r in records if r.gated]
     assert text.endswith(f"summary: {sum(r.passed for r in gated)}/{len(gated)} checks passed")
+
+
+def test_large_d_passes_every_check(capsys):
+    # mu nu and mu^2 + nu^2 are of size 2 d^2 = 1.8e5 here: against an absolute
+    # 1e-10, roundoff alone failed identity_mu_nu with a worst of 1.164e-10
+    assert cli.main(["verify", "--d", "300", "--t-max", "3", "--dt", "0.004"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "PASS identity_mu_nu[d=300]" in out
+    assert "summary: 28/28 checks passed" in out
+
+
+@pytest.mark.parametrize("d", [1.0, 300.0])
+def test_identity_mu_nu_catches_a_relative_error_of_1e_9(d):
+    # the spectrum of H(d (1 + 1e-9)) misses mu nu = d^2 by about 2e-9 d^2
+    h = model.build_hamiltonian(model.ModelParams(d=d * (1 + 1e-9)))
+    prop = dynamics.make_propagator(h, model.initial_state())
+    records = verify._state_checks(d, h, prop, dynamics.time_grid(0.0, 1.0, 0.5), 1e-9)
+    [identity] = [r for r in records if r.name == "identity_mu_nu"]
+    assert not identity.passed
+    assert identity.tol == (1e-10 if d == 1.0 else 64 * 2.0 ** -52 * (4 + 2 * d * d))
