@@ -33,12 +33,8 @@ from .errors import (
     SectorLeakageError,
     ValidationError,
 )
-from .linalg import EigenSystem, check_sites, hermitian_eig, partial_trace_to_pair
-from .measures import (
-    concurrence_one_particle,
-    two_point_correlation,
-    wootters_concurrence,
-)
+from .linalg import EigenSystem, check_sites, hermitian_eig
+from .measures import concurrence_one_particle, two_point_correlation
 from .model import (
     DEFAULT_GRAPH,
     CouplingGraph,
@@ -87,11 +83,9 @@ __all__ = (
     "EigenSystem",
     "check_sites",
     "hermitian_eig",
-    "partial_trace_to_pair",
     # measures
     "concurrence_one_particle",
     "two_point_correlation",
-    "wootters_concurrence",
     # model
     "DEFAULT_GRAPH",
     "CouplingGraph",

@@ -68,7 +68,7 @@ def _parse_pairs(spec: str) -> list[tuple[int, int]]:
 
 def _load_topology(path: str) -> model.CouplingGraph:
     """Read a JSON file of 'rungs' and 'legs' bond lists; a missing file is an OSError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
@@ -109,7 +109,7 @@ OPTIONS = {
 def _read_config_file(path: str) -> dict[str, str]:
     """The raw key=value lines of a config file, by OPTIONS key; every fault is a usage error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"config file {path} is not UTF-8 text: {exc}") from None

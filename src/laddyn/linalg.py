@@ -119,13 +119,3 @@ def pair_marginal_factors(states, p: int, q: int) -> np.ndarray:
     order = tuple(range(nl)) + tuple(nl + s - 1 for s in (p, q, *rest))
     return np.transpose(t, order).reshape(lead + (4, 4))
 
-
-def partial_trace_to_pair(state, p: int, q: int) -> np.ndarray:
-    """Reduced 4x4 density matrix of the (p,q) qubit pair of a pure state.
-
-    Traces out the complement of {p,q}; qubit p indexes the more significant
-    factor of the returned matrix.
-    """
-    psi = require_normalized(state)
-    a = pair_marginal_factors(psi, p, q)
-    return a @ a.conj().T

@@ -1,9 +1,10 @@
 """Numeric observables of evolved states.
 
-Wootters concurrence (full density-matrix route and the one-excitation
-shortcut 2|b_p b_q|), two-point spin correlations, and total-spin
-expectation values.  Everything is a pure function; the *_series variants
-evaluate a whole stack of states at once and share the scalar code path.
+Wootters concurrence (the full route on a pair's reduced state of a
+stack of states, and the one-excitation shortcut 2|b_p b_q|), two-point
+spin correlations, and total-spin expectation values.  Everything is a
+pure function; the *_series variants evaluate a whole stack of states at
+once and share the scalar code path.
 """
 
 from __future__ import annotations
@@ -48,21 +49,14 @@ def _wootters_from_factors(z) -> np.ndarray:
     return np.clip(raw, 0.0, 1.0)
 
 
-def _validate_density(rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ValidationError(f"expected 4x4 density matrices, got shape {rho.shape}")
-    herm_dev = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))
+def _concurrence_from_rhos(rhos: np.ndarray) -> np.ndarray:
+    """Concurrence of a stack of 4x4 density matrices, each checked first."""
+    herm_dev = np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2)))
     if herm_dev > DENSITY_TOL:
         raise ValidationError(f"density matrix is not Hermitian: deviation {herm_dev:.3e}")
-    tr_dev = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0))
+    tr_dev = np.max(np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0))
     if tr_dev > DENSITY_TOL:
         raise ValidationError(f"density matrix trace deviates from 1 by {tr_dev:.3e}")
-    return rho
-
-
-def _concurrence_from_rhos(rhos) -> np.ndarray:
-    rhos = _validate_density(rhos)
     w, v = np.linalg.eigh(rhos)
     if np.min(w) < -DENSITY_TOL:
         raise ValidationError(
@@ -71,14 +65,6 @@ def _concurrence_from_rhos(rhos) -> np.ndarray:
     w = np.where(w < _RANK_TOL, 0.0, w)  # noise-level eigenvalues are exact zeros
     z = v * np.sqrt(w)[..., None, :]
     return _wootters_from_factors(z)
-
-
-def wootters_concurrence(rho) -> float:
-    """Wootters concurrence of a 4x4 two-qubit density matrix, in [0, 1]."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2:
-        raise ValidationError(f"expected a single 4x4 matrix, got shape {rho.shape}")
-    return float(_concurrence_from_rhos(rho[None])[0])
 
 
 def concurrence_one_particle(amps, p: int, q: int):
@@ -94,8 +80,10 @@ def concurrence_one_particle(amps, p: int, q: int):
 def concurrence_series(states, p: int, q: int) -> np.ndarray:
     """Full Wootters concurrence of pair (p,q) for a stack of pure states.
 
-    Concurrence is symmetric in the pair, so it is evaluated on the sorted
-    pair and (q,p) gives the same bits as (p,q).
+    The one full route, on the pair's reduced density matrices; an
+    unnormalized state fails their trace check.  Concurrence is symmetric in
+    the pair, so it is evaluated on the sorted pair and (q,p) gives the same
+    bits as (p,q).
     """
     a = pair_marginal_factors(states, *sorted(check_sites(p, q)))
     return _concurrence_from_rhos(a @ a.conj().swapaxes(-1, -2))
@@ -124,7 +112,7 @@ def correlation_series(states, p: int, q: int, alpha: str, beta: str) -> np.ndar
     perm, w = _pair_product_operator(p, q, alpha, beta)
     psi = np.asarray(states, dtype=complex)
     vals = np.einsum("...i,...i->...", psi.conj(), psi[..., perm] * w)
-    worst_imag = float(np.max(np.abs(vals.imag)))
+    worst_imag = float(np.max(np.abs(vals.imag), initial=0.0))  # 0.0 for no states
     if worst_imag > 1e-10:
         raise NumericalFailureError(
             f"correlation <S^{alpha}_{p} S^{beta}_{q}> has imaginary part {worst_imag:.3e}"

@@ -710,6 +710,32 @@ class TestOptionTable:
         assert res.stdout == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_utf8_bom_files_merge_like_plain_ones(self, tmp_path, samples):
+        # a BOM before the first key of a config file or the '{' of a topology file
+        bom = b"\xef\xbb\xbf"
+        topo = tmp_path / "bom.json"
+        topo.write_bytes(bom + Path(samples["topology"]).read_bytes())
+        lines = "".join(f"{key} = {value}\n" for key, value in samples.items())
+        plain, with_bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(lines, encoding="utf-8")
+        with_bom.write_bytes(bom + lines.replace(samples["topology"], str(topo)).encode())
+        assert self.merged(["evolve", "--config", str(with_bom)]) == \
+            self.merged(["evolve", "--config", str(plain)])
+        assert self.merged(["evolve", "--topology", str(topo)]) == \
+            self.merged(["evolve", "--topology", samples["topology"]])
+
+    @pytest.mark.parametrize("flag", ["--config", "--topology"])
+    def test_file_that_is_not_utf8_is_usage_error(self, tmp_path, flag):
+        # UTF-16 with its byte-order mark: the first byte, 0xff, is never UTF-8
+        bad = tmp_path / "utf16.txt"
+        bad.write_bytes(('{"rungs": [], "legs": []}' if flag == "--topology"
+                         else "d = 1\n").encode("utf-16"))
+        res = run_cli("evolve", "--d", "1", "--t-max", "1", "--output",
+                      str(tmp_path / "x.csv"), flag, str(bad))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestConfigFile:
     def test_config_sets_and_flags_override(self, tmp_path):

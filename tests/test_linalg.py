@@ -49,11 +49,15 @@ class TestHermitianEig:
             linalg.hermitian_eig(m)
 
 
+def pair_marginal(psi, p, q):
+    """rho_pq = A A^dagger of the factor A that pair_marginal_factors returns."""
+    a = linalg.pair_marginal_factors(psi, p, q)
+    return a @ a.conj().swapaxes(-1, -2)
+
+
 class TestPartialTrace:
     def test_initial_state_first_pair_is_bell(self):
-        from laddyn import model
-
-        rho = linalg.partial_trace_to_pair(model.initial_state(), 1, 2)
+        rho = pair_marginal(model.initial_state(), 1, 2)
         bell = np.zeros(4, dtype=complex)
         bell[1] = bell[2] = 1 / np.sqrt(2)
         np.testing.assert_allclose(rho, np.outer(bell, bell.conj()), atol=1e-14)
@@ -61,9 +65,7 @@ class TestPartialTrace:
         assert abs(np.trace(rho @ rho).real - 1.0) < 1e-12  # purity
 
     def test_initial_state_last_pair_is_vacuum(self):
-        from laddyn import model
-
-        rho = linalg.partial_trace_to_pair(model.initial_state(), 3, 4)
+        rho = pair_marginal(model.initial_state(), 3, 4)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 1.0
         np.testing.assert_allclose(rho, expected, atol=1e-14)
@@ -71,27 +73,23 @@ class TestPartialTrace:
     def test_evolved_leg_pair_concurrence(self):
         # frozen from the closed-form leg concurrence |sin((mu+nu)t/2)|/2
         # at d=0.6, t=1.0, cross-checked against the full numeric route
-        from laddyn import measures
-
-        rho = linalg.partial_trace_to_pair(evolved(0.6, 1.0), 1, 3)
-        assert abs(measures.wootters_concurrence(rho) - 0.45962879487657898) < 1e-10
+        c = measures.concurrence_series(evolved(0.6, 1.0)[None], 1, 3)[0]
+        assert abs(c - 0.45962879487657898) < 1e-10
 
     def test_validation(self):
-        from laddyn import model
-
         psi = model.initial_state()
-        with pytest.raises(ValidationError):
-            linalg.partial_trace_to_pair(psi, 2, 2)
-        with pytest.raises(ValidationError):
-            linalg.partial_trace_to_pair(psi, 0, 1)
-        with pytest.raises(ValidationError):
-            linalg.partial_trace_to_pair(psi, 1, 5)
-        with pytest.raises(ValidationError):
-            linalg.partial_trace_to_pair(psi * 2.0, 1, 2)
+        for p, q in ((2, 2), (0, 1), (1, 5)):
+            with pytest.raises(ValidationError):
+                linalg.pair_marginal_factors(psi, p, q)
+        with pytest.raises(ValidationError, match="amplitudes"):
+            linalg.pair_marginal_factors(psi[:8], 1, 2)
+        # an unnormalized state gives a marginal of trace 4
+        with pytest.raises(ValidationError, match="trace"):
+            measures.concurrence_series((psi * 2.0)[None], 1, 2)
 
     def test_random_state_gives_valid_density(self, rng):
         for p, q in ((1, 2), (2, 4), (3, 1)):
-            rho = linalg.partial_trace_to_pair(random_state(rng), p, q)
+            rho = pair_marginal(random_state(rng), p, q)
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
             assert abs(np.trace(rho).real - 1.0) < 1e-12
             w = np.linalg.eigvalsh(rho)
@@ -107,13 +105,13 @@ class TestPartialTrace:
             (1, 3): np.einsum("ik,jl->ijkl", a.reshape(2, 2), b.reshape(2, 2)).reshape(16),
         }
         for (p, q), psi in cases.items():
-            rho = linalg.partial_trace_to_pair(psi, p, q)
+            rho = pair_marginal(psi, p, q)
             assert np.max(np.abs(rho - np.outer(a, a.conj()))) < 1e-12
 
     def test_pair_order_swaps_subsystems(self, rng):
         psi = random_state(rng)
-        r12 = linalg.partial_trace_to_pair(psi, 1, 2)
-        r21 = linalg.partial_trace_to_pair(psi, 2, 1)
+        r12 = pair_marginal(psi, 1, 2)
+        r21 = pair_marginal(psi, 2, 1)
         swap = np.zeros((4, 4))
         for s1 in range(2):
             for s2 in range(2):

@@ -9,16 +9,21 @@ from laddyn import analytic, dynamics, linalg, measures, model
 from laddyn.detect import ALL_PAIRS
 from laddyn.errors import ValidationError
 
-from conftest import evolved
+from conftest import evolved, state_with_marginal
 
 ds = st.floats(min_value=0.05, max_value=4.0, allow_nan=False)
 times = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
 
 
-def bell_density():
+def bell_vector():
     bell = np.zeros(4, dtype=complex)
     bell[1] = bell[2] = 1 / math.sqrt(2)
-    return np.outer(bell, bell.conj())
+    return bell
+
+
+def pair_12_concurrence(z) -> float:
+    """Full-route concurrence of the two-qubit state z z^dagger / tr(z z^dagger)."""
+    return float(measures.concurrence_series(state_with_marginal(z)[None], 1, 2)[0])
 
 
 def w4_state():
@@ -29,37 +34,28 @@ def w4_state():
 
 class TestWoottersConcurrence:
     def test_bell_state_maximal(self):
-        assert abs(measures.wootters_concurrence(bell_density()) - 1.0) < 1e-10
+        assert abs(pair_12_concurrence(bell_vector()) - 1.0) < 1e-10
 
     def test_product_state_zero(self):
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = 1.0
-        assert measures.wootters_concurrence(rho) == 0.0
+        assert pair_12_concurrence([1.0, 0.0, 0.0, 0.0]) == 0.0
 
     def test_w4_pairs_are_half(self):
         # every reduced pair of the four-site W state carries 2/N = 1/2
         for p, q in ALL_PAIRS:
-            rho = linalg.partial_trace_to_pair(w4_state(), p, q)
-            assert abs(measures.wootters_concurrence(rho) - 0.5) < 1e-10
+            assert abs(measures.concurrence_series(w4_state()[None], p, q)[0] - 0.5) < 1e-10
 
     def test_werner_family_closed_form(self):
+        # p |bell><bell| + (1 - p) I/4 has weight (1 + 3p)/4 on the Bell state
+        # and (1 - p)/4 on each of three states orthogonal to it
+        basis = np.stack([bell_vector(), [0, 1, -1, 0] / np.sqrt(2),
+                          [1, 0, 0, 0], [0, 0, 0, 1]], axis=1)
         for p in (0.1, 1 / 3, 0.5, 0.9):
-            rho = p * bell_density() + (1 - p) * np.eye(4) / 4
+            z = basis * np.sqrt([(1 + 3 * p) / 4, *[(1 - p) / 4] * 3])
+            a = linalg.pair_marginal_factors(state_with_marginal(z), 1, 2)
+            werner = p * np.outer(bell_vector(), bell_vector().conj()) + (1 - p) * np.eye(4) / 4
+            assert np.max(np.abs(a @ a.conj().T - werner)) < 1e-15
             expected = max(0.0, (3 * p - 1) / 2)
-            assert abs(measures.wootters_concurrence(rho) - expected) < 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValidationError, match="Hermitian"):
-            m = np.eye(4, dtype=complex) / 4
-            m[0, 1] = 1e-3
-            measures.wootters_concurrence(m)
-        with pytest.raises(ValidationError, match="trace"):
-            measures.wootters_concurrence(np.eye(4) / 2)
-        with pytest.raises(ValidationError, match="semidefinite"):
-            rho = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
-            measures.wootters_concurrence(rho)
-        with pytest.raises(ValidationError):
-            measures.wootters_concurrence(np.eye(2) / 2)
+            assert abs(pair_12_concurrence(z) - expected) < 1e-12
 
 
 class TestOneParticleShortcut:
@@ -85,7 +81,7 @@ class TestOneParticleShortcut:
         psi = dynamics.evolve(model.propagator(d), t)
         b = dynamics.one_particle_amplitudes(psi)
         for p, q in ALL_PAIRS:
-            full = measures.wootters_concurrence(linalg.partial_trace_to_pair(psi, p, q))
+            full = measures.concurrence_series(psi[None], p, q)[0]
             short = measures.concurrence_one_particle(b, p, q)
             assert abs(full - short) < 1e-10
 
@@ -131,6 +127,10 @@ class TestTwoPointCorrelation:
         psi = model.initial_state()
         with pytest.raises(ValidationError):
             measures.two_point_correlation(psi, 1, 1, "x", "x")
+
+    def test_empty_stack_gives_no_values(self):
+        vals = measures.correlation_series(np.zeros((0, 16), dtype=complex), 1, 2, "z", "z")
+        assert vals.shape == (0,)
 
 
 class TestTotalSpin:
@@ -247,12 +247,12 @@ class TestOracleEquivalence:
         assert np.max(np.abs(total - 1.0)) < 1e-9
 
     def test_scalar_and_series_paths_agree(self):
-        psi = evolved(0.6, 1.0)
+        # a stack gives each state the value it has on its own
+        states = dynamics.evolve_states(model.propagator(0.6), np.array([0.0, 1.0, 2.7]))
         for p, q in ALL_PAIRS:
-            series_val = float(measures.concurrence_series(psi[None], p, q)[0])
-            scalar_val = measures.wootters_concurrence(
-                linalg.partial_trace_to_pair(psi, p, q))
-            assert abs(series_val - scalar_val) < 1e-14
+            stacked = measures.concurrence_series(states, p, q)
+            for psi, val in zip(states, stacked):
+                assert abs(measures.concurrence_series(psi[None], p, q)[0] - val) < 1e-14
 
 
 def _textbook_concurrence(rho):
@@ -290,7 +290,7 @@ class TestTextbookWoottersOracle:
         z *= 10.0 ** rng.uniform(-2.0, 0.0, size=rank)
         rho = z @ z.conj().T
         rho /= np.trace(rho).real
-        assert abs(measures.wootters_concurrence(rho) - _textbook_concurrence(rho)) < TEXTBOOK_TOL
+        assert abs(pair_12_concurrence(z) - _textbook_concurrence(rho)) < TEXTBOOK_TOL
 
     @given(seed=seeds)
     @settings(max_examples=100, deadline=None)

@@ -161,8 +161,8 @@ class TestInitialState:
         assert abs(np.vdot(psi, psi) - 1.0) < 1e-15
 
     def test_first_pair_fully_entangled(self):
-        rho = linalg.partial_trace_to_pair(model.initial_state(), 1, 2)
-        assert abs(measures.wootters_concurrence(rho) - 1.0) < 1e-10
+        c = measures.concurrence_series(model.initial_state()[None], 1, 2)[0]
+        assert abs(c - 1.0) < 1e-10
 
 
 class TestCalibration:

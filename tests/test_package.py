@@ -25,3 +25,10 @@ def test_import_makes_no_allocator_call():
                          env=src_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_retired_density_matrix_helpers_are_not_exported():
+    # every full-route concurrence comes from a stack of states (concurrence_series)
+    for name in ("wootters_concurrence", "partial_trace_to_pair"):
+        assert name not in laddyn.__all__
+        assert not hasattr(laddyn, name)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from laddyn import analytic, dynamics, linalg, measures, model
 from laddyn.detect import ALL_PAIRS, LEG_CLASS_PAIRS
 
+from conftest import state_with_marginal
+
 
 ds = st.floats(min_value=0.05, max_value=4.0, allow_nan=False)
 times = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
@@ -38,7 +40,8 @@ def test_eig_reconstruction_random_hermitian(seed):
 def test_partial_trace_is_density_operator(seed):
     psi = _random_state(seed)
     for p, q in ((1, 2), (1, 4), (3, 2)):
-        rho = linalg.partial_trace_to_pair(psi, p, q)
+        a = linalg.pair_marginal_factors(psi, p, q)
+        rho = a @ a.conj().T
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         w = np.linalg.eigvalsh(rho)
         assert w.min() >= -1e-12 and w.max() <= 1.0 + 1e-12
@@ -191,11 +194,11 @@ def test_event_time_structure(d):
 def test_wootters_unitary_invariance_single_qubit(seed):
     # concurrence is invariant under local unitaries on either qubit
     rng = np.random.default_rng(seed)
+    # rho = x x^dagger / tr(x x^dagger) is the (1,2) marginal of state_with_marginal(x),
+    # and u rho u^dagger that of state_with_marginal(u x)
     x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = x @ x.conj().T
-    rho /= np.trace(rho).real
-    c0 = measures.wootters_concurrence(rho)
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     u = np.kron(q, np.eye(2))
-    c1 = measures.wootters_concurrence(u @ rho @ u.conj().T)
+    c0, c1 = (measures.concurrence_series(state_with_marginal(z)[None], 1, 2)[0]
+              for z in (x, u @ x))
     assert abs(c0 - c1) < 1e-10

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from laddyn import cli, dynamics, model, verify
+from laddyn import analytic, cli, detect, dynamics, model, verify
 
 #: sha256 of the default `laddyn verify` stdout (TestPinnedOutputs pins the same)
 VERIFY_STDOUT_SHA256 = "55168a2909d60e2a00416cde61ad69d63457ed108675575dcff89fb6d8734f5a"
@@ -93,6 +93,30 @@ def test_large_d_passes_every_check(capsys):
     assert "summary: 28/28 checks passed" in out
 
 
+def test_very_large_d_passes_every_check(capsys):
+    # eig_reconstruction read 5.8e-10 and energy_constant 4.0e-10 here, roundoff
+    # of size eps d that failed an absolute 1e-10
+    argv = ["verify", "--d", "1e6", "--t-max", "3e-4", "--dt", "4e-7"]
+    assert cli.main(argv) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    lines = {line.split("[")[0]: line for line in out.splitlines()}
+    for name in ("eig_reconstruction", "eig_trace", "sector_eigenvalues", "energy_constant"):
+        assert lines[f"PASS {name}"].endswith("(tol 1e-08)"), name
+    assert "summary: 28/28 checks passed" in out
+
+
+@pytest.mark.parametrize("d", [1.0, 1e6])
+def test_size_of_h_tolerances_catch_a_relative_error_of_1e_9(d):
+    # H(d (1 + 1e-9)) checked against the closed forms and the eigensystem of H(d)
+    h = model.build_hamiltonian(model.ModelParams(d=d * (1 + 1e-9)))
+    records = verify._state_checks(d, h, model.propagator(d),
+                                   dynamics.time_grid(0.0, 1.0 / d, 0.5 / d), 1e-9)
+    by_name = {r.name: r for r in records}
+    for name in ("sector_eigenvalues", "eig_reconstruction"):
+        assert not by_name[name].passed, name
+        assert by_name[name].tol == max(1e-10, 64 * 2.0 ** -52 * (1 + d))
+
+
 @pytest.mark.parametrize("d", [1.0, 300.0])
 def test_identity_mu_nu_catches_a_relative_error_of_1e_9(d):
     # the spectrum of H(d (1 + 1e-9)) misses mu nu = d^2 by about 2e-9 d^2
@@ -102,3 +126,39 @@ def test_identity_mu_nu_catches_a_relative_error_of_1e_9(d):
     [identity] = [r for r in records if r.name == "identity_mu_nu"]
     assert not identity.passed
     assert identity.tol == (1e-10 if d == 1.0 else 64 * 2.0 ** -52 * (4 + 2 * d * d))
+
+
+@pytest.mark.parametrize("kind, checks", [
+    (detect.TRANSFER, {"transfer_zz_signature"}),
+    (detect.W_STATE, {"w_event_zz_quench", "w_event_rung_xx_eighth", "w_event_leg_xx_eighth"}),
+])
+def test_nan_correlation_at_an_event_fails_its_check(monkeypatch, kind, checks):
+    # the search finds the events on true states; then the state at the second
+    # event of kind turns to nan, and with it every correlation read there
+    search, evolve = detect.search_events, dynamics.evolve
+
+    def search_then_poison(*args):
+        events = search(*args)
+        poisoned = [ev.t_detected for ev in events if ev.kind == kind][1]
+        monkeypatch.setattr(dynamics, "evolve", lambda prop, t: evolve(prop, t) * (
+            math.nan if t == poisoned else 1.0))
+        return events
+
+    monkeypatch.setattr(detect, "search_events", search_then_poison)
+    prop = model.propagator(1.0)
+    records = list(verify._event_checks(1.0, prop, 30.0, 0.01, 1e-9, model.DEFAULT_GRAPH))
+    assert {r.name for r in records if r.name in checks and math.isnan(r.worst)} == checks
+    assert not any(r.passed for r in records if r.name in checks)
+    assert all(r.passed for r in records if r.gated and r.name not in checks)
+
+
+def test_nan_closed_form_identity_fails_its_check(monkeypatch):
+    eta_xi = analytic.eta_xi
+
+    def nan_eta_at_2_3(t, d):
+        eta, xi = eta_xi(t, d)
+        return (complex(math.nan) if t == 2.3 else eta), xi
+
+    monkeypatch.setattr(analytic, "eta_xi", nan_eta_at_2_3)
+    [identities] = [r for r in verify._closed_form_checks(9) if r.name == "closed_form_identities"]
+    assert math.isnan(identities.worst) and not identities.passed
