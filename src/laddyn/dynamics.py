@@ -175,10 +175,10 @@ def time_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
 
 
 def sector_leakage(psi) -> float:
-    """Probability weight outside the one-excitation sector."""
+    """Probability weight outside the one-excitation sector; 0.0 for an empty stack."""
     outside = np.asarray(psi, dtype=complex)[..., _SECTOR_MASK]
     # re^2 + im^2 rather than abs()**2, which takes a hypot per amplitude
-    return float(np.sum(outside.real ** 2 + outside.imag ** 2, axis=-1).max())
+    return float(np.sum(outside.real ** 2 + outside.imag ** 2, axis=-1).max(initial=0.0))
 
 
 def one_particle_amplitudes(psi) -> np.ndarray:

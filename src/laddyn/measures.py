@@ -50,20 +50,22 @@ def _wootters_from_factors(z) -> np.ndarray:
 
 
 def _concurrence_from_rhos(rhos: np.ndarray) -> np.ndarray:
-    """Concurrence of a stack of 4x4 density matrices, each checked first."""
-    herm_dev = np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2)))
+    """Concurrence of a stack of 4x4 density matrices, each checked first; none for none."""
+    herm_dev = np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2)), initial=0.0)
     if herm_dev > DENSITY_TOL:
         raise ValidationError(f"density matrix is not Hermitian: deviation {herm_dev:.3e}")
-    tr_dev = np.max(np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0))
+    tr_dev = np.max(np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0), initial=0.0)
     if tr_dev > DENSITY_TOL:
         raise ValidationError(f"density matrix trace deviates from 1 by {tr_dev:.3e}")
     w, v = np.linalg.eigh(rhos)
-    if np.min(w) < -DENSITY_TOL:
+    del rhos  # a stack the caller does not keep, dropped once the next is built
+    if np.min(w, initial=0.0) < -DENSITY_TOL:
         raise ValidationError(
             f"density matrix is not positive semidefinite: eigenvalue {np.min(w):.3e}"
         )
     w = np.where(w < _RANK_TOL, 0.0, w)  # noise-level eigenvalues are exact zeros
     z = v * np.sqrt(w)[..., None, :]
+    del v
     return _wootters_from_factors(z)
 
 

@@ -101,20 +101,27 @@ def run_checks(d_values, ts: np.ndarray, t_max: float, dt: float, tol: float, n_
         h = model.build_hamiltonian(model.ModelParams(d=d), graph)
         prop = dynamics.make_propagator(h, model.initial_state())
         records += _state_checks(d, h, prop, ts, tol)
-        records += _event_checks(d, prop, t_max, dt, tol, graph)
+        try:
+            detect.check_event_search(d, dt, graph)
+            events = detect.search_events(prop, d, t_max, dt, tol)
+        except LaddynError as exc:
+            records.append(_require("event_detection", d, False, f"raised {exc}"))
+        else:
+            records += _event_checks(d, events, t_max, tol)
         records.append(_check("sz_tot_commutator", d,
                               np.max(np.abs(h @ sz - sz @ h)), math.inf, gated=False))
     records += _closed_form_checks(n_max)
     return records
 
 
-def _roundoff_tol(d: float) -> float:
-    """The bound on roundoff in quantities of the size of H(d), about 1 + d.
+def _roundoff_tol(size: float) -> float:
+    """The bound on roundoff in quantities of the given size.
 
-    Measured roundoff stays below 7 eps (1 + d) for d in [1e-3, 1e100]; the
-    bound is exactly 1e-10 below d = 7036.
+    For the size of H(d), 1 + d, measured roundoff stays below 7 eps (1 + d)
+    for d in [1e-3, 1e100], and the bound is exactly 1e-10 below d = 7036;
+    for 4 + 2 d^2, the size of mu^2 + nu^2, it is 1e-10 below d = 59.3.
     """
-    return max(1e-10, 64 * np.finfo(float).eps * (1 + d))
+    return max(1e-10, 64 * np.finfo(float).eps * size)
 
 
 def _state_checks(d: float, h: np.ndarray, prop: dynamics.Propagator, ts: np.ndarray,
@@ -122,7 +129,7 @@ def _state_checks(d: float, h: np.ndarray, prop: dynamics.Propagator, ts: np.nda
     """The checks of H(d), its propagator prop and the states it evolves on ts, in blocks."""
     yield _check("hamiltonian_hermitian", d, np.max(np.abs(h - h.conj().T)), 1e-14)
     w, v = prop.eig
-    h_tol = _roundoff_tol(d)
+    h_tol = _roundoff_tol(1 + d)
     yield _check("eig_reconstruction", d, np.max(np.abs((v * w) @ v.conj().T - h)), h_tol)
     yield _check("eig_trace", d, abs(float(np.sum(w)) - float(np.trace(h).real)), h_tol)
 
@@ -132,10 +139,9 @@ def _state_checks(d: float, h: np.ndarray, prop: dynamics.Propagator, ts: np.nda
     expected = np.sort([sp.mu / 2, -sp.mu / 2, sp.nu / 2, -sp.nu / 2])
     yield _check("sector_eigenvalues", d, np.max(np.abs(sector - expected)), h_tol)
     mu_n, nu_n = 2 * sector[-1], 2 * sector[-2]
-    # roundoff in quantities of size 4 + 2 d^2; exactly 1e-10 below d = 59.3
     yield _check("identity_mu_nu", d, max(abs(mu_n * nu_n - d * d),
                                           abs(mu_n ** 2 + nu_n ** 2 - 4 - 2 * d * d)),
-                 max(1e-10, 64 * np.finfo(float).eps * (4 + 2 * d * d)))
+                 _roundoff_tol(4 + 2 * d * d))
 
     # one block of the grid at a time; each check keeps its running worst value,
     # the max over blocks (energy_constant: the running max minus the running min)
@@ -223,15 +229,8 @@ def _closed_form_count(times, d: float, t_max: float) -> int:
     return int(np.count_nonzero(times(d, n) <= t_max))
 
 
-def _event_checks(d: float, prop: dynamics.Propagator, t_max: float, dt: float, tol: float,
-                  graph: model.CouplingGraph):
-    """The events the scan of prop finds up to t_max, against the closed forms and the states."""
-    try:
-        detect.check_event_search(d, dt, graph)
-        events = detect.search_events(prop, d, t_max, dt, tol)
-    except LaddynError as exc:
-        yield _require("event_detection", d, False, f"raised {exc}")
-        return
+def _event_checks(d: float, events, t_max: float, tol: float):
+    """The events of d's search up to t_max, against the closed forms and the states they hold."""
     transfers = [ev for ev in events if ev.kind == detect.TRANSFER]
     ws = [ev for ev in events if ev.kind == detect.W_STATE]
     n_tr, n_w = (_closed_form_count(f, d, t_max) for f in (analytic.transfer_times, analytic.w_times))
@@ -241,23 +240,18 @@ def _event_checks(d: float, prop: dynamics.Propagator, t_max: float, dt: float, 
                  _worst([abs(ev.t_detected - ev.t_predicted) for ev in transfers + ws]), 1e-8)
     yield _check("event_residuals", d, _worst([ev.residual for ev in transfers + ws]), tol)
 
-    def event_states(events):
-        # one evolve per event, not evolve_states: the checks are pinned to its bits.
-        # No events give a (0, DIM) stack
-        return np.array([dynamics.evolve(prop, ev.t_detected) for ev in events]).reshape(-1, DIM)
-
-    def chi(states, pairs, axes):
-        """<S^a_p S^b_q>, a row per pair and a column per state."""
+    def chi(evs, pairs, axes):
+        """<S^a_p S^b_q> at the states evs were checked on: a row per pair, a column per event."""
+        states = np.array([ev.state for ev in evs]).reshape(-1, DIM)  # (0, DIM) for no events
         return np.array([measures.correlation_series(states, *pair, *axes) for pair in pairs])
 
-    zz = chi(event_states(transfers), ((3, 4), (1, 2)), "zz")
+    zz = chi(transfers, ((3, 4), (1, 2)), "zz")
     yield _check("transfer_zz_signature", d, _worst(np.abs(zz - [[-0.25], [0.25]])), tol)
 
-    w_states = event_states(ws)
-    xx = chi(w_states, ((1, 2), (3, 4), *tables.LEG_CLASS_PAIRS), "xx")
+    xx = chi(ws, ((1, 2), (3, 4), *tables.LEG_CLASS_PAIRS), "xx")
     xx_off = np.abs(np.abs(xx) - 0.125)
     yield _check("w_event_fidelity", d, _worst([1.0 - (ev.fidelity or 0.0) for ev in ws]), tol)
-    yield _check("w_event_zz_quench", d, _worst(np.abs(chi(w_states, tables.ALL_PAIRS, "zz"))), tol)
+    yield _check("w_event_zz_quench", d, _worst(np.abs(chi(ws, tables.ALL_PAIRS, "zz"))), tol)
     yield _check("w_event_rung_xx_eighth", d, _worst(xx_off[:2]), tol)
     if ws:
         yield _check("w_event_leg_xx_eighth", d, _worst(xx_off[2:]), tol, gated=False)

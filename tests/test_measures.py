@@ -57,6 +57,13 @@ class TestWoottersConcurrence:
             expected = max(0.0, (3 * p - 1) / 2)
             assert abs(pair_12_concurrence(z) - expected) < 1e-12
 
+    @pytest.mark.parametrize("pair", ALL_PAIRS)
+    def test_empty_stack_gives_no_values(self, pair):
+        # as correlation_series does; the density checks raised numpy's
+        # zero-size reduction error here
+        vals = measures.concurrence_series(np.zeros((0, 16), dtype=complex), *pair)
+        assert vals.shape == (0,) and vals.dtype == float
+
 
 class TestOneParticleShortcut:
     def test_initial_amplitudes(self):
