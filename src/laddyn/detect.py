@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +26,6 @@ W_STATE = "w_state"
 
 _REFINE_WIDTH = 1e-10
 _MERGE_WINDOW = 1e-6
-#: event candidates refined and checked at a time: a check's temporaries,
-#: about 1 kB a candidate, add to every event held with its state
-_CHECK_ROWS = 250
 
 #: fewest coarse scan points per period 4 pi/(mu+nu) of C_{3,4}.  A transfer
 #: bracket spans two steps, so at 3 points or fewer it can reach the roots of
@@ -39,13 +36,9 @@ _CHECK_ROWS = 250
 SCAN_POINTS_PER_PERIOD = 4
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class EventRecord:
-    """One detected event with its closed-form prediction and residual.
-
-    state is dynamics.evolve(prop, t_detected), the state the event's check passed,
-    for `verify`; it is not compared, hashed or shown.  Slotted, as searches hold many.
-    """
+    """One detected event with its closed-form prediction and residual."""
 
     kind: str
     n: int
@@ -53,7 +46,6 @@ class EventRecord:
     t_predicted: float
     residual: float
     fidelity: float | None = None
-    state: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def w_fidelity(amps):
@@ -115,8 +107,10 @@ def _scan_blocks(prop: dynamics.Propagator, ts: np.ndarray) -> Iterator[tuple]:
         # 2|b_p b_q| would not hold
         b = dynamics.one_particle_amplitudes(states)
         del states  # hold no block while the next one is evolved
-        c_last = measures.concurrence_one_particle(b, 3, 4)
-        yield c_last, measures.concurrence_one_particle(b, 1, 2) - c_last
+        # the expression of measures.concurrence_one_particle, without its
+        # checks on every block
+        c_last = 2.0 * np.abs(b[:, 2] * b[:, 3])
+        yield c_last, 2.0 * np.abs(b[:, 0] * b[:, 1]) - c_last
 
 
 def _refined_roots(f, brackets: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -183,8 +177,8 @@ def _merge_events(events: list[EventRecord]) -> list[EventRecord]:
 def _checked(prop: dynamics.Propagator, t_stars: np.ndarray, check) -> tuple[list, np.ndarray]:
     """check(t_stars, states, conc) of the roots' states and full-Wootters concurrences.
 
-    check gives the EventRecords of the roots that pass, in root order, each
-    with its state, and the mask of those roots.
+    check gives the EventRecords of the roots that pass, in root order, and
+    the mask of those roots.
     """
     # evolve per candidate, not evolve_states: evolve, like a one-row product,
     # takes numpy's vector path, whose bits can differ from a row of a product
@@ -199,7 +193,7 @@ def _checked_events(prop: dynamics.Propagator, f, brackets: np.ndarray, t_max: f
                     check) -> list[EventRecord]:
     """Events at the roots of f in the (lo, hi) rows of brackets, merged, up to t_max.
 
-    The brackets are taken _CHECK_ROWS at a time.  Each one in which
+    The brackets are taken dynamics.BLOCK_ROWS at a time.  Each one in which
     f changes sign is bisected to _REFINE_WIDTH in t, and the roots are
     checked together (_checked).  A root that fails is bisected on to float
     resolution and checked once more: a root up to 5e-11 off in t leaves a
@@ -209,8 +203,8 @@ def _checked_events(prop: dynamics.Propagator, f, brackets: np.ndarray, t_max: f
     `verify` counts by; its root can lie past a t_max within roundoff of it.
     """
     events = []
-    for k in range(0, len(brackets), _CHECK_ROWS):
-        t_stars, found = _refined_roots(f, brackets[k:k + _CHECK_ROWS], _REFINE_WIDTH)
+    for k in range(0, len(brackets), dynamics.BLOCK_ROWS):
+        t_stars, found = _refined_roots(f, brackets[k:k + dynamics.BLOCK_ROWS], _REFINE_WIDTH)
         checked, passed = _checked(prop, t_stars, check)
         events += checked
         if not passed.all():
@@ -316,9 +310,9 @@ def find_transfer_events(prop: dynamics.Propagator, brackets: np.ndarray, d: flo
         passed = ~((c_last < 1.0 - tol) | (c_first > tol) | np.any(c_leg > tol, axis=0))
         t = t_stars[passed]
         n = np.rint((t * s / (2.0 * math.pi) - 1.0) / 2.0).astype(int)
-        return [EventRecord(TRANSFER, *row, state=state) for *row, state in zip(
+        return [EventRecord(TRANSFER, *row) for row in zip(
             n.tolist(), t.tolist(), analytic.transfer_times(d, n).tolist(),
-            residuals[passed].tolist(), states[passed])], passed
+            residuals[passed].tolist())], passed
 
     return _checked_events(prop, lambda t: np.sin(s * t / 2.0), brackets, t_max, check)
 
@@ -346,9 +340,9 @@ def find_w_events(prop: dynamics.Propagator, brackets: np.ndarray, d: float,
         fids = fids[fit]
         t = t_stars[passed]
         n = np.rint((t * s / math.pi - 1.0) / 2.0).astype(int)
-        return [EventRecord(W_STATE, *row, state=state) for *row, state in zip(
+        return [EventRecord(W_STATE, *row) for row in zip(
             n.tolist(), t.tolist(), analytic.w_times(d, n).tolist(),
-            residuals[passed].tolist(), fids.tolist(), states[passed])], passed
+            residuals[passed].tolist(), fids.tolist())], passed
 
     def f(t):
         return np.cos(s * t / 2.0)

@@ -58,14 +58,12 @@ def _concurrence_from_rhos(rhos: np.ndarray) -> np.ndarray:
     if tr_dev > DENSITY_TOL:
         raise ValidationError(f"density matrix trace deviates from 1 by {tr_dev:.3e}")
     w, v = np.linalg.eigh(rhos)
-    del rhos  # a stack the caller does not keep, dropped once the next is built
     if np.min(w, initial=0.0) < -DENSITY_TOL:
         raise ValidationError(
             f"density matrix is not positive semidefinite: eigenvalue {np.min(w):.3e}"
         )
     w = np.where(w < _RANK_TOL, 0.0, w)  # noise-level eigenvalues are exact zeros
     z = v * np.sqrt(w)[..., None, :]
-    del v
     return _wootters_from_factors(z)
 
 

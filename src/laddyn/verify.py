@@ -101,13 +101,7 @@ def run_checks(d_values, ts: np.ndarray, t_max: float, dt: float, tol: float, n_
         h = model.build_hamiltonian(model.ModelParams(d=d), graph)
         prop = dynamics.make_propagator(h, model.initial_state())
         records += _state_checks(d, h, prop, ts, tol)
-        try:
-            detect.check_event_search(d, dt, graph)
-            events = detect.search_events(prop, d, t_max, dt, tol)
-        except LaddynError as exc:
-            records.append(_require("event_detection", d, False, f"raised {exc}"))
-        else:
-            records += _event_checks(d, events, t_max, tol)
+        records += _event_checks(d, prop, t_max, dt, tol, graph)
         records.append(_check("sz_tot_commutator", d,
                               np.max(np.abs(h @ sz - sz @ h)), math.inf, gated=False))
     records += _closed_form_checks(n_max)
@@ -229,8 +223,15 @@ def _closed_form_count(times, d: float, t_max: float) -> int:
     return int(np.count_nonzero(times(d, n) <= t_max))
 
 
-def _event_checks(d: float, events, t_max: float, tol: float):
-    """The events of d's search up to t_max, against the closed forms and the states they hold."""
+def _event_checks(d: float, prop: dynamics.Propagator, t_max: float, dt: float, tol: float,
+                  graph: model.CouplingGraph):
+    """The events the scan of prop finds up to t_max, against the closed forms and the states."""
+    try:
+        detect.check_event_search(d, dt, graph)
+        events = detect.search_events(prop, d, t_max, dt, tol)
+    except LaddynError as exc:
+        yield _require("event_detection", d, False, f"raised {exc}")
+        return
     transfers = [ev for ev in events if ev.kind == detect.TRANSFER]
     ws = [ev for ev in events if ev.kind == detect.W_STATE]
     n_tr, n_w = (_closed_form_count(f, d, t_max) for f in (analytic.transfer_times, analytic.w_times))
@@ -240,18 +241,23 @@ def _event_checks(d: float, events, t_max: float, tol: float):
                  _worst([abs(ev.t_detected - ev.t_predicted) for ev in transfers + ws]), 1e-8)
     yield _check("event_residuals", d, _worst([ev.residual for ev in transfers + ws]), tol)
 
-    def chi(evs, pairs, axes):
-        """<S^a_p S^b_q> at the states evs were checked on: a row per pair, a column per event."""
-        states = np.array([ev.state for ev in evs]).reshape(-1, DIM)  # (0, DIM) for no events
+    def event_states(events):
+        # one evolve per event, not evolve_states: the checks are pinned to its bits.
+        # No events give a (0, DIM) stack
+        return np.array([dynamics.evolve(prop, ev.t_detected) for ev in events]).reshape(-1, DIM)
+
+    def chi(states, pairs, axes):
+        """<S^a_p S^b_q>, a row per pair and a column per state."""
         return np.array([measures.correlation_series(states, *pair, *axes) for pair in pairs])
 
-    zz = chi(transfers, ((3, 4), (1, 2)), "zz")
+    zz = chi(event_states(transfers), ((3, 4), (1, 2)), "zz")
     yield _check("transfer_zz_signature", d, _worst(np.abs(zz - [[-0.25], [0.25]])), tol)
 
-    xx = chi(ws, ((1, 2), (3, 4), *tables.LEG_CLASS_PAIRS), "xx")
+    w_states = event_states(ws)
+    xx = chi(w_states, ((1, 2), (3, 4), *tables.LEG_CLASS_PAIRS), "xx")
     xx_off = np.abs(np.abs(xx) - 0.125)
     yield _check("w_event_fidelity", d, _worst([1.0 - (ev.fidelity or 0.0) for ev in ws]), tol)
-    yield _check("w_event_zz_quench", d, _worst(np.abs(chi(ws, tables.ALL_PAIRS, "zz"))), tol)
+    yield _check("w_event_zz_quench", d, _worst(np.abs(chi(w_states, tables.ALL_PAIRS, "zz"))), tol)
     yield _check("w_event_rung_xx_eighth", d, _worst(xx_off[:2]), tol)
     if ws:
         yield _check("w_event_leg_xx_eighth", d, _worst(xx_off[2:]), tol, gated=False)

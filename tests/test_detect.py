@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -420,34 +419,15 @@ class TestRefinement:
         assert any(width == 0.0 for *_, width in calls)
 
     def test_candidate_checks_run_in_blocks(self, monkeypatch):
-        # the 573 W candidates at d = 60 are checked at most _CHECK_ROWS at a time
+        # the 573 W candidates at d = 60 are checked at most BLOCK_ROWS at a time
         calls = _record_calls(monkeypatch, "_checked")
         detect.find_events(60.0, 30.0)
         sizes = [len(roots) for _, roots, _ in calls]
-        assert max(sizes) <= detect._CHECK_ROWS and sum(sizes) > dynamics.BLOCK_ROWS
-
-
-class TestEventStates:
-    @pytest.mark.parametrize("d, t_max", [(0.3, 30.0), (1.0, 30.0), (60.0, 3.0)])
-    def test_each_event_holds_the_state_it_was_checked_on(self, d, t_max):
-        # dynamics.evolve of the search's propagator at t_detected, bit for bit;
-        # at d = 60 some roots are checked a second time, at float resolution
-        prop = model.propagator(d)
-        events = detect.search_events(prop, d, t_max, 0.01, 1e-9)
-        assert events
-        for ev in events:
-            assert ev.state.tobytes() == dynamics.evolve(prop, ev.t_detected).tobytes()
-
-    def test_equality_hash_and_repr_ignore_the_state(self):
-        [ev] = transfers(1.0, 3.0)
-        for other in (dataclasses.replace(ev, state=np.zeros(16, dtype=complex)),
-                      dataclasses.replace(ev, state=None)):
-            assert ev == other and hash(ev) == hash(other) and repr(ev) == repr(other)
-        assert "state" not in repr(ev)
+        assert max(sizes) <= dynamics.BLOCK_ROWS and sum(sizes) > dynamics.BLOCK_ROWS
 
     @pytest.mark.parametrize("find", [detect.find_transfer_events, detect.find_w_events])
     def test_a_chunk_without_roots_is_checked_as_an_empty_stack(self, monkeypatch, find):
-        # the checks take a (0, DIM) stack, where _checked used to return early
+        # brackets that refine to no root are checked as a (0, DIM) stack
         monkeypatch.setattr(detect, "_refined_roots",
                             lambda f, brackets, width: (np.empty(0), np.empty((0, 2))))
         calls = _record_calls(monkeypatch, "_checked")

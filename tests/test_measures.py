@@ -59,8 +59,7 @@ class TestWoottersConcurrence:
 
     @pytest.mark.parametrize("pair", ALL_PAIRS)
     def test_empty_stack_gives_no_values(self, pair):
-        # as correlation_series does; the density checks raised numpy's
-        # zero-size reduction error here
+        # as correlation_series does
         vals = measures.concurrence_series(np.zeros((0, 16), dtype=complex), *pair)
         assert vals.shape == (0,) and vals.dtype == float
 

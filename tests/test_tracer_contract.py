@@ -68,27 +68,3 @@ def test_verify_builds_one_hamiltonian_per_d():
     calls = tracing.aggregate(tracer.records())
     assert calls["model.build_hamiltonian.calls"] == 1
     assert calls["dynamics.make_propagator.calls"] == 2
-
-
-def test_verify_evolves_each_event_once(capsys):
-    # the event checks read the states the search accepted, so outside the
-    # find_* spans only evolution_composition calls evolve: 3 times per d
-    from laddyn import cli, verify
-
-    tracing = _load_tracing()
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        assert cli.main(["verify"]) == cli.EXIT_OK
-    finally:
-        tracer.uninstall()
-    spans = tracer.records()
-
-    def in_search(parent):
-        while parent >= 0 and spans[parent][0] not in (
-                "detect.find_transfer_events", "detect.find_w_events"):
-            parent = spans[parent][3]
-        return parent >= 0
-
-    evolves = [parent for name, _, _, parent, _ in spans if name == "dynamics.evolve"]
-    assert sum(not in_search(parent) for parent in evolves) == 3 * len(verify.DEFAULT_D)

@@ -132,13 +132,21 @@ def test_identity_mu_nu_catches_a_relative_error_of_1e_9(d):
     (detect.TRANSFER, {"transfer_zz_signature"}),
     (detect.W_STATE, {"w_event_zz_quench", "w_event_rung_xx_eighth", "w_event_leg_xx_eighth"}),
 ])
-def test_nan_correlation_at_an_event_fails_its_check(kind, checks):
-    # the search finds the events on true states; then the state the second
-    # event of kind holds turns to nan, and with it every correlation read there
-    events = detect.search_events(model.propagator(1.0), 1.0, 30.0, 0.01, 1e-9)
-    i = [k for k, ev in enumerate(events) if ev.kind == kind][1]
-    events[i] = dataclasses.replace(events[i], state=events[i].state * math.nan)
-    records = list(verify._event_checks(1.0, events, 30.0, 1e-9))
+def test_nan_correlation_at_an_event_fails_its_check(monkeypatch, kind, checks):
+    # the search finds the events on true states; then the state at the second
+    # event of kind turns to nan, and with it every correlation read there
+    search, evolve = detect.search_events, dynamics.evolve
+
+    def search_then_poison(*args):
+        events = search(*args)
+        poisoned = [ev.t_detected for ev in events if ev.kind == kind][1]
+        monkeypatch.setattr(dynamics, "evolve", lambda prop, t: evolve(prop, t) * (
+            math.nan if t == poisoned else 1.0))
+        return events
+
+    monkeypatch.setattr(detect, "search_events", search_then_poison)
+    prop = model.propagator(1.0)
+    records = list(verify._event_checks(1.0, prop, 30.0, 0.01, 1e-9, model.DEFAULT_GRAPH))
     assert {r.name for r in records if r.name in checks and math.isnan(r.worst)} == checks
     assert not any(r.passed for r in records if r.name in checks)
     assert all(r.passed for r in records if r.gated and r.name not in checks)
