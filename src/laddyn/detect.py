@@ -35,6 +35,14 @@ _MERGE_WINDOW = 1e-6
 #: t = 300 at 23 steps from 2.01 to 2.97 points; 4 leaves a third in reserve.
 SCAN_POINTS_PER_PERIOD = 4
 
+#: grid points evolved either side of each closed-form event time.  The grid
+#: maxima of C_{3,4} = sin^2((mu+nu)t/4) lie within one step of a transfer
+#: time and the sign changes of C_{1,2} - C_{3,4} = cos((mu+nu)t/2) within one
+#: step of a W time, plateau ties and roots within roundoff of a grid point
+#: included; each stencil reads one point either side, so two steps hold every
+#: candidate of the whole grid.
+_SCAN_WINDOW = 2
+
 
 @dataclass(frozen=True)
 class EventRecord:
@@ -77,40 +85,81 @@ def _sign_changes(diff: np.ndarray) -> np.ndarray:
 
 
 def _block_candidates(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """_local_maxima of c and _sign_changes of diff, for (c, diff) given in blocks.
+    """Grid indices of the _local_maxima of c and _sign_changes of diff, from (ks, c, diff) blocks.
 
-    The indices are those of the whole arrays that the blocks, in order, make
-    up, and each block is dropped once it is scanned.  A block is scanned
-    with the last two points before it prepended: the first interior point of
-    that run is new, since the last point of a scanned run is never interior,
-    and the first of its pairs was scanned with the run before.
+    ks holds grid indices, c and diff the values at them, and the blocks, in
+    order, make up one ascending run of points, each block dropped once it
+    is scanned.  A stencil counts only where every point it reads was given:
+    k - 1, k and k + 1 for a maximum at k, and k and k + 1 for a sign change
+    at k, so the candidates are those of the whole grid that those points
+    decide.  A block is scanned with the last two points before it
+    prepended: the first interior point of that run is new, since the last
+    point of a scanned run is never interior, and the first of its pairs was
+    scanned with the run before.
     """
-    maxima, changes = [], []
-    c_tail = diff_tail = np.empty(0)
-    end = 0  # index one past the points scanned so far
-    for c, diff in blocks:
-        c = np.concatenate((c_tail, c))
-        diff = np.concatenate((diff_tail, diff))
-        first = end - len(c_tail)  # index of the run's first point
-        maxima.append(first + _local_maxima(c))
-        crossing = _sign_changes(diff)
-        changes.append(first + crossing[crossing >= len(diff_tail) - 1])
-        end = first + len(c)
-        c_tail, diff_tail = c[-2:], diff[-2:]
+    no_points = np.empty(0, dtype=int)
+    maxima, changes = [no_points], [no_points]
+    tail = (no_points, np.empty(0), np.empty(0))
+    for block in blocks:
+        ks, c, diff = (np.concatenate(pair) for pair in zip(tail, block))
+        # ks ascends, so both neighbours of a point are given where theirs are two apart
+        m = _local_maxima(c)
+        maxima.append(ks[m[ks[m + 1] - ks[m - 1] == 2]])
+        x = _sign_changes(diff)
+        changes.append(ks[x[(x >= len(tail[0]) - 1) & (ks[x + 1] - ks[x] == 1)]])
+        tail = (ks[-2:], c[-2:], diff[-2:])
     return np.concatenate(maxima), np.concatenate(changes)
 
 
-def _scan_blocks(prop: dynamics.Propagator, ts: np.ndarray) -> Iterator[tuple]:
-    """(C_{3,4}, C_{1,2} - C_{3,4}) by the shortcut 2|b_p b_q|, a block of ts at a time."""
-    for _, states in dynamics.evolved_blocks(prop, ts):
-        # the sector check raises SectorLeakageError in any block where
-        # 2|b_p b_q| would not hold
-        b = dynamics.one_particle_amplitudes(states)
-        del states  # hold no block while the next one is evolved
-        # the expression of measures.concurrence_one_particle, without its
-        # checks on every block
-        c_last = 2.0 * np.abs(b[:, 2] * b[:, 3])
-        yield c_last, 2.0 * np.abs(b[:, 0] * b[:, 1]) - c_last
+def _scan_indices(d: float, n_points: int, dt: float) -> Iterator[np.ndarray]:
+    """The grid indices k < n_points within _SCAN_WINDOW steps of an event time, in blocks.
+
+    Event times come from analytic.w_times and transfer_times, in time
+    order: W events 2j and 2j + 1 either side of transfer j, at 4j + 1, 4j + 2
+    and 4j + 3 times t_w(0).  The indices ascend and each is given once,
+    where windows overlap too, so there are never more than the grid has.
+    Blocks hold at most dynamics.BLOCK_ROWS indices, and at least two unless
+    there is one in all: a row of an evolve_states product of two or more
+    rows has the bits of the same row of the whole-grid product, and a
+    one-row product may differ.
+    """
+    offsets = np.arange(-_SCAN_WINDOW, _SCAN_WINDOW + 1)
+    chunk = dynamics.BLOCK_ROWS // 3  # j per chunk, three events each
+    # the windows of j = n_j and later start past the last grid point
+    n_j = int((n_points + _SCAN_WINDOW) * dt / (4.0 * analytic.w_times(d, 0))) + 1
+    pending = np.empty(0, dtype=int)
+    last = -1  # the largest index given so far
+    for start in range(0, n_j, chunk):
+        j = np.arange(start, min(start + chunk, n_j))
+        times = np.column_stack((analytic.w_times(d, 2 * j), analytic.transfer_times(d, j),
+                                 analytic.w_times(d, 2 * j + 1)))
+        centres = np.rint(times.ravel() / dt).astype(int)
+        ks = centres[:, None] + offsets
+        # the centres ascend, so the new points of a window are those past the
+        # window before it
+        ks = ks[(ks > np.concatenate(([last], centres[:-1] + _SCAN_WINDOW))[:, None])
+                & (ks < n_points)]
+        if ks.size:
+            last = ks[-1]
+        pending = np.concatenate((pending, ks))
+        while len(pending) >= dynamics.BLOCK_ROWS + 2:
+            yield pending[:dynamics.BLOCK_ROWS]
+            pending = pending[dynamics.BLOCK_ROWS:]
+    if len(pending) > dynamics.BLOCK_ROWS:
+        yield pending[:len(pending) // 2]
+        pending = pending[len(pending) // 2:]
+    if pending.size:
+        yield pending
+
+
+def _scan_blocks(prop: dynamics.Propagator, index_blocks, dt: float) -> Iterator[tuple]:
+    """(ks, C_{3,4}, C_{1,2} - C_{3,4}) by the shortcut 2|b_p b_q| at ks * dt, a block at a time."""
+    for ks in index_blocks:
+        # float(k) * dt, the bits of the grid's points.  The sector check raises
+        # SectorLeakageError in any block where 2|b_p b_q| would not hold
+        b = dynamics.one_particle_amplitudes(dynamics.evolve_states(prop, ks * dt))
+        c_last = measures.concurrence_one_particle(b, 3, 4)
+        yield ks, c_last, measures.concurrence_one_particle(b, 1, 2) - c_last
 
 
 def _refined_roots(f, brackets: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -255,36 +304,39 @@ def search_events(prop: dynamics.Propagator, d: float, t_max: float, coarse_dt: 
                   tol: float) -> list[EventRecord]:
     """The events of find_events, on the propagator prop of d, for inputs check_event_search passed.
 
-    Walks the grid 0, coarse_dt, ..., which runs two steps past t_max so
-    that an event in the last step up to t_max still has a bracket, once, in
-    the blocks of dynamics.evolved_blocks.  The candidates are found block
-    by block (_block_candidates) and kept as (lo, hi) time brackets: local
-    maxima of C_{3,4} for find_transfer_events and sign changes of C_{1,2} -
-    C_{3,4} for find_w_events, which refine and check them.  So the scan
-    holds the time grid, one block and the brackets, and the searches the
-    brackets and their events.  Events at the same time keep that order,
-    transfers first.  Empty if t_max is below the first event.
+    The candidates come from the grid 0, coarse_dt, ..., which runs two steps
+    past t_max so that an event in the last step up to t_max still has a
+    bracket, evaluated only near the closed-form event times (_scan_brackets)
+    and kept as (lo, hi) time brackets: local maxima of C_{3,4} for
+    find_transfer_events and sign changes of C_{1,2} - C_{3,4} for
+    find_w_events, which refine and check them.  So the scan holds one
+    block and the brackets, and the searches the brackets and their events.
+    Events at the same time keep that order, transfers first.  Empty if
+    t_max is below the first event.
     """
-    # every block passes the sector check before either search starts
-    transfer_brackets, w_brackets = _scan_brackets(prop, t_max, coarse_dt)
+    # every scanned state passes the sector check before either search starts
+    transfer_brackets, w_brackets = _scan_brackets(prop, d, t_max, coarse_dt)
     events = (find_transfer_events(prop, transfer_brackets, d, t_max, tol)
               + find_w_events(prop, w_brackets, d, t_max, tol))
     return sorted(events, key=lambda e: e.t_detected)
 
 
-def _scan_brackets(prop: dynamics.Propagator, t_max: float,
+def _scan_brackets(prop: dynamics.Propagator, d: float, t_max: float,
                    coarse_dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) rows around each transfer and each W candidate of the coarse scan.
 
-    The grid is dropped on return, so the searches do not hold it.
+    The brackets of the whole grid k * coarse_dt, k below the point count
+    of dynamics.time_grid up to t_max plus two, with only the points within
+    _SCAN_WINDOW steps of an event time evolved (_scan_indices), at most
+    dynamics.BLOCK_ROWS at a time and each through the sector check.  The
+    whole grid is never held.
     """
-    # the checks and point count of dynamics.time_grid; float(k) * coarse_dt has
-    # the bits of its points, and the grid is built in place, as one array
-    ts = np.arange(dynamics.time_grid_points(0.0, t_max, coarse_dt) + 2, dtype=float)
-    ts *= coarse_dt
-    maxima, crossings = _block_candidates(_scan_blocks(prop, ts))
-    return (np.column_stack((ts[maxima - 1], ts[maxima + 1])),
-            np.column_stack((ts[crossings], ts[crossings + 1])))
+    # the checks and point count of dynamics.time_grid
+    n_points = dynamics.time_grid_points(0.0, t_max, coarse_dt) + 2
+    maxima, crossings = _block_candidates(
+        _scan_blocks(prop, _scan_indices(d, n_points, coarse_dt), coarse_dt))
+    return (np.column_stack(((maxima - 1) * coarse_dt, (maxima + 1) * coarse_dt)),
+            np.column_stack((crossings * coarse_dt, (crossings + 1) * coarse_dt)))
 
 
 # perfbench/tracing.py wraps these two by name and counts the evolve calls under them
@@ -294,6 +346,8 @@ def find_transfer_events(prop: dynamics.Propagator, brackets: np.ndarray, d: flo
 
     brackets has one (lo, hi) row per local maximum of C_{3,4} = 2|b_3 b_4|
     on the coarse scan of find_events: the grid points either side of it.
+    The scan evaluates C_{3,4} only within two steps of an event time, where
+    its grid maxima lie (_scan_brackets).
     Each is refined by bisecting the closed-form derivative of C_{3,4}
     (proportional to sin((mu+nu)t/2)) and then checked with full Wootters
     concurrences: C_{3,4} >= 1-tol, C_{1,2} <= tol and every leg-class
@@ -323,9 +377,10 @@ def find_w_events(prop: dynamics.Propagator, brackets: np.ndarray, d: float,
 
     brackets has one (lo, hi) row per sign change of C_{1,2} - C_{3,4} =
     2|b_1 b_2| - 2|b_3 b_4| on the coarse scan of find_events: the two grid
-    points around it.  Each is refined by bisecting the closed-form
-    difference cos((mu+nu)t/2) and then checked with full Wootters
-    concurrences (_checked_events).  Each event reports the phase-maximized
+    points around it.  The scan evaluates the difference only within two
+    steps of an event time, where its sign changes lie (_scan_brackets).
+    Each is refined by bisecting the closed-form difference cos((mu+nu)t/2)
+    and then checked with full Wootters concurrences (_checked_events).  Each event reports the phase-maximized
     W fidelity, which must also be at least 1-tol.
     """
     sp = analytic.spectral_params(d)

@@ -25,12 +25,13 @@ from .linalg import (
 
 DEFAULT_LEAKAGE_TOL = 1e-10
 
-#: Most (d, t) points one command may evaluate.  `evolve`, `sweep`, `verify`
-#: and the `events` scan evolve their grids in blocks of at most BLOCK_ROWS
-#: points (evolved_blocks) and compute on one block at a time, so besides the
-#: time grid itself (8 B per point) they hold one block; the `events` scan
-#: also keeps one (lo, hi) time bracket per event candidate.  The count is
-#: checked before any array is allocated.
+#: Most (d, t) points one command may evaluate.  `evolve`, `sweep` and
+#: `verify` evolve their grids in blocks of at most BLOCK_ROWS points
+#: (evolved_blocks) and compute on one block at a time, so besides the time
+#: grid itself (8 B per point) they hold one block.  The `events` scan evolves
+#: only the grid points near the closed-form event times, in blocks of at most
+#: BLOCK_ROWS, without holding the grid, and keeps one (lo, hi) time bracket
+#: per event candidate.  The count is checked before any array is allocated.
 MAX_GRID_POINTS = 1_000_000
 
 #: time points evolved, computed or written per block.  A block's stack of 16

@@ -99,7 +99,7 @@ def check_sites(*sites) -> tuple[int, ...]:
             raise ValidationError(f"site index must be an integer in 1..{N_SITES}, got {s!r}")
     if len(set(sites)) != len(sites):
         raise ValidationError(f"pair sites must differ, got {tuple(sites)}")
-    return tuple(int(s) for s in sites)
+    return tuple([int(s) for s in sites])
 
 
 def pair_marginal_factors(states, p: int, q: int) -> np.ndarray:

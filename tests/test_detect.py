@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -150,27 +151,84 @@ def _record_calls(monkeypatch, name):
     return calls
 
 
-def _record_block_sizes(monkeypatch):
-    """Replace dynamics.evolve_states by a wrapper that logs each call's row count."""
+def _record_block_times(monkeypatch):
+    """Replace dynamics.evolve_states by a wrapper that logs each call's times."""
     real = dynamics.evolve_states
-    sizes = []
+    times = []
 
-    def counting(prop, times):
-        sizes.append(len(times))
-        return real(prop, times)
+    def recording(prop, ts):
+        times.append(np.array(ts, dtype=float))
+        return real(prop, ts)
 
-    monkeypatch.setattr(dynamics, "evolve_states", counting)
-    return sizes
+    monkeypatch.setattr(dynamics, "evolve_states", recording)
+    return times
+
+
+def _scan_points(t_max, dt):
+    """Point count of the scan grid: time_grid's up to t_max, and two past it."""
+    return dynamics.time_grid_points(0.0, t_max, dt) + 2
+
+
+def _whole_grid_brackets(prop, t_max, dt):
+    """The brackets of a scan of every grid point: the reference for detect._scan_brackets.
+
+    The grid float(k) * dt is evolved in one product, whose rows have the bits
+    of the same rows of any product of two or more rows.
+    """
+    ts = np.arange(_scan_points(t_max, dt), dtype=float)
+    ts *= dt
+    amps = dynamics.one_particle_amplitudes(dynamics.evolve_states(prop, ts))
+    c_last = measures.concurrence_one_particle(amps, 3, 4)
+    maxima = detect._local_maxima(c_last)
+    changes = detect._sign_changes(measures.concurrence_one_particle(amps, 1, 2) - c_last)
+    return (np.column_stack((ts[maxima - 1], ts[maxima + 1])),
+            np.column_stack((ts[changes], ts[changes + 1])))
+
+
+def _window_points(d, t_max, dt):
+    """The grid indices within two steps of a closed-form event time, ascending."""
+    n_points = _scan_points(t_max, dt)
+    n = np.arange(int(n_points * dt / analytic.w_times(d, 0)) + 2)
+    centres = [round(t / dt) for t in np.concatenate((analytic.w_times(d, n),
+                                                      analytic.transfer_times(d, n))).tolist()]
+    return sorted({k for c in centres for k in range(c - 2, c + 3) if 0 <= k < n_points})
+
+
+@st.composite
+def _steps(draw, d):
+    # 0.1 to 0.999 of the largest step check_event_search accepts, or a step
+    # commensurate with the W spacing, t_w(0) / k
+    sp = analytic.spectral_params(d)
+    dt_max = 4.0 * math.pi / ((sp.mu + sp.nu) * detect.SCAN_POINTS_PER_PERIOD)
+    return draw(st.floats(0.1, 0.999).map(lambda f: f * dt_max)
+                | st.integers(2, 10).map(lambda k: analytic.w_times(d, 0) / k))
+
+
+@st.composite
+def _t_maxes(draw, d_dt):
+    # up to about 3,000 grid points: a whole number of steps, or an event time
+    d, dt = d_dt
+    n_max = int(700 * dt / analytic.w_times(d, 0))
+    return draw(st.integers(1, 3000).map(lambda k: k * dt)
+                | st.integers(0, n_max).map(lambda n: analytic.w_times(d, n))
+                | st.integers(0, n_max).map(lambda n: analytic.transfer_times(d, n)))
+
+
+# one d and one step per example, shared by the three strategies
+_SCAN_D = st.shared(st.floats(math.log(1e-3), math.log(1e2)).map(math.exp), key="scan_d")
+_SCAN_DT = st.shared(_SCAN_D.flatmap(_steps), key="scan_dt")
+_SCAN_T_MAX = st.tuples(_SCAN_D, _SCAN_DT).flatmap(_t_maxes)
 
 
 class TestCoarseScan:
     def test_one_scan_serves_both_finders(self, monkeypatch):
-        calls = _record_block_sizes(monkeypatch)
+        calls = _record_block_times(monkeypatch)
         events = detect.find_events(1.0, 10.0)
-        # 1001 grid points up to t_max and two past it, evolved once, in the
-        # fewest equal blocks
-        assert sum(calls) == 1003 and len(calls) == -(-1003 // dynamics.BLOCK_ROWS)
-        assert max(calls) - min(calls) <= 1
+        # of the 1003 grid points up to t_max and two past it, the five around
+        # each of the 2 transfers and 5 W events, 111 steps apart, evolved once
+        # in one block
+        assert [len(ts) for ts in calls] == [35]
+        np.testing.assert_array_equal(calls[0], 0.01 * np.array(_window_points(1.0, 10.0, 0.01)))
         assert [e.kind for e in events].count(detect.TRANSFER) == 2
         assert [e.kind for e in events].count(detect.W_STATE) == 5
         times = [e.t_detected for e in events]
@@ -178,56 +236,72 @@ class TestCoarseScan:
 
     @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
     def test_block_scan_candidates_match_whole_grid(self, monkeypatch, d):
-        # the scan of t_max 300 runs in many blocks, which give the bits of the
-        # whole-grid product; the candidates of the whole-grid amplitudes are the
-        # oracle for the brackets each search is handed
+        # the scan of t_max 300 evolves the points within two steps of an event
+        # time, in several blocks of two or more rows; the brackets each search
+        # is handed are those of the whole-grid scan
         transfer_calls = _record_calls(monkeypatch, "find_transfer_events")
         w_calls = _record_calls(monkeypatch, "find_w_events")
-        blocks = _record_block_sizes(monkeypatch)
+        blocks = _record_block_times(monkeypatch)
         detect.find_events(d, 300.0)
         [(prop, transfer_brackets, *_)] = transfer_calls
         [(_, w_brackets, *_)] = w_calls
-        ts = 0.01 * np.arange(dynamics.time_grid(0.0, 300.0, 0.01).size + 2)
-        assert sum(blocks) == ts.size and len(blocks) == -(-ts.size // dynamics.BLOCK_ROWS) > 1
-        whole = dynamics.one_particle_amplitudes(dynamics.evolve_states(prop, ts))
-        c_last = measures.concurrence_one_particle(whole, 3, 4)
-        maxima = detect._local_maxima(c_last)
-        changes = detect._sign_changes(measures.concurrence_one_particle(whole, 1, 2) - c_last)
-        assert maxima.size and changes.size
-        np.testing.assert_array_equal(
-            transfer_brackets, np.column_stack((ts[maxima - 1], ts[maxima + 1])))
-        np.testing.assert_array_equal(
-            w_brackets, np.column_stack((ts[changes], ts[changes + 1])))
+        points = _window_points(d, 300.0, 0.01)
+        np.testing.assert_array_equal(np.concatenate(blocks), 0.01 * np.array(points))
+        assert len(points) < _scan_points(300.0, 0.01) / 5
+        assert len(blocks) > 1 and all(2 <= len(ts) <= dynamics.BLOCK_ROWS for ts in blocks)
+        expected_transfer, expected_w = _whole_grid_brackets(prop, 300.0, 0.01)
+        assert expected_transfer.size and expected_w.size
+        np.testing.assert_array_equal(transfer_brackets, expected_transfer)
+        np.testing.assert_array_equal(w_brackets, expected_w)
+
+    @given(d=_SCAN_D, t_max=_SCAN_T_MAX, dt=_SCAN_DT)
+    @example(d=1.2113633229846195, t_max=300, dt=0.01)  # t_w(0) = 1, on the grid
+    @settings(max_examples=300, deadline=None)
+    def test_windowed_brackets_match_whole_grid(self, d, t_max, dt):
+        # d from 1e-3 to 100, steps up to the refusal limit, grids commensurate
+        # with the W spacing and t_max at an event time
+        prop = model.propagator(d)
+        got = detect._scan_brackets(prop, d, t_max, dt)
+        expected = _whole_grid_brackets(prop, t_max, dt)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_block_candidates_match_whole_array(self, data):
         # values from a small set make plateaus and exact zeros, and every block
-        # edge may get a zero on either side or a plateau across it
+        # edge may get a zero on either side or a plateau across it.  Up to six
+        # indices are left out of the blocks, and a stencil that reads one of
+        # them gives no candidate
         sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=10))
+        n = sum(sizes) + data.draw(st.integers(0, 6))
+        ks = np.sort(data.draw(st.permutations(range(n)))[:sum(sizes)])
+        edges = np.cumsum(sizes)[:-1]
         values = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0)
 
         def sequence():
-            x = np.array(data.draw(st.lists(values, min_size=sum(sizes), max_size=sum(sizes))))
-            for edge in np.cumsum(sizes)[:-1]:
+            x = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+            for before, after in zip(ks[edges - 1], ks[edges]):
                 how = data.draw(st.sampled_from(["none", "zero_before", "zero_after",
                                                  "plateau", "zero_plateau"]))
                 if how == "zero_before":
-                    x[edge - 1] = 0.0
+                    x[before] = 0.0
                 elif how == "zero_after":
-                    x[edge] = 0.0
+                    x[after] = 0.0
                 elif how == "plateau":
-                    x[edge] = x[edge - 1]
+                    x[after] = x[before]
                 elif how == "zero_plateau":
-                    x[edge - 1] = x[edge] = 0.0
+                    x[before] = x[after] = 0.0
             return x
 
         c, diff = sequence(), sequence()
-        edges = np.cumsum(sizes)[:-1]
         maxima, changes = detect._block_candidates(
-            zip(np.split(c, edges), np.split(diff, edges)))
-        np.testing.assert_array_equal(maxima, detect._local_maxima(c))
-        np.testing.assert_array_equal(changes, detect._sign_changes(diff))
+            zip(np.split(ks, edges), np.split(c[ks], edges), np.split(diff[ks], edges)))
+        given_points = set(ks.tolist())
+        np.testing.assert_array_equal(maxima, [k for k in detect._local_maxima(c).tolist()
+                                               if {k - 1, k, k + 1} <= given_points])
+        np.testing.assert_array_equal(changes, [k for k in detect._sign_changes(diff).tolist()
+                                                if {k, k + 1} <= given_points])
 
     def test_scan_memory_is_bounded(self):
         # the scan in 4096-row blocks peaked at 5.1 MB here, and with 64 B of
@@ -253,6 +327,40 @@ class TestCoarseScan:
         finally:
             tracemalloc.stop()
         assert peak < grid_bytes + 0.8e6
+
+    @pytest.mark.parametrize("d, t_max, parent_peak", [(1.0, 9000.0, 8_150_850),
+                                                       (60.0, 3000.0, 25_634_434)],
+                             ids=["d=1", "d=60"])
+    def test_long_search_peak_is_pinned(self, d, t_max, parent_peak):
+        # the peaks measured here when the scan evolved every grid point and held
+        # the whole time grid (8 B per point); at d = 1 that grid set the peak, at
+        # d = 60 the records of its 85,956 events do.  The full collection empties
+        # the free lists that earlier tests fill, which moved the peak by 0.2 MB
+        gc.collect()
+        tracemalloc.start()
+        try:
+            detect.find_events(d, t_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= parent_peak
+
+    @pytest.mark.parametrize("d, dt", [(1.0, None), (60.0, None), (100.0, None), (60.0, 0.01)],
+                             ids=["d=1-largest_dt", "d=60-largest_dt", "d=100-largest_dt",
+                                  "d=60-dt=0.01"])
+    def test_scan_never_evolves_more_points_than_the_grid(self, monkeypatch, d, dt):
+        # at the largest step allowed (None) the windows of consecutive events
+        # overlap most; each point is evolved once, and never one off the grid
+        if dt is None:
+            sp = analytic.spectral_params(d)
+            dt = math.nextafter(
+                4.0 * math.pi / ((sp.mu + sp.nu) * detect.SCAN_POINTS_PER_PERIOD), 0.0)
+        t_max = 3000.0 * dt
+        blocks = _record_block_times(monkeypatch)
+        detect._scan_brackets(model.propagator(d), d, t_max, dt)
+        rows = np.concatenate(blocks)
+        assert rows.size <= _scan_points(t_max, dt)
+        np.testing.assert_array_equal(rows, dt * np.array(_window_points(d, t_max, dt)))
 
     @pytest.mark.parametrize("search", ["find_transfer_events", "find_w_events"])
     def test_validation(self, monkeypatch, search):
@@ -380,7 +488,7 @@ class TestRefinement:
         # each time, the array bisection np.sin and np.cos of a whole chunk
         sp = analytic.spectral_params(d)
         s = sp.mu + sp.nu
-        transfer, w = detect._scan_brackets(model.propagator(d), t_max, 0.01)
+        transfer, w = detect._scan_brackets(model.propagator(d), d, t_max, 0.01)
         for brackets, scalar, array in ((transfer, math.sin, np.sin), (w, math.cos, np.cos)):
             for width in (detect._REFINE_WIDTH, 0.0):
                 expected = [_bisect(lambda t: scalar(s * t / 2.0), lo, hi, width)
@@ -572,8 +680,8 @@ class TestSectorLeakage:
         assert reached == []
 
     def test_leakage_in_last_block_fails_loudly(self, monkeypatch):
-        # weight on |0000> only at times in the last of the 8 equal blocks of the
-        # 30,003 scan points of t_max 300
+        # weight on |0000> only at times in the last eighth of the 30,003 grid
+        # points of t_max 300, which the scan's last block evaluates
         transfer_reached = _record_calls(monkeypatch, "find_transfer_events")
         w_reached = _record_calls(monkeypatch, "find_w_events")
         real = dynamics.evolve_states
