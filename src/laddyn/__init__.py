@@ -37,7 +37,6 @@ from .linalg import EigenSystem, check_sites, hermitian_eig
 from .measures import concurrence_one_particle, two_point_correlation
 from .model import (
     DEFAULT_GRAPH,
-    CouplingGraph,
     ModelParams,
     build_hamiltonian,
     initial_state,
@@ -88,7 +87,6 @@ __all__ = (
     "two_point_correlation",
     # model
     "DEFAULT_GRAPH",
-    "CouplingGraph",
     "ModelParams",
     "build_hamiltonian",
     "initial_state",

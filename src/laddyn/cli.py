@@ -66,22 +66,6 @@ def _parse_pairs(spec: str) -> list[tuple[int, int]]:
     return out
 
 
-def _load_topology(path: str) -> model.CouplingGraph:
-    """Read a JSON file of 'rungs' and 'legs' bond lists; a missing file is an OSError."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise ValidationError(f"not valid JSON: {exc}") from None
-    try:
-        return model.CouplingGraph(
-            rung_bonds=tuple(tuple(b) for b in data["rungs"]),
-            leg_bonds=tuple(tuple(b) for b in data["legs"]),
-        )
-    except (KeyError, TypeError):
-        raise ValidationError("expected JSON with 'rungs' and 'legs' bond lists") from None
-
-
 class Option(NamedTuple):
     parse: Callable[[str], Any]
     default: Any
@@ -100,8 +84,6 @@ OPTIONS = {
     "tolerance": Option(float, 1e-9, "oracle tolerance (default 1e-9)"),
     "output": Option(str, None, "output file"),
     "format": Option(str, "csv", "csv (default) or json"),
-    "topology": Option(_load_topology, model.DEFAULT_GRAPH,
-                       "JSON file with 'rungs' and 'legs' bond lists (expert override)"),
     "n_max": Option(int, 9, f"highest W-time curve index, 0..{analytic.EXACT_N_MAX} (default 9)"),
 }
 
@@ -294,7 +276,7 @@ def cmd_evolve(cfg: argparse.Namespace) -> int:
     if cfg.d is None:
         raise ValidationError("evolve requires --d (0 is allowed, numeric-only)")
     ts = dynamics.time_grid(0.0, cfg.t_max, cfg.dt)
-    table = tables.evolve_table(cfg.d, ts, cfg.pairs, cfg.topology)
+    table = tables.evolve_table(cfg.d, ts, cfg.pairs)
     _write_table(cfg.output, table.names, table, cfg.format)
     print(f"wrote {len(table)} rows to {cfg.output}")
     return EXIT_OK
@@ -303,7 +285,7 @@ def cmd_evolve(cfg: argparse.Namespace) -> int:
 def cmd_events(cfg: argparse.Namespace) -> int:
     if cfg.d is None or cfg.d <= 0.0:
         raise ValidationError("events requires --d > 0")
-    records = detect.find_events(cfg.d, cfg.t_max, cfg.dt, cfg.tolerance, cfg.topology)
+    records = detect.find_events(cfg.d, cfg.t_max, cfg.dt, cfg.tolerance)
     columns = ["kind", "n", "t_predicted", "t_detected", "residual", "fidelity"]
     rows = [[e.kind, e.n, e.t_predicted, e.t_detected, e.residual, e.fidelity] for e in records]
     if cfg.output:
@@ -321,7 +303,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     if cfg.output is None:
         raise ValidationError("sweep requires --output")
     ts = _budgeted_time_grid(cfg, len(d_grid), "sweep")
-    table = tables.sweep(d_grid, ts, cfg.topology)
+    table = tables.sweep(d_grid, ts)
     # before any output: the closed forms refuse a d outside their domain
     curves = detect.w_time_curves(d_grid, cfg.n_max)
     _write_table(cfg.output, table.names, table, cfg.format)
@@ -344,11 +326,11 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         analytic.spectral_params(float(dv))  # every d, before anything is printed
     ts = _budgeted_time_grid(cfg, len(d_values), "verify")
     print("laddyn verify")
-    print(f"topology: rungs={cfg.topology.rung_bonds} legs={cfg.topology.leg_bonds}")
+    print(f"topology: rungs={model.DEFAULT_GRAPH.rung_bonds} "
+          f"legs={model.DEFAULT_GRAPH.leg_bonds}")
     print(f"grid: d in {list(d_values)}, t in [0, {cfg.t_max:g}] step {cfg.dt:g}, "
           f"oracle tolerance {cfg.tolerance:g}")
-    records = verify.run_checks(d_values, ts, cfg.t_max, cfg.dt, cfg.tolerance, cfg.n_max,
-                                cfg.topology)
+    records = verify.run_checks(d_values, ts, cfg.t_max, cfg.dt, cfg.tolerance, cfg.n_max)
     print(verify.render(records))
     return EXIT_OK if all(r.passed for r in records if r.gated) else EXIT_CHECK_FAILURE
 

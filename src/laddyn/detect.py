@@ -262,36 +262,25 @@ def _checked_events(prop: dynamics.Propagator, f, brackets: np.ndarray, t_max: f
     return [ev for ev in _merge_events(events) if ev.t_predicted <= t_max]
 
 
-def find_events(d: float, t_max: float, coarse_dt: float = 0.01, tol: float = 1e-9,
-                graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> list[EventRecord]:
+def find_events(d: float, t_max: float, coarse_dt: float = 0.01,
+                tol: float = 1e-9) -> list[EventRecord]:
     """Transfer and W events with t_predicted <= t_max, in time order, from one coarse scan.
 
-    Refuses what check_event_search refuses, then builds the propagator of
-    (d, graph) and runs search_events on it.
+    Refuses what check_event_search refuses, then builds the propagator of d
+    and runs search_events on it.
     """
-    check_event_search(d, coarse_dt, graph)
-    return search_events(model.propagator(d, graph), d, t_max, coarse_dt, tol)
+    check_event_search(d, coarse_dt)
+    return search_events(model.propagator(d), d, t_max, coarse_dt, tol)
 
 
-def check_event_search(d: float, coarse_dt: float,
-                       graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> None:
-    """Raise where search_events cannot serve (d, coarse_dt, graph), before any scan.
+def check_event_search(d: float, coarse_dt: float) -> None:
+    """Raise where search_events cannot serve (d, coarse_dt), before any scan.
 
-    d must be in the closed forms' domain (DomainError).  The searches bisect
-    the closed forms of the default graph, so any other graph must have its
-    one-particle Hamiltonian within linalg.HERMITICITY_TOL of the default's
-    at d.  And coarse_dt must give at least SCAN_POINTS_PER_PERIOD points
-    per period 4 pi/(mu+nu) of C_{3,4}.  Either raises ValidationError.
+    d must be in the closed forms' domain (DomainError), and coarse_dt must
+    give at least SCAN_POINTS_PER_PERIOD points per period 4 pi/(mu+nu) of
+    C_{3,4} (ValidationError).
     """
     sp = analytic.spectral_params(d)  # checks d is in the closed forms' domain
-    if graph != model.DEFAULT_GRAPH:
-        params = model.ModelParams(d=d)
-        dev = np.max(np.abs(model.one_particle_hamiltonian(params, graph)
-                            - model.one_particle_hamiltonian(params)))
-        if dev > linalg.HERMITICITY_TOL:
-            raise ValidationError(
-                f"events are refined on the closed forms of the default ladder, and this "
-                f"topology's one-particle Hamiltonian differs from it by {dev:.3e} at d = {d:g}")
     dt_max = 4.0 * math.pi / ((sp.mu + sp.nu) * SCAN_POINTS_PER_PERIOD)
     if coarse_dt > dt_max:
         raise ValidationError(

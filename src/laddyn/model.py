@@ -132,9 +132,9 @@ def build_hamiltonian(params: ModelParams, graph: CouplingGraph = DEFAULT_GRAPH)
     return h
 
 
-def one_particle_hamiltonian(params: ModelParams, graph: CouplingGraph = DEFAULT_GRAPH) -> np.ndarray:
+def one_particle_hamiltonian(params: ModelParams) -> np.ndarray:
     """Restriction of the Hamiltonian to span{|1000>, |0100>, |0010>, |0001>}."""
-    h = build_hamiltonian(params, graph)
+    h = build_hamiltonian(params)
     idx = np.array(ONE_PARTICLE_INDICES)
     return h[np.ix_(idx, idx)]
 
@@ -147,11 +147,10 @@ def initial_state() -> np.ndarray:
     return psi
 
 
-def propagator(d: float, graph: CouplingGraph = DEFAULT_GRAPH) -> dynamics.Propagator:
-    """Spectral propagator of the initial state under H(d) on graph.
+def propagator(d: float) -> dynamics.Propagator:
+    """Spectral propagator of the initial state under H(d).
 
     The one factory for the evolution of the Bell-seeded ladder.
     """
-    return dynamics.make_propagator(build_hamiltonian(ModelParams(d=d), graph),
-                                    initial_state())
+    return dynamics.make_propagator(build_hamiltonian(ModelParams(d=d)), initial_state())
 

@@ -123,19 +123,19 @@ class BlockColumns(dict):
         raise KeyError(f"no table column {name!r}")
 
 
-def _table(names, ds, ts: np.ndarray, graph: model.CouplingGraph) -> BlockTable:
+def _table(names, ds, ts: np.ndarray) -> BlockTable:
     """The columns names at every (d, t) of ds x ts, d-major, a block of ts at a time."""
     names = tuple(names)
 
     def blocks():
         for d in ds:
-            for rows, states in dynamics.evolved_blocks(model.propagator(d, graph), ts):
+            for rows, states in dynamics.evolved_blocks(model.propagator(d), ts):
                 yield BlockColumns(d, states, ts[rows], names).structured()
 
     return BlockTable(names, len(ds) * ts.size, blocks)
 
 
-def sweep(d_grid, t_grid, graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> BlockTable:
+def sweep(d_grid, t_grid) -> BlockTable:
     """Observables over the Cartesian product of grids, ordered d-major then t.
 
     Returns a BlockTable of structured arrays with the float64 fields d, t,
@@ -155,11 +155,10 @@ def sweep(d_grid, t_grid, graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> B
     unique = list(dict.fromkeys(ds))
     if len(unique) != len(ds):
         warnings.warn("duplicate d values in sweep grid were dropped", stacklevel=2)
-    return _table(_SWEEP_NAMES, unique, ts, graph)
+    return _table(_SWEEP_NAMES, unique, ts)
 
 
-def evolve_table(d: float, ts: np.ndarray, pairs,
-                 graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> BlockTable:
+def evolve_table(d: float, ts: np.ndarray, pairs) -> BlockTable:
     """The evolve table of d at the times ts, computed a block at a time as it is read.
 
     Columns: t; c_{pq} for each (p, q) of pairs, in their order; for d > 0
@@ -173,4 +172,4 @@ def evolve_table(d: float, ts: np.ndarray, pairs,
     names += [*_CHI_NAMES, *(f"s_tot_{a}" for a in model.AXES)]
     if d > 0.0:
         names += ["max_dev", "leg_xx_table_dev"]
-    return _table(names, [d], ts, graph)
+    return _table(names, [d], ts)

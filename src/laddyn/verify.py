@@ -89,8 +89,8 @@ def render(records) -> str:
                       f"summary: {sum(r.passed for r in gated)}/{len(gated)} checks passed"])
 
 
-def run_checks(d_values, ts: np.ndarray, t_max: float, dt: float, tol: float, n_max: int,
-               graph: model.CouplingGraph = model.DEFAULT_GRAPH) -> list[CheckRecord]:
+def run_checks(d_values, ts: np.ndarray, t_max: float, dt: float, tol: float,
+               n_max: int) -> list[CheckRecord]:
     """The records for d_values on the grid ts, then the d-independent ones.
 
     Events are scanned with step dt up to t_max; tol is the oracle tolerance.
@@ -98,10 +98,10 @@ def run_checks(d_values, ts: np.ndarray, t_max: float, dt: float, tol: float, n_
     records = []
     sz = model.total_spin_operator("z")
     for d in map(float, d_values):
-        h = model.build_hamiltonian(model.ModelParams(d=d), graph)
+        h = model.build_hamiltonian(model.ModelParams(d=d))
         prop = dynamics.make_propagator(h, model.initial_state())
         records += _state_checks(d, h, prop, ts, tol)
-        records += _event_checks(d, prop, t_max, dt, tol, graph)
+        records += _event_checks(d, prop, t_max, dt, tol)
         records.append(_check("sz_tot_commutator", d,
                               np.max(np.abs(h @ sz - sz @ h)), math.inf, gated=False))
     records += _closed_form_checks(n_max)
@@ -223,11 +223,10 @@ def _closed_form_count(times, d: float, t_max: float) -> int:
     return int(np.count_nonzero(times(d, n) <= t_max))
 
 
-def _event_checks(d: float, prop: dynamics.Propagator, t_max: float, dt: float, tol: float,
-                  graph: model.CouplingGraph):
+def _event_checks(d: float, prop: dynamics.Propagator, t_max: float, dt: float, tol: float):
     """The events the scan of prop finds up to t_max, against the closed forms and the states."""
     try:
-        detect.check_event_search(d, dt, graph)
+        detect.check_event_search(d, dt)
         events = detect.search_events(prop, d, t_max, dt, tol)
     except LaddynError as exc:
         yield _require("event_detection", d, False, f"raised {exc}")

@@ -10,13 +10,14 @@ deviations, and the identity that does hold (chi_xx^2 + chi_xy^2 equals the
 tabulated magnitude squared) is covered in test_properties.py.
 """
 
-import json
 import time
 
 import numpy as np
 
 from laddyn import analytic, cli, detect, dynamics, measures, model
 from laddyn.detect import ALL_PAIRS, LEG_CLASS_PAIRS
+
+from conftest import reverse_legs
 
 
 D_GRID = (0.2, 0.6, 1.0, 1.5, 2.0)
@@ -258,13 +259,11 @@ def test_criterion_7_w_time_curves():
     assert decreasing and ordered and exact
 
 
-def test_criterion_8_negative_control(tmp_path, capsys):
-    bad = tmp_path / "misoriented.json"
-    bad.write_text(json.dumps(
-        {"rungs": [[1, 2], [2, 3], [3, 4], [4, 1]], "legs": [[3, 1], [2, 4]]}))
+def test_criterion_8_negative_control(monkeypatch, capsys):
     args = ["--d", "0.6", "--t-max", "6", "--dt", "0.02"]
     code_good = cli.main(["verify", *args])
-    code_bad = cli.main(["verify", *args, "--topology", str(bad)])
+    reverse_legs(monkeypatch, ((3, 1), (2, 4)))  # the first leg runs 3 -> 1, not 1 -> 3
+    code_bad = cli.main(["verify", *args])
     out = capsys.readouterr().out
     ok = code_good == 0 and code_bad == 1
     print(f"criterion 8: {'PASS' if ok else 'FAIL'} "

@@ -1,4 +1,6 @@
+import contextlib
 import ctypes
+import gc
 import hashlib
 import io
 import json
@@ -13,9 +15,12 @@ import time
 import tracemalloc
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from laddyn import cli, detect, dynamics, measures, model, tables, verify
 from laddyn.errors import NumericalFailureError
@@ -152,19 +157,6 @@ class TestEventsCommand:
         assert "error: a scan step of 100 undersamples" in err
         assert "a step (--dt) of at most 1.11072" in err
         assert elapsed < 0.5
-
-    @pytest.mark.parametrize("legs, rungs", [
-        ([[3, 1], [2, 4]], [[1, 2], [2, 3], [3, 4], [4, 1]]),
-        ([[1, 3], [2, 4]], [[1, 2], [2, 3], [3, 4]]),
-    ], ids=["reversed_leg", "missing_rung"])
-    def test_topology_without_closed_forms_exits_2(self, tmp_path, legs, rungs):
-        # these topologies printed an empty table and exited 0
-        topo = tmp_path / "topo.json"
-        topo.write_text(json.dumps({"rungs": rungs, "legs": legs}))
-        res = run_cli("events", "--d", "1", "--t-max", "30", "--topology", str(topo))
-        assert res.returncode == 2
-        assert "error: events are refined on the closed forms of the default ladder" in res.stderr
-        assert res.stdout == "" and "Traceback" not in res.stderr
 
     def test_event_in_last_grid_step_is_listed(self, tmp_path):
         # t_tr(1, 0) = 2.2214... lies between the last grid point 2.22 and t_max
@@ -570,15 +562,6 @@ class TestVerifyCommand:
         assert leak_vals and all(v <= 1e-12 for v in leak_vals)
         assert "commutator" in res.stdout
 
-    def test_misoriented_leg_fails(self, tmp_path):
-        topo = tmp_path / "bad.json"
-        topo.write_text(json.dumps(
-            {"rungs": [[1, 2], [2, 3], [3, 4], [4, 1]], "legs": [[3, 1], [2, 4]]}))
-        res = run_cli("verify", "--d", "0.6", "--t-max", "6", "--dt", "0.02",
-                      "--topology", str(topo))
-        assert res.returncode == 1
-        assert "FAIL" in res.stdout
-
     def test_undersampled_event_scan_fails(self):
         # the 0.01 scan has 2.1 points per period at d = 300; it found 13 of the
         # 143 transfers and event_count failed
@@ -587,20 +570,12 @@ class TestVerifyCommand:
         assert "FAIL event_detection[d=300] (raised a scan step of 0.01 undersamples" in res.stdout
         assert "event_count" not in res.stdout
 
-    def test_pure_flip_caught_by_amplitude_oracle(self, tmp_path):
-        topo = tmp_path / "flip.json"
-        topo.write_text(json.dumps(
-            {"rungs": [[1, 2], [2, 3], [3, 4], [4, 1]], "legs": [[3, 1], [4, 2]]}))
-        res = run_cli("verify", "--d", "0.6", "--t-max", "6", "--dt", "0.02",
-                      "--topology", str(topo))
-        assert res.returncode == 1
-        assert "FAIL amplitudes_vs_closed_form" in res.stdout
-
     def test_memory_is_bounded_by_the_block(self):
         # 20,001 times in 41 blocks; whole-grid state stacks peaked at 40.5 MB here
         ts = dynamics.time_grid(0.0, 200.0, 0.01)
         h = model.build_hamiltonian(model.ModelParams(d=0.6))
         prop = dynamics.make_propagator(h, model.initial_state())
+        gc.collect()
         tracemalloc.start()
         try:
             records = list(verify._state_checks(0.6, h, prop, ts, 1e-9))
@@ -644,12 +619,9 @@ class TestOptionTable:
     @pytest.fixture
     def samples(self, tmp_path):
         # a value of each key that differs from its default
-        topo = tmp_path / "topo.json"
-        topo.write_text(json.dumps(
-            {"rungs": [[1, 2], [2, 3], [3, 4], [4, 1]], "legs": [[3, 1], [2, 4]]}))
         return {"d": "0.6", "d_grid": "0.1:0.5:0.2", "t_max": "12", "dt": "0.05",
                 "pairs": "2-1,3-4", "tolerance": "1e-8", "output": str(tmp_path / "out.csv"),
-                "format": "json", "topology": str(topo), "n_max": "4"}
+                "format": "json", "n_max": "4"}
 
     @staticmethod
     def merged(argv):
@@ -679,19 +651,23 @@ class TestOptionTable:
         flags = [arg for key, value in samples.items() for arg in (self.flag(key), value)]
         from_flags = self.merged([command, *flags])
         assert from_flags == self.merged([command, "--config", str(cfg)])
-        assert from_flags["topology"] == model.CouplingGraph(
-            rung_bonds=((1, 2), (2, 3), (3, 4), (4, 1)), leg_bonds=((3, 1), (2, 4)))
         assert all(from_flags[key] != opt.default for key, opt in cli.OPTIONS.items())
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_missing_topology_file_is_io_error(self, tmp_path, command):
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_retired_topology_option_is_usage_error(self, tmp_path, command, source):
+        # the ladder is fixed (model.DEFAULT_GRAPH): no flag or config key names a graph
         out = tmp_path / "x.csv"
-        res = run_cli(command, "--d", "1", "--t-max", "1", "--output", str(out),
-                      "--topology", str(tmp_path / "none.json"))
-        assert res.returncode == 3
-        assert res.stderr.startswith(f"i/o error: {tmp_path / 'none.json'}: ")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("topology = x.json\n")
+        retired = ["--topology", "x.json"] if source == "flag" else ["--config", str(cfg)]
+        res = run_cli(command, "--d", "1", "--t-max", "1", "--output", str(out), *retired)
+        assert res.returncode == 2
+        assert ("unrecognized arguments: --topology x.json" if source == "flag"
+                else "error: unknown config key 'topology'") in res.stderr
+        assert "Traceback" not in res.stderr
         assert res.stdout == ""
-        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_missing_config_file_is_usage_error(self, tmp_path, command):
@@ -711,27 +687,20 @@ class TestOptionTable:
         assert list(tmp_path.iterdir()) == []
 
     def test_utf8_bom_files_merge_like_plain_ones(self, tmp_path, samples):
-        # a BOM before the first key of a config file or the '{' of a topology file
-        bom = b"\xef\xbb\xbf"
-        topo = tmp_path / "bom.json"
-        topo.write_bytes(bom + Path(samples["topology"]).read_bytes())
+        # a BOM before the first key of a config file
         lines = "".join(f"{key} = {value}\n" for key, value in samples.items())
         plain, with_bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
         plain.write_text(lines, encoding="utf-8")
-        with_bom.write_bytes(bom + lines.replace(samples["topology"], str(topo)).encode())
+        with_bom.write_bytes(b"\xef\xbb\xbf" + lines.encode())
         assert self.merged(["evolve", "--config", str(with_bom)]) == \
             self.merged(["evolve", "--config", str(plain)])
-        assert self.merged(["evolve", "--topology", str(topo)]) == \
-            self.merged(["evolve", "--topology", samples["topology"]])
 
-    @pytest.mark.parametrize("flag", ["--config", "--topology"])
-    def test_file_that_is_not_utf8_is_usage_error(self, tmp_path, flag):
+    def test_file_that_is_not_utf8_is_usage_error(self, tmp_path):
         # UTF-16 with its byte-order mark: the first byte, 0xff, is never UTF-8
         bad = tmp_path / "utf16.txt"
-        bad.write_bytes(('{"rungs": [], "legs": []}' if flag == "--topology"
-                         else "d = 1\n").encode("utf-16"))
+        bad.write_bytes("d = 1\n".encode("utf-16"))
         res = run_cli("evolve", "--d", "1", "--t-max", "1", "--output",
-                      str(tmp_path / "x.csv"), flag, str(bad))
+                      str(tmp_path / "x.csv"), "--config", str(bad))
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
         assert not (tmp_path / "x.csv").exists()
@@ -805,7 +774,7 @@ class TestConfigFile:
 
 
 class TestMalformedInput:
-    """Bad config values and topology files are usage errors, never tracebacks."""
+    """Bad config values are usage errors, never tracebacks."""
 
     @pytest.mark.parametrize("line", [
         "d = abc", "pairs = 1-x", "pairs = 1-5", "n_max = 1.5",
@@ -898,20 +867,74 @@ class TestMalformedInput:
         assert "Traceback" not in res.stderr
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("text", [
-        '{"rungs": [[1, 2],',
-        '{"rungs": [["a", 2]], "legs": []}',
-        '{"rungs": [[1.7, 2]], "legs": []}',
-    ])
-    def test_topology_file(self, tmp_path, text):
-        topo = tmp_path / "topo.json"
-        topo.write_text(text)
-        res = run_cli("evolve", "--d", "0.6", "--t-max", "1", "--topology", str(topo),
-                      "--output", str(tmp_path / "x.csv"))
-        assert res.returncode == 2
-        assert "error:" in res.stderr
-        assert "topo.json" in res.stderr
-        assert "Traceback" not in res.stderr
+#: per OPTIONS key, (values a command accepts on a small grid, extremes that reach its refusals)
+_FUZZ_VALUES = {
+    "d": (["0.6", "1", "2"],
+          ["0", "60", "300", "1e6", "-1", "1e-170", "1e120", "1e300", "nan", "inf", "abc"]),
+    "d_grid": (["0.5:0.5:1", "0.2:1.0:0.4"],
+               ["0.1:4.0:0.1", "1:0:0.1", "0:1:0.5", "nan:1:0.1", "0.1:1e9:1e-9",
+                "1e300:1e300:1", "a:b:c", "1:2"]),
+    "t_max": (["0.5", "3", "10"], ["1e-300", "1e7", "1e300", "0", "-1", "inf", "nan"]),
+    "dt": (["0.01", "0.05", "0.5"], ["1e-300", "2", "100", "0", "-0.1", "nan", "inf"]),
+    "tolerance": (["1e-9", "1e-6"], ["1e-300", "1", "0", "-1e-9", "inf", "nan"]),
+    "n_max": (["0", "9", "15"], ["16", "-1", "1.5", "x"]),
+    "pairs": (["1-2", "2-1,3-4"], ["1-2,1-2", "1-5", "1-1", "x", ""]),
+    "format": (["csv", "json"], ["xml", ""]),
+    "output": (["out.csv", "out"], ["missing/out.csv", "."]),
+}
+#: arguments no command takes: a retired option, unknown flags and a flag without its value
+_FUZZ_UNKNOWN = [["--topology", "x.json"], ["--bogus"], ["--j", "2"], ["--d"]]
+
+
+@st.composite
+def _fuzz_options(draw):
+    """{key: (value, 'flag' or 'config')}: most keys, all but up to two of them ordinary."""
+    keys = sorted(_FUZZ_VALUES)
+    omitted = draw(st.sets(st.sampled_from(keys), max_size=2))
+    extreme = draw(st.sets(st.sampled_from(keys), max_size=2))
+    return {key: (draw(st.sampled_from(_FUZZ_VALUES[key][key in extreme])),
+                  draw(st.sampled_from(["flag", "config"])))
+            for key in keys if key not in omitted}
+
+
+@given(command=st.sampled_from(["evolve", "events", "sweep", "verify"]),
+       options=_fuzz_options(),
+       unknown=st.sampled_from([[], [], [], *_FUZZ_UNKNOWN]))
+@example(command="verify", unknown=[],  # a failed check, exit 1
+         options={"d": ("0.6", "flag"), "t_max": ("3", "flag"), "tolerance": ("1e-300", "config")})
+@example(command="evolve", unknown=[],  # an unwritable output, exit 3
+         options={"d": ("1", "flag"), "t_max": ("3", "flag"), "output": ("missing/out.csv", "flag")})
+@example(command="sweep", unknown=["--topology", "x.json"],
+         options={"d": ("1", "flag"), "output": ("out.csv", "flag")})
+@settings(max_examples=300, deadline=None)
+def test_main_exits_with_a_documented_code(tmp_path_factory, command, options, unknown):
+    # every argv ends in exit 0, 1, 2 or 3 with no traceback; a grid limit of
+    # 2,000 points keeps each accepted run small, and larger grids are refused
+    work = tmp_path_factory.mktemp("fuzz")
+    argv, lines = [command], []
+    for key, (value, source) in options.items():
+        if key == "output":
+            value = str(work / value)
+        if source == "flag":
+            argv.append(f"--{key.replace('_', '-')}={value}")
+        else:
+            lines.append(f"{key} = {value}\n")
+    if lines:
+        (work / "run.cfg").write_text("".join(lines))
+        argv += ["--config", str(work / "run.cfg")]
+    argv += unknown
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(dynamics, "MAX_GRID_POINTS", 2000), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code != cli.EXIT_OK:
+        # a refused or failed command leaves no output behind
+        assert sorted(p.name for p in work.iterdir()) == (["run.cfg"] if lines else [])
 
 
 def test_every_config_key_is_documented():

@@ -23,7 +23,8 @@ def matching_leg_orientations(tol=1e-8, d=0.6):
     root8 = 2.0 * np.sqrt(2.0)
     matches = []
     for cand in candidate_leg_orientations():
-        prop = model.propagator(d, cand)
+        prop = dynamics.make_propagator(model.build_hamiltonian(model.ModelParams(d=d), cand),
+                                        model.initial_state())
         worst = 0.0
         for t in (0.5, 1.0, 2.0):
             psi = dynamics.evolve(prop, t)
@@ -58,6 +59,15 @@ class TestParamsAndGraph:
             frozenset(b) for b in ((1, 2), (2, 3), (3, 4), (4, 1))
         }
         assert g.leg_bonds == ((1, 3), (2, 4))
+
+    def test_relabelled_default_graph_builds_the_same_hamiltonian(self):
+        # rung order, the order within a rung and the order of the legs do not change H
+        graph = model.CouplingGraph(rung_bonds=((4, 1), (4, 3), (2, 1), (3, 2)),
+                                    leg_bonds=((2, 4), (1, 3)))
+        assert graph != model.DEFAULT_GRAPH
+        params = model.ModelParams(d=1.0)
+        np.testing.assert_array_equal(model.build_hamiltonian(params, graph),
+                                      model.build_hamiltonian(params))
 
 
 class TestSpinOperator:
@@ -182,7 +192,9 @@ class TestCalibration:
             rung_bonds=model.DEFAULT_GRAPH.rung_bonds,
             leg_bonds=tuple((j, i) for (i, j) in model.DEFAULT_GRAPH.leg_bonds),
         )
-        psi = dynamics.evolve(model.propagator(0.6, flipped), 1.0)
+        prop = dynamics.make_propagator(model.build_hamiltonian(model.ModelParams(d=0.6), flipped),
+                                        model.initial_state())
+        psi = dynamics.evolve(prop, 1.0)
         eta, xi = analytic.eta_xi(1.0, 0.6)
         expected = np.zeros(16, dtype=complex)
         expected[[8, 4]] = eta / (2 * math.sqrt(2))
@@ -203,10 +215,3 @@ class TestPropagatorFactory:
         np.testing.assert_array_equal(built.eig.eigenvalues, direct.eig.eigenvalues)
         np.testing.assert_array_equal(built.eig.eigenvectors, direct.eig.eigenvectors)
         np.testing.assert_array_equal(built.coefficients, direct.coefficients)
-
-    def test_graph_is_part_of_the_key(self):
-        flipped = candidate_leg_orientations()[-1]
-        assert flipped != model.DEFAULT_GRAPH
-        base = model.propagator(0.7)
-        other_graph = model.propagator(0.7, flipped)
-        assert not np.array_equal(other_graph.eig.eigenvectors, base.eig.eigenvectors)

@@ -32,3 +32,10 @@ def test_retired_density_matrix_helpers_are_not_exported():
     for name in ("wootters_concurrence", "partial_trace_to_pair"):
         assert name not in laddyn.__all__
         assert not hasattr(laddyn, name)
+
+
+def test_coupling_graph_is_not_exported():
+    # the ladder is fixed; only model.build_hamiltonian takes a graph, for the
+    # leg-orientation tests
+    assert "CouplingGraph" not in laddyn.__all__
+    assert not hasattr(laddyn, "CouplingGraph")

@@ -146,7 +146,7 @@ def test_nan_correlation_at_an_event_fails_its_check(monkeypatch, kind, checks):
 
     monkeypatch.setattr(detect, "search_events", search_then_poison)
     prop = model.propagator(1.0)
-    records = list(verify._event_checks(1.0, prop, 30.0, 0.01, 1e-9, model.DEFAULT_GRAPH))
+    records = list(verify._event_checks(1.0, prop, 30.0, 0.01, 1e-9))
     assert {r.name for r in records if r.name in checks and math.isnan(r.worst)} == checks
     assert not any(r.passed for r in records if r.name in checks)
     assert all(r.passed for r in records if r.gated and r.name not in checks)
