@@ -2,8 +2,9 @@
 
 Each setting is declared once, in OPTIONS, which gives its --flag, its
 config-file key, its default and its parser; flags override a key=value
-config file.  CSV output is deterministic: a schema comment line,
-17-significant-digit floats, '.' decimal separator and LF line endings.
+config file.  A command takes only the keys that COMMANDS gives it.  CSV
+output is deterministic: a schema comment line, 17-significant-digit
+floats, '.' decimal separator and LF line endings.
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error.
 """
 
@@ -88,8 +89,8 @@ OPTIONS = {
 }
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """The raw key=value lines of a config file, by OPTIONS key; every fault is a usage error."""
+def _read_config_file(path: str, command: str) -> dict[str, str]:
+    """The raw key=value lines of a config file, by command's keys; every fault is a usage error."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -108,6 +109,8 @@ def _read_config_file(path: str) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if key not in OPTIONS:
             raise ValidationError(f"unknown config key {key!r}")
+        if key not in COMMANDS[command].keys:
+            raise ValidationError(f"config key {key!r} is not read by {command}")
         values[key] = val.strip()
     return values
 
@@ -116,13 +119,15 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """The OPTIONS defaults, overridden by the config file's values, then by the flags."""
     cfg = {key: opt.default for key, opt in OPTIONS.items()}
     flags = {key: raw for key, raw in vars(args).items() if key in OPTIONS and raw is not None}
-    file_values = _read_config_file(args.config) if args.config else {}
+    file_values = _read_config_file(args.config, args.command) if args.config else {}
     for source, values in ((args.config, file_values), ("command line", flags)):
         for key, raw in values.items():
             try:
                 cfg[key] = OPTIONS[key].parse(raw)
             except ValueError as exc:
                 raise ValidationError(f"{source}: bad {key} value {raw!r}: {exc}") from None
+    if cfg["d"] is not None and cfg["d_grid"] is not None:
+        raise ValidationError(f"{args.command} takes --d or --d-grid, not both")
     cfg = argparse.Namespace(**cfg)
     _validate(cfg)
     return cfg
@@ -255,10 +260,11 @@ def _encode_table(fh, columns, rows, fmt: str) -> None:
         fh.write('],"schema":"laddyn schema v1"}\n')
 
 
-def _write_table(path: str, columns, rows, fmt: str) -> None:
-    """_encode_table into path, which is replaced only once the whole table is written."""
+def _write_table(path: str, columns, rows, fmt: str, then=lambda: None) -> None:
+    """_encode_table into path, which is replaced only once the table is written and then() ran."""
     with _replace_on_success(path) as fh:
         _encode_table(fh, columns, rows, fmt)
+        then()
 
 
 def _curves_path(output: str, fmt: str) -> str:
@@ -306,12 +312,11 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     table = tables.sweep(d_grid, ts)
     # before any output: the closed forms refuse a d outside their domain
     curves = detect.w_time_curves(d_grid, cfg.n_max)
-    _write_table(cfg.output, table.names, table, cfg.format)
-
     curve_table = tables.BlockTable.from_array(np.rec.fromarrays(
         [d_grid, *curves], names=["d"] + [f"t_w_n{n}" for n in range(cfg.n_max + 1)]))
     cpath = _curves_path(cfg.output, cfg.format)
-    _write_table(cpath, curve_table.names, curve_table, cfg.format)
+    _write_table(cfg.output, table.names, table, cfg.format,
+                 lambda: _write_table(cpath, curve_table.names, curve_table, cfg.format))
     print(f"wrote {len(table)} sweep rows to {cfg.output} and "
           f"{len(curve_table)} t_w curve rows to {cpath}")
     return EXIT_OK
@@ -335,6 +340,25 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in records if r.gated) else EXIT_CHECK_FAILURE
 
 
+class Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    keys: tuple[str, ...]
+
+
+#: each command and the OPTIONS keys it reads, the only ones it takes
+COMMANDS = {
+    "evolve": Command(cmd_evolve, "time series of concurrences, correlations and totals",
+                      ("d", "t_max", "dt", "pairs", "output", "format")),
+    "events": Command(cmd_events, "detect transfer and W-state events",
+                      ("d", "t_max", "dt", "tolerance", "output", "format")),
+    "sweep": Command(cmd_sweep, "grid sweep over d and t, plus t_w curves",
+                     ("d", "d_grid", "t_max", "dt", "output", "format", "n_max")),
+    "verify": Command(cmd_verify, "run the full invariant and oracle suite",
+                      ("d", "d_grid", "t_max", "dt", "tolerance", "n_max")),
+}
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -345,27 +369,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact dynamics and verification for the four-qubit DM ladder",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("evolve", "time series of concurrences, correlations and totals"),
-        ("events", "detect transfer and W-state events"),
-        ("sweep", "grid sweep over d and t, plus t_w curves"),
-        ("verify", "run the full invariant and oracle suite"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="key=value config file; flags override it")
-        # values stay strings here; _merge_config converts flags and config
-        # file values through the same OPTIONS parsers
-        for key, opt in OPTIONS.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, help=opt.help)
+        # values stay strings; _merge_config parses flags and config lines alike
+        for key in command.keys:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=OPTIONS[key].help)
     return parser
-
-
-_COMMANDS = {
-    "evolve": cmd_evolve,
-    "events": cmd_events,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-}
 
 
 #: glibc mallopt parameter M_TRIM_THRESHOLD (malloc.h)
@@ -399,7 +409,7 @@ def main(argv=None) -> int:
     _keep_freed_heap()
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](_merge_config(args))
+        return COMMANDS[args.command].run(_merge_config(args))
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

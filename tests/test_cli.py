@@ -197,6 +197,17 @@ class TestSweepCommand:
                 vals = [float(r[col]) for r in rows]
                 assert all(a > b for a, b in zip(vals, vals[1:]))  # decreasing in d
 
+    def test_failed_curves_file_keeps_earlier_output(self, tmp_path):
+        # the sweep table is written first, but takes its place only with the curves
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier output\n")
+        (tmp_path / "out_twcurves.csv").mkdir()
+        res = run_cli("sweep", "--d", "0.5", "--t-max", "1", "--output", str(out))
+        assert res.returncode == 3
+        assert "out_twcurves.csv" in res.stderr and "Traceback" not in res.stderr
+        assert out.read_bytes() == b"earlier output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out_twcurves.csv"]
+
 
 class TestGridLimit:
     @pytest.mark.parametrize("args", [
@@ -209,7 +220,9 @@ class TestGridLimit:
     ])
     def test_oversized_grid_is_usage_error(self, tmp_path, args):
         out = tmp_path / "x.csv"
-        res = run_cli(*args, "--output", str(out))
+        if "output" in cli.COMMANDS[args[0]].keys:
+            args += ("--output", str(out))
+        res = run_cli(*args)
         assert res.returncode == 2
         assert "error:" in res.stderr
         assert "Traceback" not in res.stderr
@@ -612,9 +625,12 @@ class TestVerifyCommand:
 
 
 class TestOptionTable:
-    """Each cli.OPTIONS key is one setting, set alike by its flag and its config-file line."""
+    """Each cli.OPTIONS key is one setting, set alike by its flag and its config-file line.
 
-    COMMANDS = ["evolve", "events", "sweep", "verify"]
+    A command takes the keys cli.COMMANDS gives it, and refuses every other one.
+    """
+
+    COMMANDS = list(cli.COMMANDS)
 
     @pytest.fixture
     def samples(self, tmp_path):
@@ -636,22 +652,83 @@ class TestOptionTable:
 
     @pytest.mark.parametrize("key", list(cli.OPTIONS))
     def test_flag_and_config_line_agree(self, tmp_path, samples, key):
+        command = next(name for name, c in cli.COMMANDS.items() if key in c.keys)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {samples[key]}\n")
-        from_flag = self.merged(["evolve", self.flag(key), samples[key]])
-        assert from_flag == self.merged(["evolve", "--config", str(cfg)])
+        from_flag = self.merged([command, self.flag(key), samples[key]])
+        assert from_flag == self.merged([command, "--config", str(cfg)])
         assert from_flag[key] != cli.OPTIONS[key].default
         assert {k: v for k, v in from_flag.items() if k != key} == {
             k: opt.default for k, opt in cli.OPTIONS.items() if k != key}
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_every_command_takes_every_key(self, tmp_path, samples, command):
+    @pytest.mark.parametrize("key", list(cli.OPTIONS))
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_command_takes_only_the_keys_it_reads(self, tmp_path, capsys, samples,
+                                                  command, key, source):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"{key} = {value}\n" for key, value in samples.items()))
-        flags = [arg for key, value in samples.items() for arg in (self.flag(key), value)]
-        from_flags = self.merged([command, *flags])
-        assert from_flags == self.merged([command, "--config", str(cfg)])
-        assert all(from_flags[key] != opt.default for key, opt in cli.OPTIONS.items())
+        cfg.write_text(f"{key} = {samples[key]}\n")
+        argv = [command, *([self.flag(key), samples[key]] if source == "flag"
+                           else ["--config", str(cfg)])]
+        if key in cli.COMMANDS[command].keys:
+            assert self.merged(argv)[key] == cli.OPTIONS[key].parse(samples[key])
+            return
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the flag
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert (f"unrecognized arguments: {self.flag(key)}" if source == "flag"
+                else f"error: config key '{key}' is not read by {command}") in err
+        assert "Traceback" not in err and out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_only_the_flags_of_the_command(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        listed = set(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.MULTILINE))
+        assert listed == {"--config", *map(self.flag, cli.COMMANDS[command].keys)}
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    @pytest.mark.parametrize("d_source, grid_source", [
+        ("flag", "flag"), ("flag", "config"), ("config", "flag"), ("config", "config")])
+    def test_d_with_d_grid_is_usage_error(self, tmp_path, capsys, command, d_source,
+                                          grid_source):
+        # neither one wins: a d beside a grid would otherwise be dropped
+        settings = {"d": "5", "d_grid": "0.5:1:0.5", "t_max": "1"}
+        if command == "sweep":
+            settings["output"] = str(tmp_path / "out.csv")
+        sources = {"d": d_source, "d_grid": grid_source}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()
+                               if sources.get(key) == "config"))
+        argv = [command, "--config", str(cfg)]
+        for key, value in settings.items():
+            if sources.get(key, "flag") == "flag":
+                argv += [self.flag(key), value]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert err == f"error: {command} takes --d or --d-grid, not both\n" and out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("argv", [
+        # each was accepted and dropped a setting: verify wrote no file, events
+        # ignored the grid, --n-max and --pairs, and sweep wrote no d = 5 row
+        ["verify", "--d", "1", "--t-max", "1", "--output", "v.csv", "--format", "json",
+         "--pairs", "1-2"],
+        ["events", "--d", "1", "--t-max", "3", "--d-grid", "0.2:0.4:0.2", "--n-max", "3",
+         "--pairs", "1-2"],
+        ["sweep", "--d", "5", "--d-grid", "0.5:1:0.5", "--t-max", "1", "--output", "s.csv"],
+        ["sweep", "--d", "5", "--d-grid", "0.5:1:0.5", "--output", "s.csv"],
+    ], ids=["verify", "events", "sweep", "sweep_default_t_max"])
+    def test_dropped_setting_is_usage_error(self, tmp_path, argv):
+        res = run_cli(*argv, cwd=tmp_path)
+        assert res.returncode == 2
+        assert "error: " in res.stderr and "Traceback" not in res.stderr
+        assert res.stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -661,7 +738,8 @@ class TestOptionTable:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("topology = x.json\n")
         retired = ["--topology", "x.json"] if source == "flag" else ["--config", str(cfg)]
-        res = run_cli(command, "--d", "1", "--t-max", "1", "--output", str(out), *retired)
+        output = ["--output", str(out)] if "output" in cli.COMMANDS[command].keys else []
+        res = run_cli(command, "--d", "1", "--t-max", "1", *output, *retired)
         assert res.returncode == 2
         assert ("unrecognized arguments: --topology x.json" if source == "flag"
                 else "error: unknown config key 'topology'") in res.stderr
@@ -688,7 +766,7 @@ class TestOptionTable:
 
     def test_utf8_bom_files_merge_like_plain_ones(self, tmp_path, samples):
         # a BOM before the first key of a config file
-        lines = "".join(f"{key} = {value}\n" for key, value in samples.items())
+        lines = "".join(f"{key} = {samples[key]}\n" for key in cli.COMMANDS["evolve"].keys)
         plain, with_bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
         plain.write_text(lines, encoding="utf-8")
         with_bom.write_bytes(b"\xef\xbb\xbf" + lines.encode())
@@ -820,26 +898,29 @@ class TestMalformedInput:
             command += (str(out),)
         res = run_cli(*command, f"{flag}={value}")
         assert res.returncode == 2
-        assert f"error: {key} must be finite" in res.stderr
+        assert (f"error: {key} must be finite" if key in cli.COMMANDS[command[0]].keys
+                else f"unrecognized arguments: {flag}={value}") in res.stderr
         assert res.stdout == ""
         assert "Warning" not in res.stderr
         assert "Traceback" not in res.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
-        ("sweep", "--d-grid", "0.3:0.9:0.3", "--t-max", "1"),
+        ("sweep", "--d-grid", "0.3:0.9:0.3", "--t-max", "1", "--output"),
         ("verify",),
     ])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_n_max_beyond_exact_range(self, tmp_path, command, source):
         out = tmp_path / "x.csv"
+        if command[-1] == "--output":
+            command += (str(out),)
         if source == "flag":
             extra = ("--n-max", "16")
         else:
             cfg = tmp_path / "n.cfg"
             cfg.write_text("n_max = 16\n")
             extra = ("--config", str(cfg))
-        res = run_cli(*command, *extra, "--output", str(out))
+        res = run_cli(*command, *extra)
         assert res.returncode == 2
         assert "error: n_max must be in 0..15" in res.stderr
         assert res.stdout == ""
@@ -887,29 +968,40 @@ _FUZZ_UNKNOWN = [["--topology", "x.json"], ["--bogus"], ["--j", "2"], ["--d"]]
 
 
 @st.composite
-def _fuzz_options(draw):
-    """{key: (value, 'flag' or 'config')}: most keys, all but up to two of them ordinary."""
-    keys = sorted(_FUZZ_VALUES)
+def _fuzz_options(draw, command):
+    """{key: (value, 'flag' or 'config')}: most of command's keys, all but up to two of them
+    ordinary, and at most one of d and d_grid; now and then one key command does not read,
+    or both d and d_grid."""
+    keys = cli.COMMANDS[command].keys
     omitted = draw(st.sets(st.sampled_from(keys), max_size=2))
+    if {"d", "d_grid"} <= set(keys) and draw(st.sampled_from([True] * 4 + [False])):
+        omitted.add(draw(st.sampled_from(["d", "d_grid"])))
     extreme = draw(st.sets(st.sampled_from(keys), max_size=2))
-    return {key: (draw(st.sampled_from(_FUZZ_VALUES[key][key in extreme])),
-                  draw(st.sampled_from(["flag", "config"])))
-            for key in keys if key not in omitted}
+    options = {key: (draw(st.sampled_from(_FUZZ_VALUES[key][key in extreme])),
+                     draw(st.sampled_from(["flag", "config"])))
+               for key in keys if key not in omitted}
+    unread = [key for key in cli.OPTIONS if key not in keys]
+    if draw(st.sampled_from([False] * 4 + [True])):
+        key = draw(st.sampled_from(unread))
+        options[key] = (draw(st.sampled_from(_FUZZ_VALUES[key][0])),
+                        draw(st.sampled_from(["flag", "config"])))
+    return options
 
 
-@given(command=st.sampled_from(["evolve", "events", "sweep", "verify"]),
-       options=_fuzz_options(),
+@given(case=st.sampled_from(list(cli.COMMANDS)).flatmap(
+           lambda command: st.tuples(st.just(command), _fuzz_options(command))),
        unknown=st.sampled_from([[], [], [], *_FUZZ_UNKNOWN]))
-@example(command="verify", unknown=[],  # a failed check, exit 1
-         options={"d": ("0.6", "flag"), "t_max": ("3", "flag"), "tolerance": ("1e-300", "config")})
-@example(command="evolve", unknown=[],  # an unwritable output, exit 3
-         options={"d": ("1", "flag"), "t_max": ("3", "flag"), "output": ("missing/out.csv", "flag")})
-@example(command="sweep", unknown=["--topology", "x.json"],
-         options={"d": ("1", "flag"), "output": ("out.csv", "flag")})
+@example(unknown=[], case=("verify",  # a failed check, exit 1
+         {"d": ("0.6", "flag"), "t_max": ("3", "flag"), "tolerance": ("1e-300", "config")}))
+@example(unknown=[], case=("evolve",  # an unwritable output, exit 3
+         {"d": ("1", "flag"), "t_max": ("3", "flag"), "output": ("missing/out.csv", "flag")}))
+@example(unknown=["--topology", "x.json"], case=("sweep",
+         {"d": ("1", "flag"), "output": ("out.csv", "flag")}))
 @settings(max_examples=300, deadline=None)
-def test_main_exits_with_a_documented_code(tmp_path_factory, command, options, unknown):
+def test_main_exits_with_a_documented_code(tmp_path_factory, case, unknown):
     # every argv ends in exit 0, 1, 2 or 3 with no traceback; a grid limit of
     # 2,000 points keeps each accepted run small, and larger grids are refused
+    command, options = case
     work = tmp_path_factory.mktemp("fuzz")
     argv, lines = [command], []
     for key, (value, source) in options.items():

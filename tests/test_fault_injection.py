@@ -4,9 +4,15 @@ Each case monkeypatches one `laddyn` function, runs `verify.run_checks` at one
 d on a short grid, and asserts the exact set of gated records that fail.  The
 same run on the unpatched model fails none
 (test_cli.py::TestVerifyCommand::test_default_topology_passes).
+
+A known survivor: negating the xy and yx weights of
+measures._pair_product_operator fails no gated record at this setting: the
+gated cross-axis check reads the rung pairs, where xy and yx are zero, and
+the leg-class ones are reported ungated.
+test_properties.py::test_leg_correlations_exact_form fails on it.
 """
 
-from laddyn import dynamics, verify
+from laddyn import dynamics, model, verify
 
 from conftest import reverse_legs
 
@@ -49,3 +55,19 @@ def test_pure_flip_caught_by_amplitude_oracle(monkeypatch):
     failed = _failed_gated()
     assert set(failed) == {"amplitudes_vs_closed_form"}
     assert failed["amplitudes_vs_closed_form"] > 0.7
+
+
+def test_coupling_off_by_a_part_in_1e9_fails_the_spectrum(monkeypatch):
+    """H built at d (1 + 1e-9) is checked against the closed forms of d.
+
+    Measured at d = 0.6, t <= 6, dt 0.02: sector_eigenvalues 1.54e-10 and
+    identity_mu_nu 1.44e-9, each against a tolerance of 1e-10; every state,
+    concurrence, correlation and event check passes.
+    """
+    build = model.build_hamiltonian
+    monkeypatch.setattr(model, "build_hamiltonian",
+                        lambda params: build(model.ModelParams(d=params.d * (1 + 1e-9))))
+    failed = _failed_gated()
+    assert set(failed) == {"sector_eigenvalues", "identity_mu_nu"}
+    assert failed["sector_eigenvalues"] > 1e-10
+    assert failed["identity_mu_nu"] > 1e-9
