@@ -36,7 +36,6 @@ from .errors import (
 from .linalg import EigenSystem, check_sites, hermitian_eig
 from .measures import concurrence_one_particle, two_point_correlation
 from .model import (
-    DEFAULT_GRAPH,
     ModelParams,
     build_hamiltonian,
     initial_state,
@@ -86,7 +85,6 @@ __all__ = (
     "concurrence_one_particle",
     "two_point_correlation",
     # model
-    "DEFAULT_GRAPH",
     "ModelParams",
     "build_hamiltonian",
     "initial_state",

@@ -331,8 +331,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         analytic.spectral_params(float(dv))  # every d, before anything is printed
     ts = _budgeted_time_grid(cfg, len(d_values), "verify")
     print("laddyn verify")
-    print(f"topology: rungs={model.DEFAULT_GRAPH.rung_bonds} "
-          f"legs={model.DEFAULT_GRAPH.leg_bonds}")
+    print(f"topology: rungs={model.RUNG_BONDS} legs={model.LEG_BONDS}")
     print(f"grid: d in {list(d_values)}, t in [0, {cfg.t_max:g}] step {cfg.dt:g}, "
           f"oracle tolerance {cfg.tolerance:g}")
     records = verify.run_checks(d_values, ts, cfg.t_max, cfg.dt, cfg.tolerance, cfg.n_max)
@@ -371,6 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
+        p.set_defaults(command_parser=p)
         p.add_argument("--config", help="key=value config file; flags override it")
         # values stay strings; _merge_config parses flags and config lines alike
         for key in command.keys:
@@ -407,7 +407,10 @@ def _keep_freed_heap() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_heap()
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        # the command's own parser names the command and shows the flags it takes
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return COMMANDS[args.command].run(_merge_config(args))
     except (ValidationError, DomainError) as exc:

@@ -133,7 +133,9 @@ def _scan_indices(d: float, n_points: int, dt: float) -> Iterator[np.ndarray]:
         j = np.arange(start, min(start + chunk, n_j))
         times = np.column_stack((analytic.w_times(d, 2 * j), analytic.transfer_times(d, j),
                                  analytic.w_times(d, 2 * j + 1)))
-        centres = np.rint(times.ravel() / dt).astype(int)
+        # a centre past n_points + _SCAN_WINDOW gives no index, and the clip
+        # keeps the cast finite where dt is tiny beside the event times
+        centres = np.rint(np.minimum(times.ravel() / dt, n_points + _SCAN_WINDOW)).astype(int)
         ks = centres[:, None] + offsets
         # the centres ascend, so the new points of a window are those past the
         # window before it

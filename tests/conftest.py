@@ -15,13 +15,6 @@ def src_env(**extra: str) -> dict[str, str]:
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
 
 
-def reverse_legs(monkeypatch, legs) -> None:
-    """Make model.build_hamiltonian build the default rungs with the leg bonds legs."""
-    graph = model.CouplingGraph(rung_bonds=model.DEFAULT_GRAPH.rung_bonds, leg_bonds=legs)
-    build = model.build_hamiltonian
-    monkeypatch.setattr(model, "build_hamiltonian", lambda params: build(params, graph))
-
-
 def evolved(d: float, t: float) -> np.ndarray:
     return dynamics.evolve(model.propagator(d), t)
 

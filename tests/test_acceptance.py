@@ -17,8 +17,6 @@ import numpy as np
 from laddyn import analytic, cli, detect, dynamics, measures, model
 from laddyn.detect import ALL_PAIRS, LEG_CLASS_PAIRS
 
-from conftest import reverse_legs
-
 
 D_GRID = (0.2, 0.6, 1.0, 1.5, 2.0)
 T_STEP = 0.01
@@ -262,7 +260,8 @@ def test_criterion_7_w_time_curves():
 def test_criterion_8_negative_control(monkeypatch, capsys):
     args = ["--d", "0.6", "--t-max", "6", "--dt", "0.02"]
     code_good = cli.main(["verify", *args])
-    reverse_legs(monkeypatch, ((3, 1), (2, 4)))  # the first leg runs 3 -> 1, not 1 -> 3
+    # the first leg runs 3 -> 1, not 1 -> 3
+    monkeypatch.setattr(model, "LEG_BONDS", ((3, 1), (2, 4)))
     code_bad = cli.main(["verify", *args])
     out = capsys.readouterr().out
     ok = code_good == 0 and code_bad == 1

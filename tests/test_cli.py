@@ -684,6 +684,15 @@ class TestOptionTable:
         assert "Traceback" not in err and out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
+    def test_unknown_flag_is_reported_by_the_command(self, capsys):
+        # the command's usage line and name, not those of the top-level parser
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--d", "1", "--t-max", "1", "--output", "v.csv"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == cli.EXIT_USAGE and out == ""
+        assert err.startswith("usage: laddyn verify [-h] [--config CONFIG] [--d D]")
+        assert err.endswith("\nladdyn verify: error: unrecognized arguments: --output v.csv\n")
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_help_lists_only_the_flags_of_the_command(self, capsys, command):
         with pytest.raises(SystemExit):
@@ -733,7 +742,7 @@ class TestOptionTable:
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_retired_topology_option_is_usage_error(self, tmp_path, command, source):
-        # the ladder is fixed (model.DEFAULT_GRAPH): no flag or config key names a graph
+        # the ladder is fixed (model.RUNG_BONDS, LEG_BONDS): no flag or config key names a graph
         out = tmp_path / "x.csv"
         cfg = tmp_path / "run.cfg"
         cfg.write_text("topology = x.json\n")
@@ -997,6 +1006,8 @@ def _fuzz_options(draw, command):
          {"d": ("1", "flag"), "t_max": ("3", "flag"), "output": ("missing/out.csv", "flag")}))
 @example(unknown=["--topology", "x.json"], case=("sweep",
          {"d": ("1", "flag"), "output": ("out.csv", "flag")}))
+@example(unknown=[], case=("events",  # dt tiny beside the event times, exit 0
+         {"d": ("1", "flag"), "t_max": ("5e-324", "flag"), "dt": ("1e-300", "flag")}))
 @settings(max_examples=300, deadline=None)
 def test_main_exits_with_a_documented_code(tmp_path_factory, case, unknown):
     # every argv ends in exit 0, 1, 2 or 3 with no traceback; a grid limit of

@@ -1,7 +1,8 @@
 """Faults injected into the model, each caught by named gated `verify` records.
 
-Each case monkeypatches one `laddyn` function, runs `verify.run_checks` at one
-d on a short grid, and asserts the exact set of gated records that fail.  The
+Each case monkeypatches `laddyn` (a bond constant, the Hamiltonian builder or
+the two evolve functions), runs `verify.run_checks` at one d on a short grid,
+and asserts the exact set of gated records that fail.  The
 same run on the unpatched model fails none
 (test_cli.py::TestVerifyCommand::test_default_topology_passes).
 
@@ -10,11 +11,21 @@ measures._pair_product_operator fails no gated record at this setting: the
 gated cross-axis check reads the rung pairs, where xy and yx are zero, and
 the leg-class ones are reported ungated.
 test_properties.py::test_leg_correlations_exact_form fails on it.
+
+Two more survivors at this setting:
+- a weight of 1e-11 on |0111> (the case below at a smaller eps) fails no
+  gated record: 1e-9 is the smallest weight tried that is caught;
+- dropping lambda_3 + lambda_4 from measures._wootters_from_factors
+  (raw = lam[..., 0] - lam[..., 1]) fails no gated record, because a pair
+  marginal of a one-excitation state has rank <= 2, so lambda_3 = lambda_4 =
+  0 there.  test_measures.py::TestWoottersConcurrence::
+  test_werner_family_closed_form fails on it.
 """
+
+import pytest
 
 from laddyn import dynamics, model, verify
 
-from conftest import reverse_legs
 
 D, T_MAX, DT = 0.6, 6.0, 0.02
 
@@ -34,7 +45,7 @@ def test_misoriented_leg_fails(monkeypatch):
     cross_axis_zero_where_provable 0.063, and event_count (no events found,
     1 transfer and 2 W expected).
     """
-    reverse_legs(monkeypatch, ((3, 1), (2, 4)))
+    monkeypatch.setattr(model, "LEG_BONDS", ((3, 1), (2, 4)))
     failed = _failed_gated()
     assert set(failed) == {
         "amplitude_symmetry", "amplitudes_vs_closed_form", "concurrence_vs_closed_form",
@@ -51,7 +62,7 @@ def test_pure_flip_caught_by_amplitude_oracle(monkeypatch):
     is the one gated failure; every concurrence, correlation and event check
     passes.
     """
-    reverse_legs(monkeypatch, ((3, 1), (4, 2)))
+    monkeypatch.setattr(model, "LEG_BONDS", ((3, 1), (4, 2)))
     failed = _failed_gated()
     assert set(failed) == {"amplitudes_vs_closed_form"}
     assert failed["amplitudes_vs_closed_form"] > 0.7
@@ -71,3 +82,35 @@ def test_coupling_off_by_a_part_in_1e9_fails_the_spectrum(monkeypatch):
     assert set(failed) == {"sector_eigenvalues", "identity_mu_nu"}
     assert failed["sector_eigenvalues"] > 1e-10
     assert failed["identity_mu_nu"] > 1e-9
+
+
+def _leak_into_index_7(monkeypatch, eps):
+    """Add eps to the amplitude of |0111> in every state dynamics.evolve and evolve_states give."""
+    for name in ("evolve", "evolve_states"):
+        def leaked(prop, t, evolve=getattr(dynamics, name)):
+            psi = evolve(prop, t).copy()
+            psi[..., 7] += eps
+            return psi
+        monkeypatch.setattr(dynamics, name, leaked)
+
+
+@pytest.mark.parametrize("eps, expected", [
+    (1e-7, {"concurrence_vs_closed_form": 1.41e-7, "concurrence_full_vs_shortcut": 1.41e-7,
+            "rung_correlations_vs_table": 3.54e-8, "cross_axis_zero_where_provable": 2.4e-8,
+            "evolution_composition": 7.51e-8, "event_count": None}),
+    (1e-9, {"concurrence_vs_closed_form": 1.41e-9, "concurrence_full_vs_shortcut": 1.41e-9,
+            "evolution_composition": 7.51e-10, "event_count": None}),
+])
+def test_weight_on_a_3_excitation_amplitude_fails_the_pair_checks(monkeypatch, eps, expected):
+    """eps on |0111>, outside the one-excitation sector, in each evolved state.
+
+    Measured at d = 0.6, t <= 6, dt 0.02 (the worst values in expected; an
+    event_count failure has no worst).  sector_leakage and norm_preservation
+    pass: the leaked weight eps**2 is below their tolerance of 1e-12.
+    """
+    _leak_into_index_7(monkeypatch, eps)
+    failed = _failed_gated()
+    assert set(failed) == set(expected)
+    for name, worst in expected.items():
+        if worst is not None:
+            assert failed[name] == pytest.approx(worst, rel=0.01)

@@ -139,7 +139,6 @@ SITE_PAIR_ENTRY_POINTS = {
     "concurrence_one_particle": lambda p, q: measures.concurrence_one_particle(
         np.full(4, 0.5), p, q),
     "classify_pair": analytic.classify_pair,
-    "CouplingGraph": lambda p, q: model.CouplingGraph(rung_bonds=((p, q),), leg_bonds=()),
 }
 
 

@@ -9,13 +9,15 @@ from laddyn.errors import ValidationError
 
 
 def candidate_leg_orientations():
-    """All sign choices of the default graph's leg bonds (4 candidates for 2 legs)."""
-    graph = model.DEFAULT_GRAPH
-    options = [((i, j), (j, i)) for (i, j) in graph.leg_bonds]
-    return tuple(
-        model.CouplingGraph(rung_bonds=graph.rung_bonds, leg_bonds=legs)
-        for legs in itertools.product(*options)
-    )
+    """All sign choices of the leg bonds (4 candidates for 2 legs)."""
+    return tuple(itertools.product(*(((i, j), (j, i)) for (i, j) in model.LEG_BONDS)))
+
+
+def propagator_with_legs(legs, d):
+    """The propagator of the initial state under H(d), built with model.LEG_BONDS = legs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "LEG_BONDS", legs)
+        return model.propagator(d)
 
 
 def matching_leg_orientations(tol=1e-8, d=0.6):
@@ -23,8 +25,7 @@ def matching_leg_orientations(tol=1e-8, d=0.6):
     root8 = 2.0 * np.sqrt(2.0)
     matches = []
     for cand in candidate_leg_orientations():
-        prop = dynamics.make_propagator(model.build_hamiltonian(model.ModelParams(d=d), cand),
-                                        model.initial_state())
+        prop = propagator_with_legs(cand, d)
         worst = 0.0
         for t in (0.5, 1.0, 2.0):
             psi = dynamics.evolve(prop, t)
@@ -43,31 +44,17 @@ class TestParamsAndGraph:
             model.ModelParams(d=-0.1)
         assert model.ModelParams(d=0.0).d == 0.0
 
-    def test_graph_validation(self):
-        with pytest.raises(ValidationError):
-            model.CouplingGraph(rung_bonds=((1, 1),), leg_bonds=())
-        with pytest.raises(ValidationError):
-            model.CouplingGraph(rung_bonds=((1, 5),), leg_bonds=())
-        with pytest.raises(ValidationError, match="disjoint"):
-            model.CouplingGraph(rung_bonds=((1, 2),), leg_bonds=((2, 1),))
-        with pytest.raises(ValidationError, match="duplicate"):
-            model.CouplingGraph(rung_bonds=((1, 2), (2, 1)), leg_bonds=())
-
     def test_default_graph(self):
-        g = model.DEFAULT_GRAPH
-        assert set(map(frozenset, g.rung_bonds)) == {
-            frozenset(b) for b in ((1, 2), (2, 3), (3, 4), (4, 1))
-        }
-        assert g.leg_bonds == ((1, 3), (2, 4))
+        assert model.RUNG_BONDS == ((1, 2), (2, 3), (3, 4), (4, 1))
+        assert model.LEG_BONDS == ((1, 3), (2, 4))
 
-    def test_relabelled_default_graph_builds_the_same_hamiltonian(self):
+    def test_relabelled_default_graph_builds_the_same_hamiltonian(self, monkeypatch):
         # rung order, the order within a rung and the order of the legs do not change H
-        graph = model.CouplingGraph(rung_bonds=((4, 1), (4, 3), (2, 1), (3, 2)),
-                                    leg_bonds=((2, 4), (1, 3)))
-        assert graph != model.DEFAULT_GRAPH
         params = model.ModelParams(d=1.0)
-        np.testing.assert_array_equal(model.build_hamiltonian(params, graph),
-                                      model.build_hamiltonian(params))
+        h = model.build_hamiltonian(params)
+        monkeypatch.setattr(model, "RUNG_BONDS", ((4, 1), (4, 3), (2, 1), (3, 2)))
+        monkeypatch.setattr(model, "LEG_BONDS", ((2, 4), (1, 3)))
+        np.testing.assert_array_equal(model.build_hamiltonian(params), h)
 
 
 class TestSpinOperator:
@@ -181,19 +168,14 @@ class TestCalibration:
 
     def test_selects_frozen_default(self):
         # exactly one of the four orientations matches eta/xi, and it is the default's
-        [g] = matching_leg_orientations()
-        assert g.leg_bonds == model.DEFAULT_GRAPH.leg_bonds
-        assert g.rung_bonds == model.DEFAULT_GRAPH.rung_bonds
+        [legs] = matching_leg_orientations()
+        assert legs == model.LEG_BONDS
 
     def test_orientation_is_distinguishable(self):
         # flipping both legs leaves every |amplitude| invariant, so only the
         # complex amplitudes can tell the orientations apart
-        flipped = model.CouplingGraph(
-            rung_bonds=model.DEFAULT_GRAPH.rung_bonds,
-            leg_bonds=tuple((j, i) for (i, j) in model.DEFAULT_GRAPH.leg_bonds),
-        )
-        prop = dynamics.make_propagator(model.build_hamiltonian(model.ModelParams(d=0.6), flipped),
-                                        model.initial_state())
+        flipped = tuple((j, i) for (i, j) in model.LEG_BONDS)
+        prop = propagator_with_legs(flipped, 0.6)
         psi = dynamics.evolve(prop, 1.0)
         eta, xi = analytic.eta_xi(1.0, 0.6)
         expected = np.zeros(16, dtype=complex)

@@ -35,7 +35,10 @@ def test_retired_density_matrix_helpers_are_not_exported():
 
 
 def test_coupling_graph_is_not_exported():
-    # the ladder is fixed; only model.build_hamiltonian takes a graph, for the
-    # leg-orientation tests
-    assert "CouplingGraph" not in laddyn.__all__
-    assert not hasattr(laddyn, "CouplingGraph")
+    # the ladder is two bond constants, model.RUNG_BONDS and model.LEG_BONDS;
+    # no graph type or default graph is left to export
+    for name in ("CouplingGraph", "DEFAULT_GRAPH"):
+        assert name not in laddyn.__all__
+        assert not hasattr(laddyn, name)
+        assert not hasattr(laddyn.model, name)
+    assert not hasattr(laddyn.model, "_check_bond")
