@@ -182,11 +182,15 @@ def _compact_json(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
-def _encoded_blocks(table, encode):
-    """encode(block as a list of tuples) for each block of a tables.BlockTable, in order."""
-    for block in table:
-        yield encode(block.tolist())
-        del block  # hold no block while the next one is computed
+def _encoded_blocks(rows, encode):
+    """encode(block as a list of rows) per block of a tables.BlockTable or BLOCK_ROWS of a list."""
+    if isinstance(rows, tables.BlockTable):
+        for block in rows:
+            yield encode(block.tolist())
+            del block  # hold no block while the next one is computed
+    else:
+        for k in range(0, len(rows), dynamics.BLOCK_ROWS):
+            yield encode(rows[k:k + dynamics.BLOCK_ROWS])
 
 
 def _umask() -> int:
@@ -229,30 +233,25 @@ def _encode_table(fh, columns, rows, fmt: str) -> None:
     """Write a table as CSV or JSON to the open text file fh, a block of rows at a time.
 
     rows is a tables.BlockTable of structured arrays of float64 fields, or
-    for events a list of [kind, n, t_predicted, t_detected, residual,
-    fidelity] rows, written in CSV through _EVENT_LINES.
+    the list of detect.EventRecord rows of the events table, whose CSV lines
+    come from _EVENT_LINES.
     """
-    floats = isinstance(rows, tables.BlockTable)
     if fmt == "csv":
         fh.write(f"{SCHEMA_COMMENT}\n{','.join(columns)}\n")
-        if floats:
+        if isinstance(rows, tables.BlockTable):
             # '%.17g' % x is the same text as format(x, '.17g'), -0, inf and nan included
             line = ",".join(["%.17g"] * len(columns)) + "\n"
             fh.writelines(_encoded_blocks(rows, lambda block: "".join([line % r for r in block])))
         else:
-            fh.writelines(_EVENT_LINES[row[0]] % tuple(row[1:5] if row[5] is None else row[1:])
-                          for row in rows)
+            fh.writelines(_encoded_blocks(rows, lambda block: "".join([
+                _EVENT_LINES[r[0]] % tuple(r[1:5] if r[5] is None else r[1:]) for r in block])))
     else:
         # the bytes of one json.dumps of {"schema", "columns", "rows"} with
         # sort_keys=True and separators=(",", ":"), NaN and Infinity included,
         # with the rows encoded a block at a time
         fh.write(f'{{"columns":{_compact_json(list(columns))},"rows":[')
-        if floats:
-            texts = _encoded_blocks(rows, lambda block: _compact_json(block)[1:-1])
-        else:
-            texts = [_compact_json(rows)[1:-1]]
         sep = ""
-        for text in texts:
+        for text in _encoded_blocks(rows, lambda block: _compact_json(block)[1:-1]):
             fh.write(sep)
             fh.write(text)
             sep = ","
@@ -291,14 +290,12 @@ def cmd_evolve(cfg: argparse.Namespace) -> int:
 def cmd_events(cfg: argparse.Namespace) -> int:
     if cfg.d is None or cfg.d <= 0.0:
         raise ValidationError("events requires --d > 0")
-    records = detect.find_events(cfg.d, cfg.t_max, cfg.dt, cfg.tolerance)
-    columns = ["kind", "n", "t_predicted", "t_detected", "residual", "fidelity"]
-    rows = [[e.kind, e.n, e.t_predicted, e.t_detected, e.residual, e.fidelity] for e in records]
+    events = detect.find_events(cfg.d, cfg.t_max, cfg.dt, cfg.tolerance)
     if cfg.output:
-        _write_table(cfg.output, columns, rows, cfg.format)
-        print(f"wrote {len(rows)} events to {cfg.output}")
+        _write_table(cfg.output, detect.EventRecord._fields, events, cfg.format)
+        print(f"wrote {len(events)} events to {cfg.output}")
     else:
-        _encode_table(sys.stdout, columns, rows, cfg.format)
+        _encode_table(sys.stdout, detect.EventRecord._fields, events, cfg.format)
     return EXIT_OK
 
 
@@ -366,10 +363,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="laddyn",
         description="Exact dynamics and verification for the four-qubit DM ladder",
+        allow_abbrev=False,  # a flag is spelled in full, as a config key is
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.set_defaults(command_parser=p)
         p.add_argument("--config", help="key=value config file; flags override it")
         # values stay strings; _merge_config parses flags and config lines alike

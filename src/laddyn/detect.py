@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import analytic, dynamics, linalg, measures, model
+from . import analytic, dynamics, measures, model
 from .errors import ValidationError
 from .tables import ALL_PAIRS, LEG_CLASS_PAIRS
 # the sweep table lives in tables; perfbench/tracing.py wraps it as detect.sweep,
@@ -44,14 +44,13 @@ SCAN_POINTS_PER_PERIOD = 4
 _SCAN_WINDOW = 2
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One detected event with its closed-form prediction and residual."""
+class EventRecord(NamedTuple):
+    """One detected event with its closed-form prediction: a row of the events table."""
 
     kind: str
     n: int
-    t_detected: float
     t_predicted: float
+    t_detected: float
     residual: float
     fidelity: float | None = None
 
@@ -231,11 +230,7 @@ def _checked(prop: dynamics.Propagator, t_stars: np.ndarray, check) -> tuple[lis
     check gives the EventRecords of the roots that pass, in root order, and
     the mask of those roots.
     """
-    # evolve per candidate, not evolve_states: evolve, like a one-row product,
-    # takes numpy's vector path, whose bits can differ from a row of a product
-    # of two or more rows, and the written residuals and fidelities are pinned
-    # to these bits.  No roots give a (0, DIM) stack
-    states = np.array([dynamics.evolve(prop, t) for t in t_stars.tolist()]).reshape(-1, linalg.DIM)
+    states = dynamics.evolve_each(prop, t_stars.tolist())
     conc = {pair: measures.concurrence_series(states, *pair) for pair in ALL_PAIRS}
     return check(t_stars, states, conc)
 
@@ -356,7 +351,7 @@ def find_transfer_events(prop: dynamics.Propagator, brackets: np.ndarray, d: flo
         t = t_stars[passed]
         n = np.rint((t * s / (2.0 * math.pi) - 1.0) / 2.0).astype(int)
         return [EventRecord(TRANSFER, *row) for row in zip(
-            n.tolist(), t.tolist(), analytic.transfer_times(d, n).tolist(),
+            n.tolist(), analytic.transfer_times(d, n).tolist(), t.tolist(),
             residuals[passed].tolist())], passed
 
     return _checked_events(prop, lambda t: np.sin(s * t / 2.0), brackets, t_max, check)
@@ -387,7 +382,7 @@ def find_w_events(prop: dynamics.Propagator, brackets: np.ndarray, d: float,
         t = t_stars[passed]
         n = np.rint((t * s / math.pi - 1.0) / 2.0).astype(int)
         return [EventRecord(W_STATE, *row) for row in zip(
-            n.tolist(), t.tolist(), analytic.w_times(d, n).tolist(),
+            n.tolist(), analytic.w_times(d, n).tolist(), t.tolist(),
             residuals[passed].tolist(), fids.tolist())], passed
 
     def f(t):

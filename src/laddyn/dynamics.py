@@ -117,6 +117,16 @@ def evolve(prop: Propagator, t: float) -> np.ndarray:
     return prop.eig.eigenvectors @ (phases * prop.coefficients)
 
 
+def evolve_each(prop: Propagator, times) -> np.ndarray:
+    """States at many times, shape (len(times), dim): one call per time of this module's evolve.
+
+    Not evolve_states: the events' residuals, fidelities and checks are pinned
+    to evolve's bits, and like a one-row product it takes numpy's vector path,
+    whose bits can differ from a row of a product of two or more rows.
+    """
+    return np.array([evolve(prop, t) for t in times]).reshape(-1, DIM)
+
+
 def evolve_states(prop: Propagator, times) -> np.ndarray:
     """States at many times at once, shape (len(times), dim)."""
     ts = np.asarray(times, dtype=float)

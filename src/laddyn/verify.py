@@ -13,7 +13,6 @@ import numpy as np
 
 from . import analytic, detect, dynamics, measures, model, tables
 from .errors import LaddynError
-from .linalg import DIM
 
 
 @dataclass(frozen=True)
@@ -241,9 +240,7 @@ def _event_checks(d: float, prop: dynamics.Propagator, t_max: float, dt: float, 
     yield _check("event_residuals", d, _worst([ev.residual for ev in transfers + ws]), tol)
 
     def event_states(events):
-        # one evolve per event, not evolve_states: the checks are pinned to its bits.
-        # No events give a (0, DIM) stack
-        return np.array([dynamics.evolve(prop, ev.t_detected) for ev in events]).reshape(-1, DIM)
+        return dynamics.evolve_each(prop, [ev.t_detected for ev in events])
 
     def chi(states, pairs, axes):
         """<S^a_p S^b_q>, a row per pair and a column per state."""

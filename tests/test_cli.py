@@ -158,6 +158,47 @@ class TestEventsCommand:
         assert "a step (--dt) of at most 1.11072" in err
         assert elapsed < 0.5
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_of_two_blocks_matches_reference(self, tmp_path, capsys, fmt):
+        # 860 events, written in blocks of dynamics.BLOCK_ROWS rows, to a file and
+        # to stdout; the pinned digests hold one block and no separator between two
+        events = detect.find_events(60.0, 30.0)
+        assert dynamics.BLOCK_ROWS < len(events) <= 2 * dynamics.BLOCK_ROWS
+        columns = ["kind", "n", "t_predicted", "t_detected", "residual", "fidelity"]
+        assert detect.EventRecord._fields == tuple(columns)
+        rows = [list(ev) for ev in events]
+        expected = _reference_csv(columns, rows) if fmt == "csv" else _reference_json(columns, rows)
+        out = tmp_path / f"events.{fmt}"
+        argv = ["events", "--d", "60", "--t-max", "30", "--format", fmt]
+        assert cli.main([*argv, "--output", str(out)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == f"wrote {len(events)} events to {out}\n"
+        with open(out, "r", encoding="utf-8", newline="") as fh:
+            assert fh.read() == expected
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out == expected
+
+    def test_memory_does_not_depend_on_the_format(self, tmp_path, capsys):
+        # 8,595 events.  Both formats write them a block at a time from the list
+        # the search returns; with a copy of that list and, for JSON, the text of
+        # the whole table, this body peaked at 3.350 MB (CSV) and 7.203 MB (JSON)
+        def peak(fmt, t_max):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                code = cli.main(["events", "--d", "60", "--t-max", t_max, "--format", fmt,
+                                 "--output", str(tmp_path / f"events.{fmt}")])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == cli.EXIT_OK
+            return peak
+
+        peak("csv", "3")  # the first run in a process makes one-time allocations
+        csv_peak, json_peak = peak("csv", "300"), peak("json", "300")
+        capsys.readouterr()
+        assert abs(json_peak - csv_peak) <= 0.05 * csv_peak
+        assert csv_peak <= 3.35e6
+
     def test_event_in_last_grid_step_is_listed(self, tmp_path):
         # t_tr(1, 0) = 2.2214... lies between the last grid point 2.22 and t_max
         out = tmp_path / "events.csv"
@@ -379,10 +420,21 @@ class TestPinnedOutputs:
         assert sha256(out) == "988165938b4ccbf198e2ee6b1fceeb9522bdb918273a857566d074fbb13e60e6"
 
 
+def _fmt(x) -> str:
+    # the per-value formatter that the block writer and the per-kind event lines replaced
+    if x is None:
+        return ""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, str):
+        return x
+    return format(float(x), ".17g")
+
+
 def _reference_csv(columns, rows):
     # the per-value writer that the block writer replaced
     lines = ["# laddyn schema v1", ",".join(columns)]
-    lines.extend(",".join(format(x, ".17g") for x in row) for row in rows)
+    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -461,17 +513,6 @@ class TestWriteTable:
             assert fh.read() == expected
 
 
-def _fmt(x) -> str:
-    # the per-value event formatter that the per-kind line templates replaced
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return format(float(x), ".17g")
-
-
 class TestEventLines:
     COLUMNS = ["kind", "n", "t_predicted", "t_detected", "residual", "fidelity"]
 
@@ -482,8 +523,7 @@ class TestEventLines:
             [detect.W_STATE, np.int64(2 ** 40), -math.inf, 1e308, np.float64(1 / 3), math.nan],
             [detect.TRANSFER, 12, 0.1, 2.0 ** 53, 1e16, None],
         ]
-        rows += [[e.kind, e.n, e.t_predicted, e.t_detected, e.residual, e.fidelity]
-                 for e in detect.find_events(1.0, 30.0)]
+        rows += detect.find_events(1.0, 30.0)  # EventRecord rows beside the list rows
         assert {row[0] for row in rows} == {detect.TRANSFER, detect.W_STATE}
         buf = io.StringIO()
         cli._encode_table(buf, self.COLUMNS, rows, "csv")
@@ -683,6 +723,23 @@ class TestOptionTable:
                 else f"error: config key '{key}' is not read by {command}") in err
         assert "Traceback" not in err and out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("argv, unrecognized", [
+        # each ran, at t_max = 1 and on the grid 0.5:1:0.5, while a flag could be a prefix
+        (["verify", "--d", "1", "--t-ma", "1"], "--t-ma 1"),
+        (["sweep", "--d-gri", "0.5:1:0.5", "--t-max", "1", "--output", "x.csv"],
+         "--d-gri 0.5:1:0.5"),
+    ], ids=["verify", "sweep"])
+    def test_flag_prefix_is_usage_error(self, tmp_path, monkeypatch, capsys, argv,
+                                        unrecognized):
+        # a flag is spelled in full, as its config key is: 't_ma = 1' is an unknown key
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == cli.EXIT_USAGE and out == ""
+        assert err.endswith(f"\nladdyn {argv[0]}: error: unrecognized arguments: {unrecognized}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_is_reported_by_the_command(self, capsys):
         # the command's usage line and name, not those of the top-level parser
@@ -1006,6 +1063,8 @@ def _fuzz_options(draw, command):
          {"d": ("1", "flag"), "t_max": ("3", "flag"), "output": ("missing/out.csv", "flag")}))
 @example(unknown=["--topology", "x.json"], case=("sweep",
          {"d": ("1", "flag"), "output": ("out.csv", "flag")}))
+@example(unknown=["--t-ma", "1"], case=("verify",  # a prefix of --t-max, exit 2
+         {"d": ("1", "flag")}))
 @example(unknown=[], case=("events",  # dt tiny beside the event times, exit 0
          {"d": ("1", "flag"), "t_max": ("5e-324", "flag"), "dt": ("1e-300", "flag")}))
 @settings(max_examples=300, deadline=None)

@@ -140,6 +140,18 @@ class TestEvolve:
         with pytest.raises(ValidationError):
             dynamics.evolve(model.propagator(0.6), float("nan"))
 
+    def test_evolve_each_stacks_the_evolve_calls(self, monkeypatch):
+        # the states the event checks are pinned to, one evolve each, through the
+        # module's evolve, so a patch or a tracing wrapper of it sees every call
+        prop, ts = model.propagator(0.6), [0.0, 1.3, 2.7]
+        expected = np.array([dynamics.evolve(prop, t) for t in ts])
+        calls = []
+        evolve = dynamics.evolve
+        monkeypatch.setattr(dynamics, "evolve", lambda p, t: calls.append(t) or evolve(p, t))
+        assert dynamics.evolve_each(prop, ts).tobytes() == expected.tobytes()
+        assert calls == ts
+        assert dynamics.evolve_each(prop, []).shape == (0, linalg.DIM)
+
 
 class TestEvolveSeries:
     """States on an inclusive time grid: time_grid plus evolve_states."""
