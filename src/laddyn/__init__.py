@@ -33,7 +33,7 @@ from .errors import (
     SectorLeakageError,
     ValidationError,
 )
-from .linalg import EigenSystem, check_sites, hermitian_eig
+from .linalg import check_sites
 from .measures import concurrence_one_particle, two_point_correlation
 from .model import (
     ModelParams,
@@ -78,9 +78,7 @@ __all__ = (
     "SectorLeakageError",
     "ValidationError",
     # linalg
-    "EigenSystem",
     "check_sites",
-    "hermitian_eig",
     # measures
     "concurrence_one_particle",
     "two_point_correlation",

@@ -156,7 +156,7 @@ def _validate(cfg: argparse.Namespace) -> None:
 
 def _budgeted_time_grid(cfg: argparse.Namespace, n_d: int, command: str) -> np.ndarray:
     """cfg's time grid, once n_d of them stay within dynamics.MAX_GRID_POINTS."""
-    ts = dynamics.time_grid(0.0, cfg.t_max, cfg.dt)
+    ts = dynamics.time_grid(cfg.t_max, cfg.dt)
     if n_d * len(ts) > dynamics.MAX_GRID_POINTS:
         raise ValidationError(
             f"{command} grid of {n_d} d values x {len(ts)} times has more than "
@@ -280,7 +280,7 @@ def cmd_evolve(cfg: argparse.Namespace) -> int:
         raise ValidationError("evolve requires --output")
     if cfg.d is None:
         raise ValidationError("evolve requires --d (0 is allowed, numeric-only)")
-    ts = dynamics.time_grid(0.0, cfg.t_max, cfg.dt)
+    ts = dynamics.time_grid(cfg.t_max, cfg.dt)
     table = tables.evolve_table(cfg.d, ts, cfg.pairs)
     _write_table(cfg.output, table.names, table, cfg.format)
     print(f"wrote {len(table)} rows to {cfg.output}")
@@ -291,7 +291,7 @@ def cmd_events(cfg: argparse.Namespace) -> int:
     if cfg.d is None or cfg.d <= 0.0:
         raise ValidationError("events requires --d > 0")
     events = detect.find_events(cfg.d, cfg.t_max, cfg.dt, cfg.tolerance)
-    if cfg.output:
+    if cfg.output is not None:
         _write_table(cfg.output, detect.EventRecord._fields, events, cfg.format)
         print(f"wrote {len(events)} events to {cfg.output}")
     else:

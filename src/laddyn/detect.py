@@ -318,7 +318,7 @@ def _scan_brackets(prop: dynamics.Propagator, d: float, t_max: float,
     whole grid is never held.
     """
     # the checks and point count of dynamics.time_grid
-    n_points = dynamics.time_grid_points(0.0, t_max, coarse_dt) + 2
+    n_points = dynamics.time_grid_points(t_max, coarse_dt) + 2
     maxima, crossings = _block_candidates(
         _scan_blocks(prop, _scan_indices(d, n_points, coarse_dt), coarse_dt))
     return (np.column_stack(((maxima - 1) * coarse_dt, (maxima + 1) * coarse_dt)),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .linalg import (
     DIM,
     N_SITES,
     ONE_PARTICLE_INDICES,
-    EigenSystem,
-    hermitian_eig,
+    check_hermitian,
     require_normalized,
 )
 
@@ -52,16 +51,16 @@ _SECTOR_MASK = _SECTOR_OF != 1
 MIXING_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """Eigendecomposition of H plus the initial state's expansion coefficients."""
+class Propagator(NamedTuple):
+    """H's ascending eigenvalues and orthonormal eigenvectors, and psi0's coefficients in them."""
 
-    eig: EigenSystem
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     coefficients: np.ndarray
 
 
-def _sector_eig(h: np.ndarray, eig: EigenSystem) -> EigenSystem:
-    """eig, or the eigensystem of h's S^z_tot blocks where eig mixes sectors h does not couple.
+def _sector_eig(h: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v), or the eigensystem of h's S^z_tot blocks where v mixes sectors h does not couple.
 
     Particle-hole symmetry makes the 1- and 3-excitation sectors of the
     ladder iso-spectral, and eigh of the whole 16x16 h may return a
@@ -71,14 +70,13 @@ def _sector_eig(h: np.ndarray, eig: EigenSystem) -> EigenSystem:
     no element between sectors and some eigenvector has more than
     MIXING_TOL of its weight outside one sector, each diagonal block (sizes
     1, 4, 6, 4, 1) is diagonalized on its own, so every eigenvector lies in
-    one sector.  Anywhere else eig is returned as it is, with its bits.
+    one sector.  Anywhere else (w, v) is returned as it is, with its bits.
     """
     if h.shape != (DIM, DIM) or np.any(h[_SECTOR_OF[:, None] != _SECTOR_OF]):
-        return eig
-    v = eig.eigenvectors
+        return w, v
     weights = _SECTOR_ROWS @ (v.real ** 2 + v.imag ** 2)
     if not np.max(weights.sum(axis=0) - weights.max(axis=0)) > MIXING_TOL:
-        return eig
+        return w, v
     values = np.empty(DIM)
     vectors = np.zeros((DIM, DIM), dtype=complex)
     start = 0
@@ -88,7 +86,7 @@ def _sector_eig(h: np.ndarray, eig: EigenSystem) -> EigenSystem:
         values[cols], vectors[idx, cols] = np.linalg.eigh(h[np.ix_(idx, idx)])
         start = cols.stop
     order = np.argsort(values, kind="stable")
-    return EigenSystem(eigenvalues=values[order], eigenvectors=vectors[:, order])
+    return values[order], vectors[:, order]
 
 
 def make_propagator(h, psi0) -> Propagator:
@@ -97,24 +95,22 @@ def make_propagator(h, psi0) -> Propagator:
     A 16x16 h that conserves S^z_tot gets eigenvectors that each lie in
     one sector (_sector_eig).
     """
-    h = np.asarray(h, dtype=complex)
-    eig = _sector_eig(h, hermitian_eig(h))
+    h = check_hermitian(h)
+    w, v = _sector_eig(h, *np.linalg.eigh(h))
     psi0 = require_normalized(psi0)
-    if psi0.shape[0] != eig.eigenvectors.shape[0]:
+    if psi0.shape[0] != v.shape[0]:
         raise ValidationError(
-            f"state length {psi0.shape[0]} does not match matrix size "
-            f"{eig.eigenvectors.shape[0]}"
+            f"state length {psi0.shape[0]} does not match matrix size {v.shape[0]}"
         )
-    c = eig.eigenvectors.conj().T @ psi0
-    return Propagator(eig=eig, coefficients=c)
+    return Propagator(w, v, v.conj().T @ psi0)
 
 
 def evolve(prop: Propagator, t: float) -> np.ndarray:
     """State at time t: sum_i c_i exp(-i E_i t) |E_i>.  Negative t reverses time."""
     if not np.isfinite(t):
         raise ValidationError(f"time must be finite, got {t}")
-    phases = np.exp(-1j * prop.eig.eigenvalues * float(t))
-    return prop.eig.eigenvectors @ (phases * prop.coefficients)
+    phases = np.exp(-1j * prop.eigenvalues * float(t))
+    return prop.eigenvectors @ (phases * prop.coefficients)
 
 
 def evolve_each(prop: Propagator, times) -> np.ndarray:
@@ -134,13 +130,13 @@ def evolve_states(prop: Propagator, times) -> np.ndarray:
         raise ValidationError("all times must be finite")
     # exp(-i x) as cos x - i sin x, written into one array: the bits of
     # np.exp(-1j * x), without its complex temporaries
-    x = np.outer(ts, prop.eig.eigenvalues)
+    x = np.outer(ts, prop.eigenvalues)
     phases = np.empty(x.shape, dtype=complex)
     np.cos(x, out=phases.real)
     np.sin(x, out=phases.imag)
     np.negative(phases.imag, out=phases.imag)
     phases *= prop.coefficients
-    return phases @ prop.eig.eigenvectors.T
+    return phases @ prop.eigenvectors.T
 
 
 def evolved_blocks(prop: Propagator, ts: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
@@ -171,18 +167,18 @@ def grid_points(start: float, stop: float, step: float) -> int:
     return math.floor(span) + 1
 
 
-def time_grid_points(t_start: float, t_end: float, dt: float) -> int:
-    """Point count of time_grid(t_start, t_end, dt), with its checks, without building it."""
+def time_grid_points(t_max: float, dt: float) -> int:
+    """Point count of time_grid(t_max, dt), with its checks, without building it."""
     if not dt > 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
-    if not t_end > t_start:
-        raise ValidationError(f"need t_end > t_start, got [{t_start}, {t_end}]")
-    return grid_points(t_start, t_end, dt)
+    if not t_max > 0.0:
+        raise ValidationError(f"t_max must be positive, got {t_max}")
+    return grid_points(0.0, t_max, dt)
 
 
-def time_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
-    """Inclusive grid t_start, t_start+dt, ... up to t_end (within roundoff)."""
-    return t_start + dt * np.arange(time_grid_points(t_start, t_end, dt))
+def time_grid(t_max: float, dt: float) -> np.ndarray:
+    """Inclusive grid 0, dt, 2 dt, ... up to t_max (within roundoff)."""
+    return dt * np.arange(time_grid_points(t_max, dt))
 
 
 def sector_leakage(psi) -> float:

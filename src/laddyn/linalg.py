@@ -9,8 +9,6 @@ indices 8, 4, 2, 1 (sites 1..4 in order).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import ValidationError
@@ -25,13 +23,6 @@ HERMITICITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-12
 
 
-class EigenSystem(NamedTuple):
-    """Hermitian eigendecomposition: ascending eigenvalues, orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def basis_index(bits) -> int:
     """Index of |s1 s2 s3 s4> for a bit sequence like (1, 0, 0, 0)."""
     if len(bits) != N_SITES or any(b not in (0, 1) for b in bits):
@@ -42,16 +33,11 @@ def basis_index(bits) -> int:
     return idx
 
 
-def _as_matrix(m) -> np.ndarray:
+def check_hermitian(m) -> np.ndarray:
+    """Validate that m is square Hermitian within HERMITICITY_TOL, naming the worst entry."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValidationError(f"expected a matrix, got array of shape {a.shape}")
-    return a
-
-
-def check_hermitian(m) -> np.ndarray:
-    """Validate that m is square Hermitian within HERMITICITY_TOL, naming the worst entry."""
-    a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrix is not square: shape {a.shape}")
     dev = np.abs(a - a.conj().T)
@@ -75,17 +61,6 @@ def require_normalized(state) -> np.ndarray:
     if dev > NORMALIZATION_TOL:
         raise ValidationError(f"state is not normalized: |norm^2 - 1| = {dev:.3e}")
     return psi
-
-
-def hermitian_eig(m) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Reconstruction V diag(w) V^dagger reproduces the input to ~1e-10 at the
-    matrix sizes used here (up to 16x16).
-    """
-    a = check_hermitian(m)
-    w, v = np.linalg.eigh(a)
-    return EigenSystem(eigenvalues=w, eigenvectors=v)
 
 
 def check_sites(*sites) -> tuple[int, ...]:

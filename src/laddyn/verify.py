@@ -121,7 +121,7 @@ def _state_checks(d: float, h: np.ndarray, prop: dynamics.Propagator, ts: np.nda
                   tol: float):
     """The checks of H(d), its propagator prop and the states it evolves on ts, in blocks."""
     yield _check("hamiltonian_hermitian", d, np.max(np.abs(h - h.conj().T)), 1e-14)
-    w, v = prop.eig
+    w, v = prop.eigenvalues, prop.eigenvectors
     h_tol = _roundoff_tol(1 + d)
     yield _check("eig_reconstruction", d, np.max(np.abs((v * w) @ v.conj().T - h)), h_tol)
     yield _check("eig_trace", d, abs(float(np.sum(w)) - float(np.trace(h).real)), h_tol)

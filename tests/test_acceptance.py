@@ -32,7 +32,7 @@ def grid_data():
     if _cache:
         return _cache
     t0 = time.perf_counter()
-    ts = dynamics.time_grid(0.0, T_MAX, T_STEP)
+    ts = dynamics.time_grid(T_MAX, T_STEP)
     per_d = {}
     for d in D_GRID:
         prop = model.propagator(d)

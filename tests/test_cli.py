@@ -625,7 +625,7 @@ class TestVerifyCommand:
 
     def test_memory_is_bounded_by_the_block(self):
         # 20,001 times in 41 blocks; whole-grid state stacks peaked at 40.5 MB here
-        ts = dynamics.time_grid(0.0, 200.0, 0.01)
+        ts = dynamics.time_grid(200.0, 0.01)
         h = model.build_hamiltonian(model.ModelParams(d=0.6))
         prop = dynamics.make_propagator(h, model.initial_state())
         gc.collect()
@@ -1014,6 +1014,26 @@ class TestMalformedInput:
         assert "Traceback" not in res.stderr
         assert list(tmp_path.iterdir()) == []
 
+
+@pytest.mark.parametrize("command", ["evolve", "events", "sweep"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_output_is_io_error(tmp_path, monkeypatch, capsys, command, source):
+    # an empty --output names no file: each command that writes a table refuses
+    # it, and none writes the table to stdout or to a file in its place
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--d", "1", "--t-max", "3"]
+    if source == "flag":
+        argv.append("--output=")
+    else:
+        (tmp_path / "run.cfg").write_text("output =\n")
+        argv += ["--config", "run.cfg"]
+    assert cli.main(argv) == cli.EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("i/o error")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if source == "config" else [])
+
+
 #: per OPTIONS key, (values a command accepts on a small grid, extremes that reach its refusals)
 _FUZZ_VALUES = {
     "d": (["0.6", "1", "2"],
@@ -1027,7 +1047,7 @@ _FUZZ_VALUES = {
     "n_max": (["0", "9", "15"], ["16", "-1", "1.5", "x"]),
     "pairs": (["1-2", "2-1,3-4"], ["1-2,1-2", "1-5", "1-1", "x", ""]),
     "format": (["csv", "json"], ["xml", ""]),
-    "output": (["out.csv", "out"], ["missing/out.csv", "."]),
+    "output": (["out.csv", "out"], ["missing/out.csv", ".", ""]),
 }
 #: arguments no command takes: a retired option, unknown flags and a flag without its value
 _FUZZ_UNKNOWN = [["--topology", "x.json"], ["--bogus"], ["--j", "2"], ["--d"]]
@@ -1061,6 +1081,8 @@ def _fuzz_options(draw, command):
          {"d": ("0.6", "flag"), "t_max": ("3", "flag"), "tolerance": ("1e-300", "config")}))
 @example(unknown=[], case=("evolve",  # an unwritable output, exit 3
          {"d": ("1", "flag"), "t_max": ("3", "flag"), "output": ("missing/out.csv", "flag")}))
+@example(unknown=[], case=("events",  # an empty output, exit 3
+         {"d": ("1", "flag"), "t_max": ("3", "flag"), "output": ("", "config")}))
 @example(unknown=["--topology", "x.json"], case=("sweep",
          {"d": ("1", "flag"), "output": ("out.csv", "flag")}))
 @example(unknown=["--t-ma", "1"], case=("verify",  # a prefix of --t-max, exit 2
@@ -1075,7 +1097,7 @@ def test_main_exits_with_a_documented_code(tmp_path_factory, case, unknown):
     work = tmp_path_factory.mktemp("fuzz")
     argv, lines = [command], []
     for key, (value, source) in options.items():
-        if key == "output":
+        if key == "output" and value:
             value = str(work / value)
         if source == "flag":
             argv.append(f"--{key.replace('_', '-')}={value}")

@@ -119,7 +119,7 @@ class TestWEvents:
 class TestCandidateScan:
     @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
     def test_shortcut_candidates_match_full_wootters(self, d):
-        states = dynamics.evolve_states(model.propagator(d), dynamics.time_grid(0.0, 60.0, 0.01))
+        states = dynamics.evolve_states(model.propagator(d), dynamics.time_grid(60.0, 0.01))
         amps = dynamics.one_particle_amplitudes(states)
         fast = {pair: measures.concurrence_one_particle(amps, *pair) for pair in ((1, 2), (3, 4))}
         full = {pair: measures.concurrence_series(states, *pair) for pair in ((1, 2), (3, 4))}
@@ -166,7 +166,7 @@ def _record_block_times(monkeypatch):
 
 def _scan_points(t_max, dt):
     """Point count of the scan grid: time_grid's up to t_max, and two past it."""
-    return dynamics.time_grid_points(0.0, t_max, dt) + 2
+    return dynamics.time_grid_points(t_max, dt) + 2
 
 
 def _whole_grid_brackets(prop, t_max, dt):
@@ -320,7 +320,7 @@ class TestCoarseScan:
     def test_scan_memory_grows_only_with_the_time_grid(self, d):
         # at t_max 3000 the scan that kept 64 B of amplitudes per point peaked at
         # 31.4 MB (d = 1) and 31.6 MB (d = 3) here; the time grid takes 2.4 MB
-        grid_bytes = 8 * (dynamics.time_grid(0.0, 3000.0, 0.01).size + 2)
+        grid_bytes = 8 * (dynamics.time_grid(3000.0, 0.01).size + 2)
         gc.collect()
         tracemalloc.start()
         try:
@@ -753,7 +753,7 @@ class TestSweep:
         # 20,001 times per d in 41 blocks; whole per-d sweep tables peaked at 40.4 MB
         # here, slices of one whole-grid product per d at 16.0 MB (sweep) and
         # 15.5 MB (evolve), and one product per 4096-row block at 8.3 and 8.5 MB
-        ts = dynamics.time_grid(0.0, 200.0, 0.01)
+        ts = dynamics.time_grid(200.0, 0.01)
         gc.collect()
         tracemalloc.start()
         try:

@@ -1,9 +1,9 @@
 """Faults injected into the model, each caught by named gated `verify` records.
 
-Each case monkeypatches `laddyn` (a bond constant, the Hamiltonian builder or
-the two evolve functions), runs `verify.run_checks` at one d on a short grid,
-and asserts the exact set of gated records that fail.  The
-same run on the unpatched model fails none
+Each case monkeypatches `laddyn` (a bond constant, the Hamiltonian builder,
+the two evolve functions or the closed-form event times), runs
+`verify.run_checks` at one d on a short grid, and asserts the exact set of
+gated records that fail.  The same run on the unpatched model fails none
 (test_cli.py::TestVerifyCommand::test_default_topology_passes).
 
 A known survivor: negating the xy and yx weights of
@@ -12,19 +12,26 @@ gated cross-axis check reads the rung pairs, where xy and yx are zero, and
 the leg-class ones are reported ungated.
 test_properties.py::test_leg_correlations_exact_form fails on it.
 
-Two more survivors at this setting:
+Three more survivors at this setting:
 - a weight of 1e-11 on |0111> (the case below at a smaller eps) fails no
   gated record: 1e-9 is the smallest weight tried that is caught;
 - dropping lambda_3 + lambda_4 from measures._wootters_from_factors
   (raw = lam[..., 0] - lam[..., 1]) fails no gated record, because a pair
   marginal of a one-excitation state has rank <= 2, so lambda_3 = lambda_4 =
   0 there.  test_measures.py::TestWoottersConcurrence::
-  test_werner_family_closed_form fails on it.
+  test_werner_family_closed_form fails on it;
+- mu+nu off by a part in 1e10 in the event times (the case below at a
+  smaller eps) fails no gated record; at t <= 30, dt 0.01 it fails
+  event_count.  A part in 1e11 fails nothing at either setting, because
+  event_time_agreement compares the closed form with a bisection of itself.
 """
+
+import math
+import types
 
 import pytest
 
-from laddyn import dynamics, model, verify
+from laddyn import analytic, detect, dynamics, model, verify
 
 
 D, T_MAX, DT = 0.6, 6.0, 0.02
@@ -32,7 +39,7 @@ D, T_MAX, DT = 0.6, 6.0, 0.02
 
 def _failed_gated():
     """The worst value of each gated record of verify.run_checks at D that fails, by name."""
-    records = verify.run_checks([D], dynamics.time_grid(0.0, T_MAX, DT), T_MAX, DT, 1e-9, 9)
+    records = verify.run_checks([D], dynamics.time_grid(T_MAX, DT), T_MAX, DT, 1e-9, 9)
     return {r.name: r.worst for r in records if r.gated and not r.passed}
 
 
@@ -114,3 +121,31 @@ def test_weight_on_a_3_excitation_amplitude_fails_the_pair_checks(monkeypatch, e
     for name, worst in expected.items():
         if worst is not None:
             assert failed[name] == pytest.approx(worst, rel=0.01)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-9])
+def test_event_times_off_by_a_part_in_1e9_fail_the_event_count(monkeypatch, eps):
+    """mu+nu scaled by (1 + eps) in the closed-form event times and in detect's root functions.
+
+    analytic._event_time_base keeps its rounding to 48 mantissa bits, so the
+    t_w curves stay exact odd multiples and w_time_curve_ratios_exact passes.
+    Measured at d = 0.6, t <= 6, dt 0.02: event_count is the one gated
+    failure (0 transfers and 0 W at 1e-8, 0 and 1 W at 1e-9, of 1 and 2
+    expected): an event refined at a shifted time fails its concurrence
+    checks and is not listed.
+    """
+    spectral_params = analytic.spectral_params
+
+    def scaled(d):
+        sp = spectral_params(d)
+        return sp._replace(mu=sp.mu * (1 + eps), nu=sp.nu * (1 + eps))
+
+    def event_time_base(d):
+        sp = spectral_params(d)
+        frac, exp = math.frexp(math.pi / ((sp.mu + sp.nu) * (1 + eps)))
+        return math.ldexp(round(math.ldexp(frac, 48)), exp - 48)
+
+    monkeypatch.setattr(analytic, "_event_time_base", event_time_base)
+    monkeypatch.setattr(detect, "analytic",
+                        types.SimpleNamespace(**{**vars(analytic), "spectral_params": scaled}))
+    assert set(_failed_gated()) == {"event_count"}

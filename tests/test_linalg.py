@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from laddyn import analytic, linalg, measures, model
+from laddyn import analytic, dynamics, linalg, measures, model
 from laddyn.errors import ValidationError
 
 from conftest import evolved, random_hermitian, random_state
@@ -9,24 +9,34 @@ from conftest import evolved, random_hermitian, random_state
 SY = np.array([[0, -1j], [1j, 0]])
 
 
+def _spectrum(m):
+    """(eigenvalues, eigenvectors) of m as make_propagator takes them, with a unit psi0."""
+    psi0 = np.zeros(len(m), dtype=complex)
+    psi0[0] = 1.0
+    prop = dynamics.make_propagator(m, psi0)
+    return prop.eigenvalues, prop.eigenvectors
+
+
 class TestHermitianEig:
+    """The eigendecomposition make_propagator takes, and check_hermitian's refusals."""
+
     def test_identity_eigenvalues(self):
-        eig = linalg.hermitian_eig(np.eye(4))
-        np.testing.assert_allclose(eig.eigenvalues, np.ones(4))
+        w, _ = _spectrum(np.eye(4))
+        np.testing.assert_allclose(w, np.ones(4))
 
     def test_pauli_y_eigenvalues(self):
-        eig = linalg.hermitian_eig(SY)
-        np.testing.assert_allclose(eig.eigenvalues, [-1.0, 1.0], atol=1e-14)
+        w, _ = _spectrum(SY)
+        np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
 
     def test_random_hermitian_reconstruction(self, rng):
         m = random_hermitian(rng, 16)
-        w, v = linalg.hermitian_eig(m)
+        w, v = _spectrum(m)
         recon = (v * w) @ v.conj().T
         assert np.max(np.abs(recon - m)) < 1e-10
 
     def test_eigenvalues_ascending_and_orthonormal(self, rng):
         m = random_hermitian(rng, 16)
-        w, v = linalg.hermitian_eig(m)
+        w, v = _spectrum(m)
         assert np.all(np.diff(w) >= 0)
         assert np.max(np.abs(v.conj().T @ v - np.eye(16))) < 1e-12
         for i in range(16):
@@ -35,18 +45,20 @@ class TestHermitianEig:
     def test_eigenvalue_sum_equals_trace(self, rng):
         for n in (2, 4, 16):
             m = random_hermitian(rng, n)
-            w, _ = linalg.hermitian_eig(m)
+            w, _ = _spectrum(m)
             assert abs(w.sum() - np.trace(m).real) < 1e-10
 
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError, match="not square"):
-            linalg.hermitian_eig(np.zeros((2, 3)))
+            linalg.check_hermitian(np.zeros((2, 3)))
+        with pytest.raises(ValidationError, match=r"expected a matrix, got array of shape \(16,\)"):
+            linalg.check_hermitian(np.zeros(16))
 
     def test_non_hermitian_rejected_with_entry(self):
         m = np.eye(3, dtype=complex)
         m[0, 2] = 1e-3
         with pytest.raises(ValidationError, match=r"\(0,2\)"):
-            linalg.hermitian_eig(m)
+            linalg.check_hermitian(m)
 
 
 def pair_marginal(psi, p, q):

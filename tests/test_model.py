@@ -194,6 +194,6 @@ class TestPropagatorFactory:
         h = model.build_hamiltonian(model.ModelParams(d=0.7))
         direct = dynamics.make_propagator(h, model.initial_state())
         built = model.propagator(0.7)
-        np.testing.assert_array_equal(built.eig.eigenvalues, direct.eig.eigenvalues)
-        np.testing.assert_array_equal(built.eig.eigenvectors, direct.eig.eigenvectors)
+        np.testing.assert_array_equal(built.eigenvalues, direct.eigenvalues)
+        np.testing.assert_array_equal(built.eigenvectors, direct.eigenvectors)
         np.testing.assert_array_equal(built.coefficients, direct.coefficients)

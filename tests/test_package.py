@@ -42,3 +42,13 @@ def test_coupling_graph_is_not_exported():
         assert not hasattr(laddyn, name)
         assert not hasattr(laddyn.model, name)
     assert not hasattr(laddyn.model, "_check_bond")
+
+
+def test_the_propagator_is_the_one_home_of_the_spectrum():
+    # make_propagator calls numpy's eigh itself; no eigensystem type or wrapper is left
+    for name in ("EigenSystem", "hermitian_eig"):
+        assert name not in laddyn.__all__
+        assert not hasattr(laddyn, name)
+        assert not hasattr(laddyn.linalg, name)
+    assert not hasattr(laddyn.linalg, "_as_matrix")
+    assert laddyn.Propagator._fields == ("eigenvalues", "eigenvectors", "coefficients")

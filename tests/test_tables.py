@@ -24,7 +24,7 @@ SERIES = ("concurrence_series", "correlation_series", "total_spin_series")
 class TestKernelComputesOnlyWhatIsAsked:
     def test_sweep_block(self, monkeypatch):
         # 601 times in two blocks
-        ts = dynamics.time_grid(0.0, 6.0, 0.01)
+        ts = dynamics.time_grid(6.0, 0.01)
         counts = _count_calls(monkeypatch, *SERIES)
         blocks = list(tables.sweep([1.0], ts))
         assert len(blocks) == 2
@@ -60,7 +60,7 @@ class TestKernelComputesOnlyWhatIsAsked:
 @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
 def test_shared_columns_have_the_same_bits(d):
     # 1,201 times in three blocks
-    ts = dynamics.time_grid(0.0, 12.0, 0.01)
+    ts = dynamics.time_grid(12.0, 0.01)
     sweep = np.concatenate(list(tables.sweep([d], ts)))
     evolve = np.concatenate(list(tables.evolve_table(d, ts, tables.ALL_PAIRS)))
     shared = {"t": "t", "c_first": "c_12", "c_leg": "c_13", "c_last": "c_34",

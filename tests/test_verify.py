@@ -17,7 +17,7 @@ INFORMATIONAL = {"sector_leakage_value", "sz_tot_commutator"}
 @pytest.fixture(scope="module")
 def default_records():
     # the inputs of a default `laddyn verify`
-    ts = dynamics.time_grid(0.0, 30.0, 0.01)
+    ts = dynamics.time_grid(30.0, 0.01)
     return verify.run_checks(verify.DEFAULT_D, ts, 30.0, 0.01, 1e-9, 9)
 
 
@@ -74,7 +74,7 @@ def test_record_is_immutable(default_records):
 
 
 def test_refused_event_search_is_one_failed_record():
-    records = verify.run_checks([300.0], dynamics.time_grid(0.0, 3.0, 0.01), 3.0, 0.01, 1e-9, 9)
+    records = verify.run_checks([300.0], dynamics.time_grid(3.0, 0.01), 3.0, 0.01, 1e-9, 9)
     [refused] = [r for r in records if r.name.startswith("event")]
     assert refused.name == "event_detection" and refused.gated and not refused.passed
     assert refused.detail.startswith("raised a scan step of 0.01 undersamples C_34 at d = 300")
@@ -110,7 +110,7 @@ def test_size_of_h_tolerances_catch_a_relative_error_of_1e_9(d):
     # H(d (1 + 1e-9)) checked against the closed forms and the eigensystem of H(d)
     h = model.build_hamiltonian(model.ModelParams(d=d * (1 + 1e-9)))
     records = verify._state_checks(d, h, model.propagator(d),
-                                   dynamics.time_grid(0.0, 1.0 / d, 0.5 / d), 1e-9)
+                                   dynamics.time_grid(1.0 / d, 0.5 / d), 1e-9)
     by_name = {r.name: r for r in records}
     for name in ("sector_eigenvalues", "eig_reconstruction"):
         assert not by_name[name].passed, name
@@ -122,7 +122,7 @@ def test_identity_mu_nu_catches_a_relative_error_of_1e_9(d):
     # the spectrum of H(d (1 + 1e-9)) misses mu nu = d^2 by about 2e-9 d^2
     h = model.build_hamiltonian(model.ModelParams(d=d * (1 + 1e-9)))
     prop = dynamics.make_propagator(h, model.initial_state())
-    records = verify._state_checks(d, h, prop, dynamics.time_grid(0.0, 1.0, 0.5), 1e-9)
+    records = verify._state_checks(d, h, prop, dynamics.time_grid(1.0, 0.5), 1e-9)
     [identity] = [r for r in records if r.name == "identity_mu_nu"]
     assert not identity.passed
     assert identity.tol == (1e-10 if d == 1.0 else 64 * 2.0 ** -52 * (4 + 2 * d * d))
