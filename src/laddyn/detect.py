@@ -25,7 +25,6 @@ TRANSFER = "transfer"
 W_STATE = "w_state"
 
 _REFINE_WIDTH = 1e-10
-_MERGE_WINDOW = 1e-6
 
 #: fewest coarse scan points per period 4 pi/(mu+nu) of C_{3,4}.  A transfer
 #: bracket spans two steps, so at 3 points or fewer it can reach the roots of
@@ -199,8 +198,11 @@ def _widened_without_root(f, brackets: np.ndarray) -> np.ndarray:
     sign.  Where a root lies within roundoff of a grid point, as on a grid
     commensurate with the W spacing, the closed form can take the other sign
     there, and its root lies in the step before or after; the widened row,
-    which starts no earlier than t = 0, holds it.  A root found twice is
-    merged (_merge_events).
+    which starts no earlier than t = 0, holds it.  So a root can be found
+    twice, from two rows, and both detections carry its n.  They lie within
+    the refinement width of that root, and W events are 2 t_w(0) apart, so
+    no other W detection comes between them in time order, where
+    _merge_events keeps one.
     """
     lo, hi = brackets[:, 0], brackets[:, 1]
     f_lo, f_hi = f(lo), f(hi)
@@ -212,11 +214,18 @@ def _widened_without_root(f, brackets: np.ndarray) -> np.ndarray:
 
 
 def _merge_events(events: list[EventRecord]) -> list[EventRecord]:
-    """Collapse detections closer than the merge window, keeping the smaller residual."""
+    """One record per closed-form index n of events of one kind, in time order.
+
+    Of the detections of one n, the strictly smaller residual wins, else
+    the earlier one.  All detections of one event lie within the refinement
+    width of its root, and distinct events of one kind are at least t_w(0)
+    apart, so in time order a repeated n is next to its first detection and
+    comparing each record with the one before finds it.
+    """
     events = sorted(events, key=lambda e: e.t_detected)
     merged: list[EventRecord] = []
     for ev in events:
-        if merged and abs(ev.t_detected - merged[-1].t_detected) < _MERGE_WINDOW:
+        if merged and ev.n == merged[-1].n:
             if ev.residual < merged[-1].residual:
                 merged[-1] = ev
         else:
@@ -237,16 +246,20 @@ def _checked(prop: dynamics.Propagator, t_stars: np.ndarray, check) -> tuple[lis
 
 def _checked_events(prop: dynamics.Propagator, f, brackets: np.ndarray, t_max: float,
                     check) -> list[EventRecord]:
-    """Events at the roots of f in the (lo, hi) rows of brackets, merged, up to t_max.
+    """Events at the roots of f in the (lo, hi) rows of brackets, one per n, up to t_max.
 
     The brackets are taken dynamics.BLOCK_ROWS at a time.  Each one in which
     f changes sign is bisected to _REFINE_WIDTH in t, and the roots are
     checked together (_checked).  A root that fails is bisected on to float
     resolution and checked once more: a root up to 5e-11 off in t leaves a
     residual of up to the tested concurrences' slope, about d/2 near an
-    event, times 5e-11, which exceeds tol = 1e-9 above d of about 40.  An
-    event is up to t_max when its closed-form time t_predicted is, the rule
-    `verify` counts by; its root can lie past a t_max within roundoff of it.
+    event, times 5e-11, which exceeds tol = 1e-9 above d of about 40.  So
+    every detection that passes lies within the refinement width of its
+    root, and the events are of one kind, at least t_w(0) apart: the
+    detections of one event carry one n and are neighbours in time order,
+    where _merge_events keeps one.  An event is up to t_max when its
+    closed-form time t_predicted is, the rule `verify` counts by; its root
+    can lie past a t_max within roundoff of it.
     """
     events = []
     for k in range(0, len(brackets), dynamics.BLOCK_ROWS):

@@ -222,13 +222,19 @@ def _closed_form_count(times, d: float, t_max: float) -> int:
     return int(np.count_nonzero(times(d, n) <= t_max))
 
 
+#: the gated records of _event_checks, each failed with the reason where the search raises
+_EVENT_CHECKS = ("event_count", "event_time_agreement", "event_residuals", "transfer_zz_signature",
+                 "w_event_fidelity", "w_event_zz_quench", "w_event_rung_xx_eighth")
+
+
 def _event_checks(d: float, prop: dynamics.Propagator, t_max: float, dt: float, tol: float):
     """The events the scan of prop finds up to t_max, against the closed forms and the states."""
     try:
         detect.check_event_search(d, dt)
         events = detect.search_events(prop, d, t_max, dt, tol)
     except LaddynError as exc:
-        yield _require("event_detection", d, False, f"raised {exc}")
+        for name in _EVENT_CHECKS:
+            yield _require(name, d, False, f"raised {exc}")
         return
     transfers = [ev for ev in events if ev.kind == detect.TRANSFER]
     ws = [ev for ev in events if ev.kind == detect.W_STATE]

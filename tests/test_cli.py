@@ -208,6 +208,17 @@ class TestEventsCommand:
         transfers = [dict(zip(header, r)) for r in rows if r[0] == "transfer"]
         assert [r["t_predicted"] for r in transfers] == ["2.2214414690791813"]
 
+    def test_large_d_lists_every_event(self, capsys):
+        # W events pi/d and transfers 2 pi/d apart: an absolute 1e-6 merge window
+        # in t listed 5 of each here (transfers 0, 2, 5, 7, 9), and exited 0
+        argv = ["events", "--d", "1e7", "--t-max", "6.3e-6", "--dt", "2e-8"]
+        assert cli.main(argv) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["# laddyn schema v1", ",".join(detect.EventRecord._fields)]
+        rows = [line.split(",") for line in lines[2:]]
+        assert [int(n) for kind, n, *_ in rows if kind == "transfer"] == list(range(10))
+        assert [int(n) for kind, n, *_ in rows if kind == "w_state"] == list(range(20))
+
 
 class TestSweepCommand:
     def test_degenerate_grid(self, tmp_path):
@@ -617,11 +628,16 @@ class TestVerifyCommand:
 
     def test_undersampled_event_scan_fails(self):
         # the 0.01 scan has 2.1 points per period at d = 300; it found 13 of the
-        # 143 transfers and event_count failed
+        # 143 transfers and event_count failed.  The refusal fails each of the
+        # seven gated event records, so the run counts 28 like any other
         res = run_cli("verify", "--d", "300", "--t-max", "3")
         assert res.returncode == 1
-        assert "FAIL event_detection[d=300] (raised a scan step of 0.01 undersamples" in res.stdout
-        assert "event_count" not in res.stdout
+        for name in ("event_count", "event_time_agreement", "event_residuals",
+                     "transfer_zz_signature", "w_event_fidelity", "w_event_zz_quench",
+                     "w_event_rung_xx_eighth"):
+            assert (f"FAIL {name}[d=300] (raised a scan step of 0.01 undersamples"
+                    in res.stdout)
+        assert "summary: 21/28 checks passed" in res.stdout
 
     def test_memory_is_bounded_by_the_block(self):
         # 20,001 times in 41 blocks; whole-grid state stacks peaked at 40.5 MB here
@@ -662,6 +678,14 @@ class TestVerifyCommand:
         assert (f"PASS event_count[d={float(d):g}] (got {n_transfer} transfers / {n_w} W, "
                 f"expected {n_transfer} / {n_w})") in res.stdout
         assert "summary: 28/28 checks passed" in res.stdout
+
+    def test_top_of_the_closed_form_domain_passes(self, capsys):
+        # an absolute 1e-6 merge window in t kept 1 transfer and 1 W event here
+        argv = ["verify", "--d", "1e100", "--t-max", "6e-99", "--dt", "2e-101"]
+        assert cli.main(argv) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "PASS event_count[d=1e+100] (got 10 transfers / 19 W, expected 10 / 19)" in out
+        assert "summary: 28/28 checks passed" in out
 
 
 class TestOptionTable:

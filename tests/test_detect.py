@@ -545,6 +545,28 @@ class TestRefinement:
         assert [len(roots) for _, roots, _ in calls] == [0]
 
 
+class TestMergeEvents:
+    """Detections of one kind merge by their closed-form index n alone."""
+
+    @staticmethod
+    def record(n, t, residual):
+        return detect.EventRecord(detect.W_STATE, n, 1.0, t, residual, 1.0)
+
+    def test_same_n_keeps_the_smaller_residual(self):
+        kept = self.record(3, 1.0 + 1e-12, 1e-12)
+        assert detect._merge_events([self.record(3, 1.0, 1e-11), kept]) == [kept]
+
+    def test_same_n_and_residual_keeps_the_earlier(self):
+        early, late = self.record(3, 1.0, 1e-11), self.record(3, 1.0 + 1e-12, 1e-11)
+        assert detect._merge_events([late, early]) == [early]
+
+    def test_neighbouring_n_are_both_kept_however_close(self):
+        # an absolute window of 1e-6 in t merged these, as it merged distinct
+        # events 2 pi/(mu+nu) apart above d of about 3e6
+        first, second = self.record(3, 1e-7, 1e-11), self.record(4, 1e-7 + 1e-9, 1e-12)
+        assert detect._merge_events([second, first]) == [first, second]
+
+
 class TestSearchOnAGivenPropagator:
     @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
     def test_find_events_is_its_refusals_then_the_search(self, monkeypatch, d):

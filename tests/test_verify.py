@@ -5,6 +5,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from laddyn import analytic, cli, detect, dynamics, model, verify
 
@@ -73,15 +75,38 @@ def test_record_is_immutable(default_records):
         default_records[0].passed = False
 
 
-def test_refused_event_search_is_one_failed_record():
+def test_refused_event_search_fails_each_event_record():
+    # the seven gated records of a search, each failed with the refusal, so a
+    # refused d still counts 28; one event_detection record read 21/22 before
     records = verify.run_checks([300.0], dynamics.time_grid(3.0, 0.01), 3.0, 0.01, 1e-9, 9)
-    [refused] = [r for r in records if r.name.startswith("event")]
-    assert refused.name == "event_detection" and refused.gated and not refused.passed
-    assert refused.detail.startswith("raised a scan step of 0.01 undersamples C_34 at d = 300")
+    refused = [r for r in records if r.name.startswith(("event", "transfer", "w_event"))]
+    assert [r.name for r in refused] == [
+        "event_count", "event_time_agreement", "event_residuals", "transfer_zz_signature",
+        "w_event_fidelity", "w_event_zz_quench", "w_event_rung_xx_eighth"]
+    for r in refused:
+        assert r.d == 300.0 and r.gated and not r.passed
+        assert r.detail.startswith("raised a scan step of 0.01 undersamples C_34 at d = 300")
     text = verify.render(records)
-    assert "FAIL event_detection[d=300] (raised a scan step" in text
+    assert "FAIL w_event_zz_quench[d=300] (raised a scan step" in text
+    assert text.endswith("summary: 21/28 checks passed")
+
+
+# log-uniform over the closed forms' domain, the bounds spectral_params accepts
+@given(d=st.floats(min_value=math.log(1.5e-154), max_value=math.log(5.6e102)).map(math.exp))
+# an absolute 1e-6 merge window in t merged W events pi/d apart from d of about
+# 3.1e6: 5 of 10 transfers and 5 of 20 W events at d = 1e7, 1 and 1 at d = 1e10
+@example(d=1e7)
+@example(d=1e10)
+@example(d=5e102)
+@settings(max_examples=60, deadline=None)
+def test_every_gated_record_passes_across_the_closed_form_domain(d):
+    # a grid scaled to the W spacing: 40 t_w(0), 8 steps per t_w(0)
+    t_max = 40.0 * analytic.w_times(d, 0)
+    dt = t_max / 320.0
+    records = verify.run_checks([d], dynamics.time_grid(t_max, dt), t_max, dt, 1e-9, 9)
     gated = [r for r in records if r.gated]
-    assert text.endswith(f"summary: {sum(r.passed for r in gated)}/{len(gated)} checks passed")
+    assert len(gated) == 28
+    assert [r for r in gated if not r.passed] == []
 
 
 def test_large_d_passes_every_check(capsys):
