@@ -276,32 +276,19 @@ def find_events(d: float, t_max: float, coarse_dt: float = 0.01,
                 tol: float = 1e-9) -> list[EventRecord]:
     """Transfer and W events with t_predicted <= t_max, in time order, from one coarse scan.
 
-    Refuses what check_event_search refuses, then builds the propagator of d
-    and runs search_events on it.
+    search_events on the propagator of d, which it builds before the search's refusals.
     """
-    check_event_search(d, coarse_dt)
     return search_events(model.propagator(d), d, t_max, coarse_dt, tol)
-
-
-def check_event_search(d: float, coarse_dt: float) -> None:
-    """Raise where search_events cannot serve (d, coarse_dt), before any scan.
-
-    d must be in the closed forms' domain (DomainError), and coarse_dt must
-    give at least SCAN_POINTS_PER_PERIOD points per period 4 pi/(mu+nu) of
-    C_{3,4} (ValidationError).
-    """
-    sp = analytic.spectral_params(d)  # checks d is in the closed forms' domain
-    dt_max = 4.0 * math.pi / ((sp.mu + sp.nu) * SCAN_POINTS_PER_PERIOD)
-    if coarse_dt > dt_max:
-        raise ValidationError(
-            f"a scan step of {coarse_dt:g} undersamples C_34 at d = {d:g}: it needs "
-            f"{SCAN_POINTS_PER_PERIOD} points per period 4*pi/(mu+nu), so a step (--dt) "
-            f"of at most {dt_max:.6g}")
 
 
 def search_events(prop: dynamics.Propagator, d: float, t_max: float, coarse_dt: float,
                   tol: float) -> list[EventRecord]:
-    """The events of find_events, on the propagator prop of d, for inputs check_event_search passed.
+    """The events of find_events, on the propagator prop of d, from one coarse scan.
+
+    Refuses, before any scan, a d outside the closed forms' domain
+    (DomainError), and a coarse_dt with fewer than SCAN_POINTS_PER_PERIOD
+    points per period 4 pi/(mu+nu) of C_{3,4} or a tol that is not positive
+    and finite (ValidationError).
 
     The candidates come from the grid 0, coarse_dt, ..., which runs two steps
     past t_max so that an event in the last step up to t_max still has a
@@ -313,6 +300,15 @@ def search_events(prop: dynamics.Propagator, d: float, t_max: float, coarse_dt: 
     Events at the same time keep that order, transfers first.  Empty if
     t_max is below the first event.
     """
+    sp = analytic.spectral_params(d)  # checks d is in the closed forms' domain
+    dt_max = 4.0 * math.pi / ((sp.mu + sp.nu) * SCAN_POINTS_PER_PERIOD)
+    if coarse_dt > dt_max:
+        raise ValidationError(
+            f"a scan step of {coarse_dt:g} undersamples C_34 at d = {d:g}: it needs "
+            f"{SCAN_POINTS_PER_PERIOD} points per period 4*pi/(mu+nu), so a step (--dt) "
+            f"of at most {dt_max:.6g}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
     # every scanned state passes the sector check before either search starts
     transfer_brackets, w_brackets = _scan_brackets(prop, d, t_max, coarse_dt)
     events = (find_transfer_events(prop, transfer_brackets, d, t_max, tol)

@@ -30,7 +30,8 @@ DEFAULT_LEAKAGE_TOL = 1e-10
 #: grid itself (8 B per point) they hold one block.  The `events` scan evolves
 #: only the grid points near the closed-form event times, in blocks of at most
 #: BLOCK_ROWS, without holding the grid, and keeps one (lo, hi) time bracket
-#: per event candidate.  The count is checked before any array is allocated.
+#: per event candidate.  time_grid_points checks the count, the number of d
+#: values times the points per grid, before any array is allocated.
 MAX_GRID_POINTS = 1_000_000
 
 #: time points evolved, computed or written per block.  A block's stack of 16
@@ -167,18 +168,27 @@ def grid_points(start: float, stop: float, step: float) -> int:
     return math.floor(span) + 1
 
 
-def time_grid_points(t_max: float, dt: float) -> int:
-    """Point count of time_grid(t_max, dt), with its checks, without building it."""
+def time_grid_points(t_max: float, dt: float, n_d: int = 1) -> int:
+    """Point count of time_grid(t_max, dt), with its checks, without building it.
+
+    n_d grids of that count, one per d value, must fit in MAX_GRID_POINTS.
+    """
+    if not math.isfinite(dt):
+        raise ValidationError(f"dt must be finite, got {dt}")
     if not dt > 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
     if not t_max > 0.0:
         raise ValidationError(f"t_max must be positive, got {t_max}")
-    return grid_points(0.0, t_max, dt)
+    n_points = grid_points(0.0, t_max, dt)
+    if n_d * n_points > MAX_GRID_POINTS:
+        raise ValidationError(f"grid of {n_d} d values x {n_points} times has more than "
+                              f"{MAX_GRID_POINTS} points")
+    return n_points
 
 
-def time_grid(t_max: float, dt: float) -> np.ndarray:
-    """Inclusive grid 0, dt, 2 dt, ... up to t_max (within roundoff)."""
-    return dt * np.arange(time_grid_points(t_max, dt))
+def time_grid(t_max: float, dt: float, n_d: int = 1) -> np.ndarray:
+    """Inclusive grid 0, dt, 2 dt, ... up to t_max (within roundoff); n_d as in time_grid_points."""
+    return dt * np.arange(time_grid_points(t_max, dt, n_d))
 
 
 def sector_leakage(psi) -> float:

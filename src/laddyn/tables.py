@@ -165,6 +165,7 @@ def evolve_table(d: float, ts: np.ndarray, pairs) -> BlockTable:
     c_an_{pq}; chi_{xx,yy,zz}_{first,leg,last}; s_tot_{x,y,z}; and for
     d > 0 max_dev and leg_xx_table_dev.  d = 0 has no closed forms.
     """
+    model.ModelParams(d=d)  # refuses a d that is negative or not finite
     names = ["t", *(f"c_{p}{q}" for p, q in pairs)]
     if d > 0.0:
         analytic.spectral_params(d)  # refuses a d outside the closed forms' domain

@@ -88,15 +88,20 @@ def render(records) -> str:
                       f"summary: {sum(r.passed for r in gated)}/{len(gated)} checks passed"])
 
 
-def run_checks(d_values, ts: np.ndarray, t_max: float, dt: float, tol: float,
-               n_max: int) -> list[CheckRecord]:
-    """The records for d_values on the grid ts, then the d-independent ones.
+def run_checks(d_values, t_max: float, dt: float, tol: float, n_max: int) -> list[CheckRecord]:
+    """The records for d_values on the grid time_grid(t_max, dt), then the d-independent ones.
 
     Events are scanned with step dt up to t_max; tol is the oracle tolerance.
+    A d outside the closed forms' domain, or a grid over the budget for all
+    d values, is refused before any check.
     """
+    d_values = [float(d) for d in d_values]
+    for d in d_values:
+        analytic.spectral_params(d)
+    ts = dynamics.time_grid(t_max, dt, len(d_values))
     records = []
     sz = model.total_spin_operator("z")
-    for d in map(float, d_values):
+    for d in d_values:
         h = model.build_hamiltonian(model.ModelParams(d=d))
         prop = dynamics.make_propagator(h, model.initial_state())
         records += _state_checks(d, h, prop, ts, tol)
@@ -230,7 +235,6 @@ _EVENT_CHECKS = ("event_count", "event_time_agreement", "event_residuals", "tran
 def _event_checks(d: float, prop: dynamics.Propagator, t_max: float, dt: float, tol: float):
     """The events the scan of prop finds up to t_max, against the closed forms and the states."""
     try:
-        detect.check_event_search(d, dt)
         events = detect.search_events(prop, d, t_max, dt, tol)
     except LaddynError as exc:
         for name in _EVENT_CHECKS:

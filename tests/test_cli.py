@@ -280,6 +280,18 @@ class TestGridLimit:
         assert "Traceback" not in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_budget_counts_every_d_value(self, tmp_path, command):
+        args = (command, "--d-grid", "0.1:40:0.1")
+        if command == "sweep":
+            args += ("--output", str(tmp_path / "x.csv"))
+        res = run_cli(*args)
+        assert res.returncode == 2
+        assert res.stderr == (
+            "error: grid of 400 d values x 3001 times has more than 1000000 points\n")
+        assert res.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("spec, reason", [
         ("0.1:1e12:1", "more than 1000000 points"),
         ("1:0.5:0.1", "step > 0"),
@@ -625,6 +637,15 @@ class TestVerifyCommand:
                      if "sector leakage" in line]
         assert leak_vals and all(v <= 1e-12 for v in leak_vals)
         assert "commutator" in res.stdout
+
+    @pytest.mark.parametrize("d_flag", [("--d", "0"), ("--d-grid", "0:1:0.5")])
+    def test_d_zero_is_refused_before_any_output(self, d_flag):
+        # the closed forms, which every check compares with, need d > 0
+        res = run_cli("verify", *d_flag, "--t-max", "1")
+        assert res.returncode == 2
+        assert res.stderr == ("error: closed forms need d > 0 (got 0.0); use the numeric "
+                              "propagator in laddyn.dynamics for d = 0\n")
+        assert res.stdout == ""
 
     def test_undersampled_event_scan_fails(self):
         # the 0.01 scan has 2.1 points per period at d = 300; it found 13 of the

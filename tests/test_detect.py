@@ -196,7 +196,7 @@ def _window_points(d, t_max, dt):
 
 @st.composite
 def _steps(draw, d):
-    # 0.1 to 0.999 of the largest step check_event_search accepts, or a step
+    # 0.1 to 0.999 of the largest step search_events accepts, or a step
     # commensurate with the W spacing, t_w(0) / k
     sp = analytic.spectral_params(d)
     dt_max = 4.0 * math.pi / ((sp.mu + sp.nu) * detect.SCAN_POINTS_PER_PERIOD)
@@ -570,24 +570,37 @@ class TestMergeEvents:
 class TestSearchOnAGivenPropagator:
     @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
     def test_find_events_is_its_refusals_then_the_search(self, monkeypatch, d):
-        detect.check_event_search(d, 0.01)
+        # find_events is search_events on model.propagator(d), whose refusals come first
         searched = detect.search_events(model.propagator(d), d, 60.0, 0.01, 1e-9)
         built = _record_calls(monkeypatch, "search_events")
         assert detect.find_events(d, 60.0) == searched
         [(prop, *args)] = built
+        assert [a.tobytes() for a in prop] == [a.tobytes() for a in model.propagator(d)]
         assert args == [d, 60.0, 0.01, 1e-9]
 
-    def test_refusals_come_before_any_propagator(self, monkeypatch):
-        built = _record_calls(monkeypatch, "search_events")
-        monkeypatch.setattr(model, "propagator", None)  # never reached
-        with pytest.raises(ValidationError, match="undersamples"):
-            detect.find_events(300.0, 3.0)
-        with pytest.raises(DomainError):
-            detect.find_events(1e-170, 3.0)
-        assert built == []
-        with pytest.raises(ValidationError, match="undersamples"):
-            detect.check_event_search(300.0, 0.01)
-        detect.check_event_search(300.0, 0.004)
+    @pytest.mark.parametrize("args, error, match", [
+        ((300.0, 3.0), ValidationError, "undersamples"),
+        ((1.0, 10.0, math.inf), ValidationError, "undersamples"),
+        ((1e-170, 3.0), DomainError, "closed forms need"),
+        ((1.0, 10.0, 0.01, math.nan), ValidationError, "tolerance must be positive"),
+        ((1.0, 10.0, math.nan), ValidationError, "dt must be finite"),
+        ((1.0, 1e7, 0.01), ValidationError, "more than 1000000 points"),
+    ], ids=["undersampled", "infinite_dt", "d_below_domain", "nan_tol", "nan_dt", "over_budget"])
+    def test_refusals_come_before_any_evolution(self, monkeypatch, args, error, match):
+        evolved = _record_block_times(monkeypatch)
+        monkeypatch.setattr(dynamics, "evolve", None)  # never reached
+        transfers = _record_calls(monkeypatch, "find_transfer_events")
+        ws = _record_calls(monkeypatch, "find_w_events")
+        with pytest.raises(error, match=match):
+            detect.find_events(*args)
+        assert evolved == transfers == ws == []
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # without the refusal the search listed 7, 0 and 0 of the 7 events here
+        message = f"tolerance must be positive and finite, got {tol}"
+        with pytest.raises(ValidationError, match=message):
+            detect.find_events(1.0, 10.0, 0.01, tol)
 
 
 class TestScanSampling:
@@ -604,6 +617,12 @@ class TestScanSampling:
             with pytest.raises(ValidationError):
                 detect.find_events(d, t_max, math.nextafter(dt_max, math.inf))
         assert reached == []
+
+    def test_undersampled_search_is_refused(self):
+        # d = 1 at step 5 has 0.89 points per period: on a given propagator the
+        # search listed 23 of the 203 events up to t = 300 and raised nothing
+        with pytest.raises(ValidationError, match="undersamples"):
+            detect.search_events(model.propagator(1.0), 1.0, 300.0, 5.0, 1e-9)
 
     def test_largest_allowed_step_is_accepted(self):
         # exactly SCAN_POINTS_PER_PERIOD points per period at d = 1

@@ -174,6 +174,21 @@ class TestEvolveSeries:
             with pytest.raises(ValidationError, match="t_max must be positive"):
                 dynamics.time_grid(t_max, 0.1)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_non_finite_dt(self, dt):
+        # a dt of inf gave the grid [nan], with a numpy RuntimeWarning
+        with pytest.raises(ValidationError, match=f"dt must be finite, got {dt}"):
+            dynamics.time_grid(1.0, dt)
+
+    def test_budget_counts_every_d_value(self):
+        # 333 grids of 3001 points fit in MAX_GRID_POINTS, 334 do not
+        assert dynamics.time_grid(30.0, 0.01, 333).size == 3001
+        message = "grid of 334 d values x 3001 times has more than 1000000 points"
+        with pytest.raises(ValidationError, match=message):
+            dynamics.time_grid_points(30.0, 0.01, 334)
+        with pytest.raises(ValidationError, match=message):
+            dynamics.time_grid(30.0, 0.01, 334)
+
     def test_grid_limit(self):
         limit = dynamics.MAX_GRID_POINTS
         assert dynamics.grid_points(0.0, limit - 1.0, 1.0) == limit

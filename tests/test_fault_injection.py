@@ -39,7 +39,7 @@ D, T_MAX, DT = 0.6, 6.0, 0.02
 
 def _failed_gated():
     """The worst value of each gated record of verify.run_checks at D that fails, by name."""
-    records = verify.run_checks([D], dynamics.time_grid(T_MAX, DT), T_MAX, DT, 1e-9, 9)
+    records = verify.run_checks([D], T_MAX, DT, 1e-9, 9)
     return {r.name: r.worst for r in records if r.gated and not r.passed}
 
 

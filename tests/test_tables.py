@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from laddyn import cli, dynamics, measures, model, tables
+from laddyn.errors import ValidationError
 
 
 def _count_calls(monkeypatch, *names):
@@ -69,3 +72,11 @@ def test_shared_columns_have_the_same_bits(d):
     assert len(shared) == 14
     for sweep_name, evolve_name in shared.items():
         assert sweep[sweep_name].tobytes() == evolve[evolve_name].tobytes(), sweep_name
+
+
+@pytest.mark.parametrize("d", [-1.0, math.inf, math.nan])
+def test_evolve_table_refuses_a_bad_d_at_the_call(d):
+    # as sweep refuses its d values; a d of -1 or nan gave a table whose first
+    # block raised only when it was computed, inside the table writer
+    with pytest.raises(ValidationError, match="d must be finite and >= 0"):
+        tables.evolve_table(d, dynamics.time_grid(1.0, 0.5), tables.ALL_PAIRS)

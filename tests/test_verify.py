@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laddyn import analytic, cli, detect, dynamics, model, verify
+from laddyn.errors import DomainError, ValidationError
 
 #: sha256 of the default `laddyn verify` stdout (TestPinnedOutputs pins the same)
 VERIFY_STDOUT_SHA256 = "55168a2909d60e2a00416cde61ad69d63457ed108675575dcff89fb6d8734f5a"
@@ -19,8 +20,7 @@ INFORMATIONAL = {"sector_leakage_value", "sz_tot_commutator"}
 @pytest.fixture(scope="module")
 def default_records():
     # the inputs of a default `laddyn verify`
-    ts = dynamics.time_grid(30.0, 0.01)
-    return verify.run_checks(verify.DEFAULT_D, ts, 30.0, 0.01, 1e-9, 9)
+    return verify.run_checks(verify.DEFAULT_D, 30.0, 0.01, 1e-9, 9)
 
 
 def test_default_gated_records_all_pass(default_records):
@@ -78,7 +78,7 @@ def test_record_is_immutable(default_records):
 def test_refused_event_search_fails_each_event_record():
     # the seven gated records of a search, each failed with the refusal, so a
     # refused d still counts 28; one event_detection record read 21/22 before
-    records = verify.run_checks([300.0], dynamics.time_grid(3.0, 0.01), 3.0, 0.01, 1e-9, 9)
+    records = verify.run_checks([300.0], 3.0, 0.01, 1e-9, 9)
     refused = [r for r in records if r.name.startswith(("event", "transfer", "w_event"))]
     assert [r.name for r in refused] == [
         "event_count", "event_time_agreement", "event_residuals", "transfer_zz_signature",
@@ -89,6 +89,22 @@ def test_refused_event_search_fails_each_event_record():
     text = verify.render(records)
     assert "FAIL w_event_zz_quench[d=300] (raised a scan step" in text
     assert text.endswith("summary: 21/28 checks passed")
+
+
+@pytest.mark.parametrize("d_values, t_max, error, match", [
+    ([0.6, 1e103], 3.0, DomainError, "closed forms need"),
+    ([0.6, 0.0], 3.0, DomainError, "closed forms need d > 0"),
+    ([0.6] * 400, 30.0, ValidationError, "grid of 400 d values x 3001 times has more than"),
+])
+def test_bad_input_is_refused_before_any_check(monkeypatch, d_values, t_max, error, match):
+    # a d outside the domain, or a grid over the budget, refused before the
+    # Hamiltonian of the first d is built
+    real = model.build_hamiltonian
+    built = []
+    monkeypatch.setattr(model, "build_hamiltonian", lambda p: built.append(p) or real(p))
+    with pytest.raises(error, match=match):
+        verify.run_checks(d_values, t_max, 0.01, 1e-9, 9)
+    assert built == []
 
 
 # log-uniform over the closed forms' domain, the bounds spectral_params accepts
@@ -103,7 +119,7 @@ def test_every_gated_record_passes_across_the_closed_form_domain(d):
     # a grid scaled to the W spacing: 40 t_w(0), 8 steps per t_w(0)
     t_max = 40.0 * analytic.w_times(d, 0)
     dt = t_max / 320.0
-    records = verify.run_checks([d], dynamics.time_grid(t_max, dt), t_max, dt, 1e-9, 9)
+    records = verify.run_checks([d], t_max, dt, 1e-9, 9)
     gated = [r for r in records if r.gated]
     assert len(gated) == 28
     assert [r for r in gated if not r.passed] == []
