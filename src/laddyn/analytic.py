@@ -62,26 +62,25 @@ def spectral_params(d: float) -> SpectralParams:
 
     nu is evaluated through the exact identity mu*nu = d^2 rather than the
     subtractive square root, which cancels catastrophically for small d.
-    Raises DomainError outside about 1.5e-154 <= d <= 5.6e102: d must be
-    > 0 and d^2 a normal float, below which nu underflows and eta_xi divides
-    by zero, and omega*d^2, the prefactor of xi in eta_xi, must be finite,
-    above which |eta|^2 + |xi|^2 = 4 fails (by 4.0 at d = 1e103).
+    Raises DomainError for a d that is not finite, and outside about
+    1.5e-154 <= d <= 5.6e102: d must be > 0 and d^2 a normal float, below
+    which nu underflows and eta_xi divides by zero, and omega*d^2, the
+    prefactor of xi in eta_xi, must be finite, above which |eta|^2 + |xi|^2
+    = 4 fails (by 4.0 at d = 1e103).
     """
     d = float(d)
+    if not math.isfinite(d):
+        raise DomainError(f"d must be finite, got {d}")
     if not d > 0.0:
-        raise DomainError(
-            f"closed forms need d > 0 (got {d}); use the numeric propagator "
-            "in laddyn.dynamics for d = 0"
-        )
+        raise DomainError(f"closed forms need d > 0 (got {d}); use the numeric propagator "
+                          "in laddyn.dynamics for d = 0")
     omega = math.sqrt(1.0 + d * d)
     mu = math.sqrt(2.0 + d * d + 2.0 * omega)
     nu = d * d / mu
     # om * d * d in the order eta_xi evaluates it
     if not (sys.float_info.min <= d * d and math.isfinite(omega * d * d)):
-        raise DomainError(
-            f"closed forms need d*d to be a normal float and omega*d*d finite, about "
-            f"1.5e-154 <= d <= 5.6e102 (got {d})"
-        )
+        raise DomainError(f"closed forms need d*d to be a normal float and omega*d*d finite, "
+                          f"about 1.5e-154 <= d <= 5.6e102 (got {d})")
     return SpectralParams(d=d, omega=omega, mu=mu, nu=nu)
 
 

@@ -2,9 +2,10 @@
 
 Each setting is declared once, in OPTIONS, which gives its --flag, its
 config-file key, its default and its parser; flags override a key=value
-config file.  A command takes only the keys that COMMANDS gives it.  CSV
-output is deterministic: a schema comment line, 17-significant-digit
-floats, '.' decimal separator and LF line endings.
+config file.  A parser only parses: the library function that reads a
+setting refuses a bad value.  A command takes only the keys that COMMANDS
+gives it.  CSV output is deterministic: a schema comment line,
+17-significant-digit floats, '.' decimal separator and LF line endings.
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error.
 """
 
@@ -67,6 +68,13 @@ def _parse_pairs(spec: str) -> list[tuple[int, int]]:
     return out
 
 
+def _parse_format(spec: str) -> str:
+    """The output format, csv or json."""
+    if spec not in ("csv", "json"):
+        raise ValidationError("expected csv or json")
+    return spec
+
+
 class Option(NamedTuple):
     parse: Callable[[str], Any]
     default: Any
@@ -84,7 +92,7 @@ OPTIONS = {
     "pairs": Option(_parse_pairs, tables.ALL_PAIRS, "site pairs like 1-2,3-4 (default all six)"),
     "tolerance": Option(float, 1e-9, "oracle tolerance (default 1e-9)"),
     "output": Option(str, None, "output file"),
-    "format": Option(str, "csv", "csv (default) or json"),
+    "format": Option(_parse_format, "csv", "csv (default) or json"),
     "n_max": Option(int, 9, f"highest W-time curve index, 0..{analytic.EXACT_N_MAX} (default 9)"),
 }
 
@@ -128,30 +136,7 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
                 raise ValidationError(f"{source}: bad {key} value {raw!r}: {exc}") from None
     if cfg["d"] is not None and cfg["d_grid"] is not None:
         raise ValidationError(f"{args.command} takes --d or --d-grid, not both")
-    cfg = argparse.Namespace(**cfg)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: argparse.Namespace) -> None:
-    """The checks on the merged values; the only check of format."""
-    if cfg.d is not None and not (math.isfinite(cfg.d) and cfg.d >= 0.0):
-        raise ValidationError(f"d must be finite and >= 0, got {cfg.d}")
-    for key in ("dt", "t_max", "tolerance"):
-        value = getattr(cfg, key)
-        if not math.isfinite(value):
-            raise ValidationError(f"{key} must be finite, got {value}")
-    if not cfg.dt > 0.0:
-        raise ValidationError(f"dt must be positive, got {cfg.dt}")
-    if not cfg.t_max > 0.0:
-        raise ValidationError(f"t_max must be positive, got {cfg.t_max}")
-    if not cfg.tolerance > 0.0:
-        raise ValidationError(f"tolerance must be positive, got {cfg.tolerance}")
-    if cfg.format not in ("csv", "json"):
-        raise ValidationError(f"format must be csv or json, got {cfg.format!r}")
-    if not 0 <= cfg.n_max <= analytic.EXACT_N_MAX:
-        raise ValidationError(
-            f"n_max must be in 0..{analytic.EXACT_N_MAX}, got {cfg.n_max}")
+    return argparse.Namespace(**cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +262,8 @@ def cmd_evolve(cfg: argparse.Namespace) -> int:
 
 
 def cmd_events(cfg: argparse.Namespace) -> int:
-    if cfg.d is None or cfg.d <= 0.0:
-        raise ValidationError("events requires --d > 0")
+    if cfg.d is None:
+        raise ValidationError("events requires --d")
     events = detect.find_events(cfg.d, cfg.t_max, cfg.dt, cfg.tolerance)
     if cfg.output is not None:
         _write_table(cfg.output, detect.EventRecord._fields, events, cfg.format)
@@ -295,9 +280,9 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     if cfg.output is None:
         raise ValidationError("sweep requires --output")
     ts = dynamics.time_grid(cfg.t_max, cfg.dt, len(d_grid))
-    table = tables.sweep(d_grid, ts)
     # before any output: the closed forms refuse a d outside their domain
     curves = detect.w_time_curves(d_grid, cfg.n_max)
+    table = tables.sweep(d_grid, ts)
     curve_table = tables.BlockTable.from_array(np.rec.fromarrays(
         [d_grid, *curves], names=["d"] + [f"t_w_n{n}" for n in range(cfg.n_max + 1)]))
     cpath = _curves_path(cfg.output, cfg.format)

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import analytic, dynamics, measures, model
 from .errors import ValidationError
+from .linalg import check_positive
 from .tables import ALL_PAIRS, LEG_CLASS_PAIRS
 # the sweep table lives in tables; perfbench/tracing.py wraps it as detect.sweep,
 # by name, so the name stays bound here until the benchmark's TRACED names it there
@@ -276,8 +277,10 @@ def find_events(d: float, t_max: float, coarse_dt: float = 0.01,
                 tol: float = 1e-9) -> list[EventRecord]:
     """Transfer and W events with t_predicted <= t_max, in time order, from one coarse scan.
 
-    search_events on the propagator of d, which it builds before the search's refusals.
+    search_events on the propagator of d, which it builds once the closed forms accept d
+    and before the search's other refusals.
     """
+    analytic.spectral_params(d)
     return search_events(model.propagator(d), d, t_max, coarse_dt, tol)
 
 
@@ -285,10 +288,10 @@ def search_events(prop: dynamics.Propagator, d: float, t_max: float, coarse_dt: 
                   tol: float) -> list[EventRecord]:
     """The events of find_events, on the propagator prop of d, from one coarse scan.
 
-    Refuses, before any scan, a d outside the closed forms' domain
-    (DomainError), and a coarse_dt with fewer than SCAN_POINTS_PER_PERIOD
-    points per period 4 pi/(mu+nu) of C_{3,4} or a tol that is not positive
-    and finite (ValidationError).
+    Refuses, before any scan and in this order, a d outside the closed forms'
+    domain (DomainError), a t_max or coarse_dt that dynamics.time_grid refuses,
+    a coarse_dt with fewer than SCAN_POINTS_PER_PERIOD points per period
+    4 pi/(mu+nu) of C_{3,4} and a tol not finite and > 0 (ValidationError).
 
     The candidates come from the grid 0, coarse_dt, ..., which runs two steps
     past t_max so that an event in the last step up to t_max still has a
@@ -301,33 +304,31 @@ def search_events(prop: dynamics.Propagator, d: float, t_max: float, coarse_dt: 
     t_max is below the first event.
     """
     sp = analytic.spectral_params(d)  # checks d is in the closed forms' domain
+    # the point count of dynamics.time_grid, and two past it
+    n_points = dynamics.time_grid_points(t_max, coarse_dt) + 2
     dt_max = 4.0 * math.pi / ((sp.mu + sp.nu) * SCAN_POINTS_PER_PERIOD)
     if coarse_dt > dt_max:
         raise ValidationError(
             f"a scan step of {coarse_dt:g} undersamples C_34 at d = {d:g}: it needs "
             f"{SCAN_POINTS_PER_PERIOD} points per period 4*pi/(mu+nu), so a step (--dt) "
             f"of at most {dt_max:.6g}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
+    check_positive("tolerance", tol)
     # every scanned state passes the sector check before either search starts
-    transfer_brackets, w_brackets = _scan_brackets(prop, d, t_max, coarse_dt)
+    transfer_brackets, w_brackets = _scan_brackets(prop, d, n_points, coarse_dt)
     events = (find_transfer_events(prop, transfer_brackets, d, t_max, tol)
               + find_w_events(prop, w_brackets, d, t_max, tol))
     return sorted(events, key=lambda e: e.t_detected)
 
 
-def _scan_brackets(prop: dynamics.Propagator, d: float, t_max: float,
+def _scan_brackets(prop: dynamics.Propagator, d: float, n_points: int,
                    coarse_dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) rows around each transfer and each W candidate of the coarse scan.
 
-    The brackets of the whole grid k * coarse_dt, k below the point count
-    of dynamics.time_grid up to t_max plus two, with only the points within
-    _SCAN_WINDOW steps of an event time evolved (_scan_indices), at most
-    dynamics.BLOCK_ROWS at a time and each through the sector check.  The
-    whole grid is never held.
+    The brackets of the whole grid k * coarse_dt, k < n_points, with only
+    the points within _SCAN_WINDOW steps of an event time evolved
+    (_scan_indices), at most dynamics.BLOCK_ROWS at a time and each through
+    the sector check.  The whole grid is never held.
     """
-    # the checks and point count of dynamics.time_grid
-    n_points = dynamics.time_grid_points(t_max, coarse_dt) + 2
     maxima, crossings = _block_candidates(
         _scan_blocks(prop, _scan_indices(d, n_points, coarse_dt), coarse_dt))
     return (np.column_stack(((maxima - 1) * coarse_dt, (maxima + 1) * coarse_dt)),
@@ -375,8 +376,8 @@ def find_w_events(prop: dynamics.Propagator, brackets: np.ndarray, d: float,
     points around it.  The scan evaluates the difference only within two
     steps of an event time, where its sign changes lie (_scan_brackets).
     Each is refined by bisecting the closed-form difference cos((mu+nu)t/2)
-    and then checked with full Wootters concurrences (_checked_events).  Each event reports the phase-maximized
-    W fidelity, which must also be at least 1-tol.
+    and then checked with full Wootters concurrences (_checked_events).  Each
+    event reports the phase-maximized W fidelity, which must be within tol of 1.
     """
     sp = analytic.spectral_params(d)
     s = sp.mu + sp.nu
@@ -385,7 +386,7 @@ def find_w_events(prop: dynamics.Propagator, brackets: np.ndarray, d: float,
         residuals = np.max([np.abs(c - 0.5) for c in conc.values()], axis=0)
         passed = ~(residuals > tol)
         fids = w_fidelity(dynamics.one_particle_amplitudes(states[passed]))
-        fit = ~(fids < 1.0 - tol)
+        fit = ~(np.abs(1.0 - fids) > tol)
         passed[passed] = fit
         fids = fids[fit]
         t = t_stars[passed]
@@ -408,8 +409,7 @@ def w_time_curves(d_grid, n_max: int = 9) -> np.ndarray:
     where that ratio is exact.
     """
     if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max <= analytic.EXACT_N_MAX:
-        raise ValidationError(
-            f"n_max must be an integer in 0..{analytic.EXACT_N_MAX}, got {n_max!r}")
+        raise ValidationError(f"n_max must be in 0..{analytic.EXACT_N_MAX}, got {n_max!r}")
     ds = np.atleast_1d(np.asarray(d_grid, dtype=float))
     if ds.size == 0:
         raise ValidationError("d grid must be non-empty")

@@ -19,6 +19,7 @@ from .linalg import (
     N_SITES,
     ONE_PARTICLE_INDICES,
     check_hermitian,
+    check_positive,
     require_normalized,
 )
 
@@ -161,10 +162,8 @@ def grid_points(start: float, stop: float, step: float) -> int:
     """
     span = (stop - start) / step + 1e-9
     if not span < MAX_GRID_POINTS:
-        raise ValidationError(
-            f"grid from {start:g} to {stop:g} in steps of {step:g} has more than "
-            f"{MAX_GRID_POINTS} points"
-        )
+        raise ValidationError(f"grid from {start:g} to {stop:g} in steps of {step:g} has more "
+                              f"than {MAX_GRID_POINTS} points")
     return math.floor(span) + 1
 
 
@@ -173,12 +172,8 @@ def time_grid_points(t_max: float, dt: float, n_d: int = 1) -> int:
 
     n_d grids of that count, one per d value, must fit in MAX_GRID_POINTS.
     """
-    if not math.isfinite(dt):
-        raise ValidationError(f"dt must be finite, got {dt}")
-    if not dt > 0.0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    if not t_max > 0.0:
-        raise ValidationError(f"t_max must be positive, got {t_max}")
+    check_positive("dt", dt)
+    check_positive("t_max", t_max)
     n_points = grid_points(0.0, t_max, dt)
     if n_d * n_points > MAX_GRID_POINTS:
         raise ValidationError(f"grid of {n_d} d values x {n_points} times has more than "

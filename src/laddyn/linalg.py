@@ -63,6 +63,14 @@ def require_normalized(state) -> np.ndarray:
     return psi
 
 
+def check_positive(name: str, value: float) -> None:
+    """Refuse a value that is not finite, then one that is not > 0, by its setting's name."""
+    if not np.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    if not value > 0.0:
+        raise ValidationError(f"{name} must be positive, got {value}")
+
+
 def check_sites(*sites) -> tuple[int, ...]:
     """Validate site indices: integers (not bool) in 1..N_SITES, pairwise distinct.
 

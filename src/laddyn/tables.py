@@ -150,7 +150,7 @@ def sweep(d_grid, t_grid) -> BlockTable:
     ts = np.array(t_grid, dtype=float, ndmin=1)
     if len(ds) == 0 or ts.size == 0:
         raise ValidationError("sweep grids must be non-empty")
-    if any(not dv > 0.0 for dv in ds):
+    if any(not model.ModelParams(d=dv).d > 0.0 for dv in ds):
         raise ValidationError("all sweep d values must be > 0")
     unique = list(dict.fromkeys(ds))
     if len(unique) != len(ds):

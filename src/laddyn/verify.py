@@ -13,6 +13,7 @@ import numpy as np
 
 from . import analytic, detect, dynamics, measures, model, tables
 from .errors import LaddynError
+from .linalg import check_positive
 
 
 @dataclass(frozen=True)
@@ -92,24 +93,30 @@ def run_checks(d_values, t_max: float, dt: float, tol: float, n_max: int) -> lis
     """The records for d_values on the grid time_grid(t_max, dt), then the d-independent ones.
 
     Events are scanned with step dt up to t_max; tol is the oracle tolerance.
-    A d outside the closed forms' domain, or a grid over the budget for all
-    d values, is refused before any check.
+    A bad d or tol is refused before any check, and a grid over the budget
+    for all d values or a bad n_max before any state is evolved.
     """
-    d_values = [float(d) for d in d_values]
-    for d in d_values:
-        analytic.spectral_params(d)
+    d_values = [analytic.spectral_params(d).d for d in d_values]  # float(d), in the domain
+    check_positive("tolerance", tol)
     ts = dynamics.time_grid(t_max, dt, len(d_values))
+    closed_form = list(_closed_form_checks(n_max))
     records = []
     sz = model.total_spin_operator("z")
     for d in d_values:
         h = model.build_hamiltonian(model.ModelParams(d=d))
         prop = dynamics.make_propagator(h, model.initial_state())
-        records += _state_checks(d, h, prop, ts, tol)
-        records += _event_checks(d, prop, t_max, dt, tol)
+        try:
+            events = detect.search_events(prop, d, t_max, dt, tol)
+        except LaddynError as exc:  # the refusal fails each gated event record
+            events, event_records = [], [_require(name, d, False, f"raised {exc}")
+                                         for name in _EVENT_CHECKS]
+        else:
+            event_records = _event_checks(d, prop, events, t_max, tol)
+        records += _state_checks(d, h, prop, ts, tol, events)
+        records += event_records
         records.append(_check("sz_tot_commutator", d,
                               np.max(np.abs(h @ sz - sz @ h)), math.inf, gated=False))
-    records += _closed_form_checks(n_max)
-    return records
+    return records + closed_form
 
 
 def _roundoff_tol(size: float) -> float:
@@ -122,8 +129,15 @@ def _roundoff_tol(size: float) -> float:
     return max(1e-10, 64 * np.finfo(float).eps * size)
 
 
+def _amplitude_error(states: np.ndarray, t, d: float) -> float:
+    """The largest deviation of the site amplitudes of states at the times t from eta/xi."""
+    eta, xi = analytic.eta_xi(t, d)
+    amps = states[:, list(dynamics.ONE_PARTICLE_INDICES)]
+    return _worst(np.abs(amps - np.stack([eta, eta, xi, xi], axis=1) / (2.0 * np.sqrt(2.0))))
+
+
 def _state_checks(d: float, h: np.ndarray, prop: dynamics.Propagator, ts: np.ndarray,
-                  tol: float):
+                  tol: float, events):
     """The checks of H(d), its propagator prop and the states it evolves on ts, in blocks."""
     yield _check("hamiltonian_hermitian", d, np.max(np.abs(h - h.conj().T)), 1e-14)
     w, v = prop.eigenvalues, prop.eigenvectors
@@ -163,9 +177,7 @@ def _state_checks(d: float, h: np.ndarray, prop: dynamics.Propagator, ts: np.nda
              np.max(np.abs(amps[:, 2] - amps[:, 3])))
 
         # amplitude-level oracle; this is the check that pins the DM orientation
-        eta, xi = analytic.eta_xi(t, d)
-        expected_amps = np.stack([eta, eta, xi, xi], axis=1) / (2.0 * np.sqrt(2.0))
-        note("amps", np.max(np.abs(amps - expected_amps)))
+        note("amps", _amplitude_error(states, t, d))
 
         # the observables the tables write, from their kernel
         cols = tables.BlockColumns(d, states, t)
@@ -196,6 +208,10 @@ def _state_checks(d: float, h: np.ndarray, prop: dynamics.Propagator, ts: np.nda
         note("spin_z", np.max(np.abs(cols["s_tot_z"] + 1.0)))
         note("spin_xy", np.max(np.abs(cols["s_tot_x"])), np.max(np.abs(cols["s_tot_y"])))
         del states, cols  # hold no block while the next one is evolved
+
+    # the events' states, which dynamics.evolve gives where the grid's come from evolve_states
+    t_events = np.array([ev.t_detected for ev in events])
+    note("amps", _amplitude_error(dynamics.evolve_each(prop, t_events), t_events, d))
 
     yield _check("norm_preservation", d, worst["norm"], 1e-12)
     yield _check("energy_constant", d, energy_hi - energy_lo, h_tol)
@@ -232,14 +248,8 @@ _EVENT_CHECKS = ("event_count", "event_time_agreement", "event_residuals", "tran
                  "w_event_fidelity", "w_event_zz_quench", "w_event_rung_xx_eighth")
 
 
-def _event_checks(d: float, prop: dynamics.Propagator, t_max: float, dt: float, tol: float):
-    """The events the scan of prop finds up to t_max, against the closed forms and the states."""
-    try:
-        events = detect.search_events(prop, d, t_max, dt, tol)
-    except LaddynError as exc:
-        for name in _EVENT_CHECKS:
-            yield _require(name, d, False, f"raised {exc}")
-        return
+def _event_checks(d: float, prop: dynamics.Propagator, events, t_max: float, tol: float):
+    """The events the search on prop found up to t_max, against the closed forms and the states."""
     transfers = [ev for ev in events if ev.kind == detect.TRANSFER]
     ws = [ev for ev in events if ev.kind == detect.W_STATE]
     n_tr, n_w = (_closed_form_count(f, d, t_max) for f in (analytic.transfer_times, analytic.w_times))
@@ -262,7 +272,7 @@ def _event_checks(d: float, prop: dynamics.Propagator, t_max: float, dt: float, 
     w_states = event_states(ws)
     xx = chi(w_states, ((1, 2), (3, 4), *tables.LEG_CLASS_PAIRS), "xx")
     xx_off = np.abs(np.abs(xx) - 0.125)
-    yield _check("w_event_fidelity", d, _worst([1.0 - (ev.fidelity or 0.0) for ev in ws]), tol)
+    yield _check("w_event_fidelity", d, _worst([abs(1.0 - ev.fidelity) for ev in ws]), tol)
     yield _check("w_event_zz_quench", d, _worst(np.abs(chi(w_states, tables.ALL_PAIRS, "zz"))), tol)
     yield _check("w_event_rung_xx_eighth", d, _worst(xx_off[:2]), tol)
     if ws:

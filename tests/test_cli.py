@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laddyn import cli, detect, dynamics, measures, model, tables, verify
-from laddyn.errors import NumericalFailureError
+from laddyn.errors import DomainError, NumericalFailureError, ValidationError
 
 from conftest import src_env
 
@@ -352,7 +352,7 @@ class TestPinnedOutputs:
         res = run_cli("verify")
         assert res.returncode == 0, res.stderr
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
-            "55168a2909d60e2a00416cde61ad69d63457ed108675575dcff89fb6d8734f5a")
+            "1b52acdf8f6c54ac6d11464472bdbfd22e32af351da5aef0605e86d0a8cf930c")
 
     @pytest.mark.parametrize("fmt, digest", [
         ("csv", "237825d183977405c2da662f1523e3889d17e2fd553c5e0d4b8ddd1a2c8abeb9"),
@@ -668,7 +668,7 @@ class TestVerifyCommand:
         gc.collect()
         tracemalloc.start()
         try:
-            records = list(verify._state_checks(0.6, h, prop, ts, 1e-9))
+            records = list(verify._state_checks(0.6, h, prop, ts, 1e-9, []))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -871,7 +871,7 @@ class TestOptionTable:
         res = run_cli(command, "--d", "0.6", "--t-max", "1", "--format", "xml",
                       "--output", str(out))
         assert res.returncode == 2
-        assert "error: format must be csv or json, got 'xml'" in res.stderr
+        assert "error: command line: bad format value 'xml': expected csv or json" in res.stderr
         assert res.stdout == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -1038,6 +1038,53 @@ class TestMalformedInput:
         assert "Traceback" not in res.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == (
             ["n.cfg"] if source == "config" else [])
+
+    @pytest.mark.parametrize("command, key, value, library", [
+        ("evolve", "d", "nan", lambda d: tables.evolve_table(d, dynamics.time_grid(30.0, 0.01),
+                                                               tables.ALL_PAIRS)),
+        ("evolve", "d", "-1", lambda d: tables.evolve_table(d, dynamics.time_grid(30.0, 0.01),
+                                                              tables.ALL_PAIRS)),
+        ("evolve", "t_max", "inf", lambda t_max: dynamics.time_grid(t_max, 0.01)),
+        ("evolve", "dt", "0", lambda dt: dynamics.time_grid(30.0, dt)),
+        ("events", "d", "0", lambda d: detect.find_events(d, 30.0, 0.01, 1e-9)),
+        ("events", "d", "inf", lambda d: detect.find_events(d, 30.0, 0.01, 1e-9)),
+        ("events", "d", "-1", lambda d: detect.find_events(d, 30.0, 0.01, 1e-9)),
+        ("events", "t_max", "nan", lambda t_max: detect.find_events(1.0, t_max, 0.01, 1e-9)),
+        ("events", "dt", "inf", lambda dt: detect.find_events(1.0, 30.0, dt, 1e-9)),
+        ("events", "tolerance", "nan", lambda tol: detect.find_events(1.0, 30.0, 0.01, tol)),
+        ("events", "tolerance", "0", lambda tol: detect.find_events(1.0, 30.0, 0.01, tol)),
+        ("sweep", "d", "nan", lambda d: detect.w_time_curves([d], 9)),
+        ("sweep", "d", "0", lambda d: detect.w_time_curves([d], 9)),
+        ("sweep", "t_max", "inf", lambda t_max: dynamics.time_grid(t_max, 0.01)),
+        ("sweep", "dt", "-0.1", lambda dt: dynamics.time_grid(30.0, dt)),
+        ("sweep", "n_max", "16", lambda n_max: detect.w_time_curves([1.0], n_max)),
+        ("verify", "d", "inf", lambda d: verify.run_checks([d], 30.0, 0.01, 1e-9, 9)),
+        ("verify", "d", "0", lambda d: verify.run_checks([d], 30.0, 0.01, 1e-9, 9)),
+        ("verify", "t_max", "0", lambda t_max: verify.run_checks([1.0], t_max, 0.01, 1e-9, 9)),
+        ("verify", "dt", "nan", lambda dt: verify.run_checks([1.0], 30.0, dt, 1e-9, 9)),
+        ("verify", "tolerance", "inf", lambda tol: verify.run_checks([1.0], 30.0, 0.01, tol, 9)),
+        ("verify", "tolerance", "-1e-9",
+         lambda tol: verify.run_checks([1.0], 30.0, 0.01, tol, 9)),
+        ("verify", "n_max", "16", lambda n_max: verify.run_checks([1.0], 30.0, 0.01, 1e-9, n_max)),
+        ("verify", "n_max", "-1", lambda n_max: verify.run_checks([1.0], 30.0, 0.01, 1e-9, n_max)),
+    ])
+    def test_usage_error_is_the_library_refusal(self, tmp_path, monkeypatch, capsys, command,
+                                                key, value, library):
+        # the CLI only parses: the function that reads a setting refuses it, and
+        # stderr is that refusal, word for word (d = 1 and every other setting
+        # at its default)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises((ValidationError, DomainError)) as refusal:
+            library(cli.OPTIONS[key].parse(value))
+        argv = [command, f"--{key.replace('_', '-')}={value}"]
+        if key != "d":
+            argv += ["--d", "1"]
+        if "output" in cli.COMMANDS[command].keys:
+            argv += ["--output", "out.csv"]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert err == f"error: {refusal.value}\n" and out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", [
         ("verify", "--d", "1e-170"),

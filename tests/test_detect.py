@@ -261,7 +261,7 @@ class TestCoarseScan:
         # d from 1e-3 to 100, steps up to the refusal limit, grids commensurate
         # with the W spacing and t_max at an event time
         prop = model.propagator(d)
-        got = detect._scan_brackets(prop, d, t_max, dt)
+        got = detect._scan_brackets(prop, d, _scan_points(t_max, dt), dt)
         expected = _whole_grid_brackets(prop, t_max, dt)
         np.testing.assert_array_equal(got[0], expected[0])
         np.testing.assert_array_equal(got[1], expected[1])
@@ -359,7 +359,7 @@ class TestCoarseScan:
                 4.0 * math.pi / ((sp.mu + sp.nu) * detect.SCAN_POINTS_PER_PERIOD), 0.0)
         t_max = 3000.0 * dt
         blocks = _record_block_times(monkeypatch)
-        detect._scan_brackets(model.propagator(d), d, t_max, dt)
+        detect._scan_brackets(model.propagator(d), d, _scan_points(t_max, dt), dt)
         rows = np.concatenate(blocks)
         assert rows.size <= _scan_points(t_max, dt)
         np.testing.assert_array_equal(rows, dt * np.array(_window_points(d, t_max, dt)))
@@ -490,7 +490,8 @@ class TestRefinement:
         # each time, the array bisection np.sin and np.cos of a whole chunk
         sp = analytic.spectral_params(d)
         s = sp.mu + sp.nu
-        transfer, w = detect._scan_brackets(model.propagator(d), d, t_max, 0.01)
+        transfer, w = detect._scan_brackets(model.propagator(d), d, _scan_points(t_max, 0.01),
+                                             0.01)
         for brackets, scalar, array in ((transfer, math.sin, np.sin), (w, math.cos, np.cos)):
             for width in (detect._REFINE_WIDTH, 0.0):
                 expected = [_bisect(lambda t: scalar(s * t / 2.0), lo, hi, width)
@@ -580,9 +581,9 @@ class TestSearchOnAGivenPropagator:
 
     @pytest.mark.parametrize("args, error, match", [
         ((300.0, 3.0), ValidationError, "undersamples"),
-        ((1.0, 10.0, math.inf), ValidationError, "undersamples"),
+        ((1.0, 10.0, math.inf), ValidationError, "dt must be finite"),
         ((1e-170, 3.0), DomainError, "closed forms need"),
-        ((1.0, 10.0, 0.01, math.nan), ValidationError, "tolerance must be positive"),
+        ((1.0, 10.0, 0.01, math.nan), ValidationError, "tolerance must be finite"),
         ((1.0, 10.0, math.nan), ValidationError, "dt must be finite"),
         ((1.0, 1e7, 0.01), ValidationError, "more than 1000000 points"),
     ], ids=["undersampled", "infinite_dt", "d_below_domain", "nan_tol", "nan_dt", "over_budget"])
@@ -598,7 +599,7 @@ class TestSearchOnAGivenPropagator:
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
     def test_tolerance_must_be_positive_and_finite(self, tol):
         # without the refusal the search listed 7, 0 and 0 of the 7 events here
-        message = f"tolerance must be positive and finite, got {tol}"
+        message = f"tolerance must be {'finite' if math.isnan(tol) else 'positive'}, got {tol}"
         with pytest.raises(ValidationError, match=message):
             detect.find_events(1.0, 10.0, 0.01, tol)
 

@@ -170,7 +170,7 @@ class TestEvolveSeries:
     def test_bad_dt(self):
         with pytest.raises(ValidationError, match="dt must be positive"):
             dynamics.time_grid(1.0, 0.0)
-        for t_max in (0.0, -1.0, math.nan):
+        for t_max in (0.0, -1.0):
             with pytest.raises(ValidationError, match="t_max must be positive"):
                 dynamics.time_grid(t_max, 0.1)
 
@@ -179,6 +179,12 @@ class TestEvolveSeries:
         # a dt of inf gave the grid [nan], with a numpy RuntimeWarning
         with pytest.raises(ValidationError, match=f"dt must be finite, got {dt}"):
             dynamics.time_grid(1.0, dt)
+
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan])
+    def test_non_finite_t_max(self, t_max):
+        # a t_max of inf was reported as a grid of too many points
+        with pytest.raises(ValidationError, match=f"^t_max must be finite, got {t_max}$"):
+            dynamics.time_grid(t_max, 0.1)
 
     def test_budget_counts_every_d_value(self):
         # 333 grids of 3001 points fit in MAX_GRID_POINTS, 334 do not

@@ -1,7 +1,7 @@
 """Faults injected into the model, each caught by named gated `verify` records.
 
 Each case monkeypatches `laddyn` (a bond constant, the Hamiltonian builder,
-the two evolve functions or the closed-form event times), runs
+the evolve functions, the W fidelity or the closed-form event times), runs
 `verify.run_checks` at one d on a short grid, and asserts the exact set of
 gated records that fail.  The same run on the unpatched model fails none
 (test_cli.py::TestVerifyCommand::test_default_topology_passes).
@@ -149,3 +149,32 @@ def test_event_times_off_by_a_part_in_1e9_fail_the_event_count(monkeypatch, eps)
     monkeypatch.setattr(detect, "analytic",
                         types.SimpleNamespace(**{**vars(analytic), "spectral_params": scaled}))
     assert set(_failed_gated()) == {"event_count"}
+
+
+def test_w_fidelity_scaled_by_16_fails_the_event_count(monkeypatch):
+    """detect.w_fidelity times 16 ('/ 4.0' turned into '* 4.0'): F = 16 at every W event.
+
+    A W state has F = 1 up to roundoff, so find_w_events keeps a root only
+    when |1 - F| <= tol, and no W event is listed.  Measured at d = 0.6,
+    t <= 6, dt 0.02: event_count is the one gated failure (1 transfer and
+    0 W, of 1 and 2 expected).  A check of 1 - F alone passed all 28.
+    """
+    w_fidelity = detect.w_fidelity
+    monkeypatch.setattr(detect, "w_fidelity", lambda amps: 16.0 * w_fidelity(amps))
+    assert set(_failed_gated()) == {"event_count"}
+
+
+def test_time_reversed_evolve_fails_the_amplitudes(monkeypatch):
+    """dynamics.evolve with exp(+i E t): the event states are those at -t_detected.
+
+    |eta| and |xi| are even in t, so every event check reads the same
+    concurrences, |xx| and zz, and evolution_composition calls evolve on
+    both sides.  The grid's states come from evolve_states, so only the
+    event states of amplitudes_vs_closed_form see it.  Measured at d = 0.6,
+    t <= 6, dt 0.02: amplitudes_vs_closed_form 0.901 is the one gated failure.
+    """
+    evolve = dynamics.evolve
+    monkeypatch.setattr(dynamics, "evolve", lambda prop, t: evolve(prop, -t))
+    failed = _failed_gated()
+    assert set(failed) == {"amplitudes_vs_closed_form"}
+    assert failed["amplitudes_vs_closed_form"] > 0.9

@@ -12,7 +12,7 @@ from laddyn import analytic, cli, detect, dynamics, model, verify
 from laddyn.errors import DomainError, ValidationError
 
 #: sha256 of the default `laddyn verify` stdout (TestPinnedOutputs pins the same)
-VERIFY_STDOUT_SHA256 = "55168a2909d60e2a00416cde61ad69d63457ed108675575dcff89fb6d8734f5a"
+VERIFY_STDOUT_SHA256 = "1b52acdf8f6c54ac6d11464472bdbfd22e32af351da5aef0605e86d0a8cf930c"
 ADJUDICATIONS = {"leg_xxyy_vs_table", "leg_cross_axis_zero", "w_event_leg_xx_eighth"}
 INFORMATIONAL = {"sector_leakage_value", "sz_tot_commutator"}
 
@@ -107,6 +107,39 @@ def test_bad_input_is_refused_before_any_check(monkeypatch, d_values, t_max, err
     assert built == []
 
 
+@pytest.mark.parametrize("tol, n_max, message", [
+    (math.nan, 9, "tolerance must be finite, got nan"),
+    (math.inf, 9, "tolerance must be finite, got inf"),
+    (0.0, 9, "tolerance must be positive, got 0.0"),
+    (-1e-9, 9, "tolerance must be positive, got -1e-09"),
+    (1e-9, 16, "n_max must be in 0..15, got 16"),
+    (1e-9, -1, "n_max must be in 0..15, got -1"),
+])
+def test_bad_tolerance_or_n_max_is_refused_before_any_state_is_evolved(monkeypatch, tol,
+                                                                        n_max, message):
+    # n_max was refused only after every state check, and a bad tolerance
+    # failed the event records after the grid was evolved
+    def no_states(*args):
+        raise AssertionError("a state was evolved before the refusal")
+
+    monkeypatch.setattr(dynamics, "evolved_blocks", no_states)
+    monkeypatch.setattr(dynamics, "evolve_states", no_states)
+    with pytest.raises(ValidationError) as exc:
+        verify.run_checks([0.6], 3.0, 0.01, tol, n_max)
+    assert str(exc.value) == message
+
+
+def test_w_event_fidelity_is_two_sided():
+    # F = 16 at each W event, as from a w_fidelity scaled by 16; the largest
+    # 1 - F was 0.0 and passed
+    prop = model.propagator(1.0)
+    events = [ev._replace(fidelity=16.0) if ev.kind == detect.W_STATE else ev
+              for ev in detect.search_events(prop, 1.0, 10.0, 0.01, 1e-9)]
+    [fidelity] = [r for r in verify._event_checks(1.0, prop, events, 10.0, 1e-9)
+                  if r.name == "w_event_fidelity"]
+    assert fidelity.worst == 15.0 and not fidelity.passed
+
+
 # log-uniform over the closed forms' domain, the bounds spectral_params accepts
 @given(d=st.floats(min_value=math.log(1.5e-154), max_value=math.log(5.6e102)).map(math.exp))
 # an absolute 1e-6 merge window in t merged W events pi/d apart from d of about
@@ -151,7 +184,7 @@ def test_size_of_h_tolerances_catch_a_relative_error_of_1e_9(d):
     # H(d (1 + 1e-9)) checked against the closed forms and the eigensystem of H(d)
     h = model.build_hamiltonian(model.ModelParams(d=d * (1 + 1e-9)))
     records = verify._state_checks(d, h, model.propagator(d),
-                                   dynamics.time_grid(1.0 / d, 0.5 / d), 1e-9)
+                                   dynamics.time_grid(1.0 / d, 0.5 / d), 1e-9, [])
     by_name = {r.name: r for r in records}
     for name in ("sector_eigenvalues", "eig_reconstruction"):
         assert not by_name[name].passed, name
@@ -163,7 +196,7 @@ def test_identity_mu_nu_catches_a_relative_error_of_1e_9(d):
     # the spectrum of H(d (1 + 1e-9)) misses mu nu = d^2 by about 2e-9 d^2
     h = model.build_hamiltonian(model.ModelParams(d=d * (1 + 1e-9)))
     prop = dynamics.make_propagator(h, model.initial_state())
-    records = verify._state_checks(d, h, prop, dynamics.time_grid(1.0, 0.5), 1e-9)
+    records = verify._state_checks(d, h, prop, dynamics.time_grid(1.0, 0.5), 1e-9, [])
     [identity] = [r for r in records if r.name == "identity_mu_nu"]
     assert not identity.passed
     assert identity.tol == (1e-10 if d == 1.0 else 64 * 2.0 ** -52 * (4 + 2 * d * d))
@@ -176,18 +209,12 @@ def test_identity_mu_nu_catches_a_relative_error_of_1e_9(d):
 def test_nan_correlation_at_an_event_fails_its_check(monkeypatch, kind, checks):
     # the search finds the events on true states; then the state at the second
     # event of kind turns to nan, and with it every correlation read there
-    search, evolve = detect.search_events, dynamics.evolve
-
-    def search_then_poison(*args):
-        events = search(*args)
-        poisoned = [ev.t_detected for ev in events if ev.kind == kind][1]
-        monkeypatch.setattr(dynamics, "evolve", lambda prop, t: evolve(prop, t) * (
-            math.nan if t == poisoned else 1.0))
-        return events
-
-    monkeypatch.setattr(detect, "search_events", search_then_poison)
-    prop = model.propagator(1.0)
-    records = list(verify._event_checks(1.0, prop, 30.0, 0.01, 1e-9))
+    prop, evolve = model.propagator(1.0), dynamics.evolve
+    events = detect.search_events(prop, 1.0, 30.0, 0.01, 1e-9)
+    poisoned = [ev.t_detected for ev in events if ev.kind == kind][1]
+    monkeypatch.setattr(dynamics, "evolve", lambda prop, t: evolve(prop, t) * (
+        math.nan if t == poisoned else 1.0))
+    records = list(verify._event_checks(1.0, prop, events, 30.0, 1e-9))
     assert {r.name for r in records if r.name in checks and math.isnan(r.worst)} == checks
     assert not any(r.passed for r in records if r.name in checks)
     assert all(r.passed for r in records if r.gated and r.name not in checks)
